@@ -26,22 +26,22 @@ def _split_u64(value: int) -> tuple[int, int]:
     return v >> 32, v & 0xFFFFFFFF
 
 
-def rng_at(seed: int, stream: int, *index: int) -> np.random.Generator:
-    """Generator for the stream addressed by (seed, stream, index...)."""
+def _seed_sequence(seed: int, stream: int, index: tuple[int, ...]) -> np.random.SeedSequence:
+    """The SeedSequence at address (seed, stream, index...)."""
     if int(seed) < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     key = (int(stream),)
     for part in index:
         key += _split_u64(part)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+
+
+def rng_at(seed: int, stream: int, *index: int) -> np.random.Generator:
+    """Generator for the stream addressed by (seed, stream, index...)."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, stream, index)))
 
 
 def derive_seed(seed: int, stream: int, *index: int) -> int:
     """A fresh 64-bit seed deterministically derived from an address."""
-    key = (int(stream),)
-    for part in index:
-        key += _split_u64(part)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    words = ss.generate_state(2, dtype=np.uint64)
+    words = _seed_sequence(seed, stream, index).generate_state(2, dtype=np.uint64)
     return int(words[0] ^ words[1])

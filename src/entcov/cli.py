@@ -34,13 +34,7 @@ from .gmeasure import (
 )
 from .jsonio import dumps, format_float
 from .observables import correlation_data
-from .sampler import (
-    estimate_g,
-    estimate_to_dict,
-    exact_g,
-    record_from_dict,
-    simulate_record,
-)
+from .sampler import estimate_g, estimate_to_dict, record_from_dict, simulate_record
 from .states import (
     DensityMatrix,
     density_matrix_to_dict,
@@ -143,6 +137,11 @@ def _parse_ranks(text: str) -> list[int]:
     return ranks
 
 
+def _measures(rho: DensityMatrix) -> tuple[float, float, float]:
+    """(concurrence, G, purity): the columns every sweep command writes."""
+    return concurrence_mixed(rho), g_from_covariances(correlation_data(rho)), purity(rho)
+
+
 def cmd_scan_bounds(args) -> int:
     ranks = _parse_ranks(args.rank)
     if args.count < 1:
@@ -150,24 +149,13 @@ def cmd_scan_bounds(args) -> int:
     lines = [CSV_SCAN_HEADER]
     for idx in range(args.count):
         rank = ranks[idx % len(ranks)]
-        rho = ginibre(args.seed, idx, rank)
-        c = concurrence_mixed(rho)
-        g = g_from_covariances(correlation_data(rho))
-        row = (
-            "sample",
-            c,
-            g,
-            purity(rho),
-            rank,
-            int(bounds_violated(c, g)),
-        )
+        c, g, p = _measures(ginibre(args.seed, idx, rank))
+        row = ("sample", c, g, p, rank, int(bounds_violated(c, g)))
         lines.append(",".join(_fmt(v) for v in row))
-    for c in np.linspace(0.0, 1.0, BOUND_CURVE_POINTS):
-        c = float(c)
-        lines.append(",".join(_fmt(v) for v in ("lower_bound", c, pure_state_floor(c), None, None, 0)))
-    for c in np.linspace(0.0, 1.0, BOUND_CURVE_POINTS):
-        c = float(c)
-        lines.append(",".join(_fmt(v) for v in ("upper_bound", c, mixed_state_ceiling(c), None, None, 0)))
+    for kind, curve in (("lower_bound", pure_state_floor), ("upper_bound", mixed_state_ceiling)):
+        for c in np.linspace(0.0, 1.0, BOUND_CURVE_POINTS):
+            c = float(c)
+            lines.append(",".join(_fmt(v) for v in (kind, c, curve(c), None, None, 0)))
     _emit(args.output, "\n".join(lines))
     return 0
 
@@ -213,9 +201,7 @@ def cmd_purity_slice(args) -> int:
                 rho = fixed_purity(args.seed, idx, args.purity, args.window)
             except (ValueError, RuntimeError) as exc:
                 raise CliInputError(str(exc)) from exc
-        c = concurrence_mixed(rho)
-        g = g_from_covariances(correlation_data(rho))
-        rows.append((c, g, purity(rho)))
+        rows.append(_measures(rho))
 
     lines = ["concurrence,g,purity"]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -238,7 +224,7 @@ def cmd_sample(args) -> int:
     rec = simulate_record(rho, args.shots, args.seed)
     est = estimate_g(rec)
     out = estimate_to_dict(est)
-    out["g_exact"] = exact_g(rho)
+    out["g_exact"] = g_from_covariances(correlation_data(rho))
     _emit(args.output, dumps(out))
     return 0
 
@@ -261,9 +247,7 @@ def cmd_ensemble(args) -> int:
 
     lines = ["index,kind,concurrence,g,purity"]
     for idx, rho in generate(spec):
-        c = concurrence_mixed(rho)
-        g = g_from_covariances(correlation_data(rho))
-        lines.append(",".join(_fmt(v) for v in (idx, spec.kind, c, g, purity(rho))))
+        lines.append(",".join(_fmt(v) for v in (idx, spec.kind, *_measures(rho))))
     _emit(args.output, "\n".join(lines))
     return 0
 

@@ -87,9 +87,9 @@ def concurrence_mixed(rho: DensityMatrix) -> float:
     """
     rho_tilde = _YY @ rho.mat.conj() @ _YY
     s = sqrt_psd(rho.mat)
-    m = s @ rho_tilde @ s
-    # Hermitian up to rounding since s and rho_tilde both are.
-    w, _ = eig_hermitian((m + m.conj().T) / 2)
+    # Hermitian up to rounding since s and rho_tilde both are; eig_hermitian
+    # symmetrizes its input.
+    w, _ = eig_hermitian(s @ rho_tilde @ s)
     w = np.maximum(w, 0.0)
     w[w < SPECTRUM_FLOOR] = 0.0
     lam = np.sqrt(w)

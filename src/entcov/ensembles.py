@@ -22,6 +22,7 @@ from ._rng import (
     STREAM_UNITARY,
     rng_at,
 )
+from .jsonio import _json_int
 from .states import DensityMatrix, PureState, from_pure, purity, rho_u
 
 MAX_REJECTION_ATTEMPTS = 10**6
@@ -186,10 +187,14 @@ def ensemble_spec_from_dict(data: dict) -> EnsembleSpec:
         raise ValueError(f"ensemble spec fields must include {sorted(required)}")
     return EnsembleSpec(
         kind=str(data["kind"]),
-        count=int(data["count"]),
-        seed=int(data["seed"]),
-        rank=None if data.get("rank") is None else int(data["rank"]),
+        count=_json_int("count", data["count"]),
+        seed=_json_int("seed", data["seed"]),
+        rank=None if data.get("rank") is None else _json_int("rank", data["rank"]),
         purity_target=None if data.get("purity_target") is None else float(data["purity_target"]),
         purity_window=None if data.get("purity_window") is None else float(data["purity_window"]),
-        mixture_terms=None if data.get("mixture_terms") is None else int(data["mixture_terms"]),
+        mixture_terms=(
+            None
+            if data.get("mixture_terms") is None
+            else _json_int("mixture_terms", data["mixture_terms"])
+        ),
     )

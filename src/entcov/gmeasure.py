@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, SIGMA0, partial_trace, tensor
-from .observables import CorrelationData, correlation_data, variance
+from .linalg import partial_trace
+from .observables import CorrelationData, correlation_data, pauli_moments
 from .states import DensityMatrix
 
 logger = logging.getLogger(__name__)
@@ -37,12 +37,6 @@ CERT_MARGIN = 1e-9
 
 VERDICT_CERTIFIED = "entangled_certified"
 VERDICT_NOT_CERTIFIED = "not_certified"
-
-# L3 settings: sigma_i (x) 1 + 1 (x) sigma_i for i = 3, 1, 2
-# (polarization bases 0/90, 45/135, R/L respectively).
-_L3_OBSERVABLES = tuple(
-    tensor(PAULIS[i], SIGMA0) + tensor(SIGMA0, PAULIS[i]) for i in (3, 1, 2)
-)
 
 
 @dataclass(frozen=True)
@@ -95,8 +89,17 @@ def l3(rho: DensityMatrix) -> float:
 
     Separable mixtures give at least 4; the singlet reaches 0 and the
     sigma1-flipped singlet reaches the maximum 8.
+
+    With O = sigma_i (x) 1 + 1 (x) sigma_i, O^2 = 2 + 2 sigma_i (x) sigma_i, so
+    each setting's variance is 2 (t00 + t_ii) - (t_i0 + t_0i)^2 in the Pauli
+    moment table, clamped at zero like ``variance``; settings sum in the
+    order i = 3, 1, 2.  t00 = Tr(rho) rather than a literal 1 keeps the
+    singlet's L3 an exact 0.
     """
-    return float(sum(variance(rho, obs) for obs in _L3_OBSERVABLES))
+    t = pauli_moments(rho.mat)
+    return float(
+        sum(max(2.0 * (t[0, 0] + t[i, i]) - (t[i, 0] + t[0, i]) ** 2, 0.0) for i in (3, 1, 2))
+    )
 
 
 def concurrence_interval(g: float) -> tuple[float, float]:

@@ -13,6 +13,18 @@ import math
 loads = json.loads
 
 
+def _json_int(name: str, value) -> int:
+    """An integer field of parsed JSON; integral floats such as 4.0 are accepted.
+
+    Booleans, fractions and non-numbers are rejected rather than truncated.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot serialize non-finite float {x}")

@@ -127,8 +127,3 @@ def correlation_data_from_moments(t: np.ndarray) -> CorrelationData:
 def correlation_data(rho: DensityMatrix) -> CorrelationData:
     """All 9 covariances, 9 raw correlations and both Bloch vectors of a state."""
     return correlation_data_from_moments(pauli_moments(rho.mat))
-
-
-def correlation_data_of_matrix(mat) -> CorrelationData:
-    """Correlation data of a possibly unphysical Hermitian unit-trace matrix."""
-    return correlation_data_from_moments(pauli_moments(mat))

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import STREAM_BOOTSTRAP, STREAM_SETTING, STREAM_TRIAL, derive_seed, rng_at
-from .linalg import PAULIS, SIGMA0
-from .observables import correlation_data
+from .gmeasure import g_from_covariances
+from .jsonio import _json_int
+from .observables import correlation_data, pauli_moments
 from .states import DensityMatrix
 
 # Fixed outcome order (+ +), (+ -), (- +), (- -); all tables use it.
@@ -71,13 +72,16 @@ class GEstimate:
 
 
 def outcome_probabilities(rho: DensityMatrix, i: int, j: int) -> np.ndarray:
-    """The four joint probabilities p(a, b) of setting (i, j), fixed order."""
+    """The four joint probabilities p(a, b) of setting (i, j), fixed order.
+
+    p(a, b) = (t00 + a t_i0 + b t_0j + ab t_ij) / 4 from the Pauli moment
+    table.  t00 = Tr(rho) rather than a literal 1 keeps the exact zeros of
+    Bell and product states exact, so the multinomial draws stay unchanged.
+    """
     if i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError(f"axes must be in 1..3, got ({i}, {j})")
-    probs = np.empty(4)
-    for k, (a, b) in enumerate(OUTCOMES):
-        proj = np.kron((SIGMA0 + a * PAULIS[i]) / 2, (SIGMA0 + b * PAULIS[j]) / 2)
-        probs[k] = float(np.real(np.trace(rho.mat @ proj)))
+    t = pauli_moments(rho.mat)
+    probs = (t[0, 0] + _A * t[i, 0] + _B * t[0, j] + _AB * t[i, j]) / 4
     probs = np.where(probs < 0, 0.0, probs)
     total = probs.sum()
     if abs(total - 1.0) > 1e-12:
@@ -140,12 +144,6 @@ def estimate_g(rec: MeasurementRecord, n_boot: int = DEFAULT_BOOTSTRAP) -> GEsti
     )
 
 
-def exact_g(rho: DensityMatrix) -> float:
-    """Exact G through the same covariance formula the estimator uses."""
-    cov = correlation_data(rho).cov
-    return float(np.sum(cov**2))
-
-
 def shots_for_verdict(
     rho: DensityMatrix,
     confidence_sigma: float,
@@ -161,7 +159,7 @@ def shots_for_verdict(
     on a doubling grid and then refined by bisection.  States with G <= 1
     cannot be certified by this measure and are rejected.
     """
-    g = exact_g(rho)
+    g = g_from_covariances(correlation_data(rho))
     if g <= 1.0 + 1e-9:
         raise ValueError(f"state has G = {g:.6g} <= 1 and cannot be certified")
 
@@ -218,9 +216,9 @@ def record_from_dict(data: dict) -> MeasurementRecord:
             raise ValueError(f'counts["{key}"] must have 4 entries')
         counts[int(key[0]) - 1, int(key[1]) - 1] = arr
     return MeasurementRecord(
-        shots_per_setting=int(data["shots"]),
+        shots_per_setting=_json_int("shots", data["shots"]),
         counts=counts,
-        seed=int(data["seed"]),
+        seed=_json_int("seed", data["seed"]),
     )
 
 

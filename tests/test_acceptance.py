@@ -31,8 +31,8 @@ from entcov.gmeasure import (
     pure_state_floor,
 )
 from entcov.linalg import PAULIS, SIGMA0, SIGMA1, partial_transpose
-from entcov.observables import correlation_data, correlation_data_of_matrix
-from entcov.sampler import MeasurementRecord, estimate_g, exact_g, outcome_probabilities, simulate_record
+from entcov.observables import correlation_data, correlation_data_from_moments, pauli_moments
+from entcov.sampler import MeasurementRecord, estimate_g, outcome_probabilities, simulate_record
 from entcov.states import apply_local_unitary, canonical, from_pure, purity, rho_u
 from entcov._rng import STREAM_GINIBRE, STREAM_TRIAL, derive_seed, rng_at
 
@@ -286,7 +286,9 @@ def test_criterion_07_invariance_suite():
     worst_pt = 0.0
     for k in range(10_000):
         rho = ginibre(20260827, k, k % 4 + 1)
-        g_pt = g_from_covariances(correlation_data_of_matrix(partial_transpose(rho.mat, "B")))
+        g_pt = g_from_covariances(
+            correlation_data_from_moments(pauli_moments(partial_transpose(rho.mat, "B")))
+        )
         worst_pt = max(worst_pt, abs(g_pt - g_of(rho)))
     # the LUR witness pair: detection flips across the threshold, G does not move
     singlet = canonical("singlet")
@@ -383,7 +385,7 @@ def test_criterion_11_estimator_consistency():
     states += [ginibre(20260811, k, k % 4 + 1) for k in range(20)]
     for rho in states:
         est = estimate_g(_exact_record(rho, 1))
-        worst_exact = max(worst_exact, abs(est.g_hat - exact_g(rho)))
+        worst_exact = max(worst_exact, abs(est.g_hat - g_of(rho)))
 
     singlet = canonical("singlet")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -223,6 +224,30 @@ def test_ensemble_command_json_states_round_trip(tmp_path, capsys):
         assert dumps(density_matrix_to_dict(rho)) == dumps(
             {"re": entry["re"], "im": entry["im"]}
         )
+
+
+# sha256 of the CSV text; the three sweep commands share one (C, G, purity)
+# row path, and these pins keep its output byte-identical.
+SWEEP_CSV_SHA256 = {
+    "scan-bounds": "5c223ecc24ccaa14b8e90c8dd582e4fcfe1ca9440d817c79889366d234d69f2e",
+    "purity-slice": "7fce297641c7e91bb21de1f372f8ca0b5ba037aae17356abf2167be50baac92b",
+    "ensemble": "72046f20d97644112d4dc5b151ade55284bd00c65114693dd8378f5bab0aed49",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_CSV_SHA256))
+def test_sweep_csv_text_is_pinned(tmp_path, capsys, command):
+    if command == "scan-bounds":
+        argv = ["scan-bounds", "--count", "64", "--seed", "12345"]
+    elif command == "purity-slice":
+        argv = ["purity-slice", "--purity", "0.46", "--count", "8", "--seed", "12345"]
+    else:
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "ginibre", "count": 16, "seed": 7, "rank": 2}))
+        argv = ["ensemble", str(spec_path)]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_CSV_SHA256[command]
 
 
 def test_ensemble_rejects_bad_spec(tmp_path, capsys):

@@ -170,6 +170,36 @@ def test_ensemble_spec_json_round_trip():
         ensemble_spec_from_dict({"kind": "haar_pure"})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("count", 2.7),
+        ("count", True),
+        ("count", "4"),
+        ("seed", True),
+        ("seed", 3.99),
+        ("rank", 3.9),
+        ("rank", True),
+        ("mixture_terms", 2.5),
+        ("mixture_terms", True),
+    ],
+)
+def test_ensemble_spec_from_dict_rejects_non_integers(field, value):
+    if field == "mixture_terms":
+        data = {"kind": "separable_mixture", "count": 4, "seed": 1, "mixture_terms": 3}
+    else:
+        data = {"kind": "ginibre", "count": 4, "seed": 1, "rank": 3}
+    data[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ensemble_spec_from_dict(data)
+
+
+def test_ensemble_spec_from_dict_accepts_integral_floats():
+    spec = ensemble_spec_from_dict({"kind": "ginibre", "count": 4.0, "seed": 1.0, "rank": 3.0})
+    assert spec == EnsembleSpec(kind="ginibre", count=4, seed=1, rank=3)
+    assert all(type(v) is int for v in (spec.count, spec.seed, spec.rank))
+
+
 def test_generate_all_kinds_yield_valid_states():
     specs = [
         EnsembleSpec(kind="haar_pure", count=5, seed=3),

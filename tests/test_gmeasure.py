@@ -15,8 +15,13 @@ from entcov.gmeasure import (
     mixed_state_ceiling,
     pure_state_floor,
 )
-from entcov.linalg import SIGMA0, SIGMA1, partial_transpose
-from entcov.observables import correlation_data, correlation_data_of_matrix
+from entcov.linalg import PAULIS, SIGMA0, SIGMA1, partial_transpose, tensor
+from entcov.observables import (
+    correlation_data,
+    correlation_data_from_moments,
+    pauli_moments,
+    variance,
+)
 from entcov.states import PureState, apply_local_unitary, canonical, from_pure, rho_u
 
 
@@ -52,7 +57,8 @@ def test_form_equivalence_over_random_states():
 
 
 def test_l3_singlet_zero():
-    assert l3(canonical("singlet")) < 1e-12
+    # exactly 0, as the README's analyze example prints it
+    assert l3(canonical("singlet")) == 0.0
 
 
 def test_l3_phi_minus_maximal():
@@ -60,7 +66,7 @@ def test_l3_phi_minus_maximal():
 
 
 def test_l3_product_state_at_threshold():
-    assert abs(l3(canonical("product00")) - 4.0) < 1e-12
+    assert l3(canonical("product00")) == 4.0
 
 
 def test_l3_not_invariant_but_g_is():
@@ -76,6 +82,17 @@ def test_l3_separable_floor():
     for k in range(1000):
         rho = separable_mixture(53, k, k % 8 + 1)
         assert l3(rho) >= 4.0 - 1e-9
+
+
+def test_l3_matches_variance_route():
+    # the moment-table closed form against the general-observable variances
+    for k in range(500):
+        rho = ginibre(57, k, k % 4 + 1)
+        reference = sum(
+            variance(rho, tensor(PAULIS[i], SIGMA0) + tensor(SIGMA0, PAULIS[i]))
+            for i in (3, 1, 2)
+        )
+        assert abs(l3(rho) - reference) < 1e-12
 
 
 def test_concurrence_interval_paper_example():
@@ -161,7 +178,9 @@ def test_local_unitary_invariance_of_g():
 def test_partial_transpose_invariance_of_g():
     for k in range(500):
         rho = ginibre(71, k, k % 4 + 1)
-        g_pt = g_from_covariances(correlation_data_of_matrix(partial_transpose(rho.mat, "B")))
+        g_pt = g_from_covariances(
+            correlation_data_from_moments(pauli_moments(partial_transpose(rho.mat, "B")))
+        )
         assert abs(g_pt - g_of(rho)) < 1e-9
 
 

@@ -6,9 +6,10 @@ from entcov.linalg import PAULIS, SIGMA0, SIGMA1, SIGMA3, tensor
 from entcov.observables import (
     CorrelationData,
     correlation_data,
-    correlation_data_of_matrix,
+    correlation_data_from_moments,
     covariance,
     expectation,
+    pauli_moments,
     variance,
 )
 from entcov.states import PureState, canonical, from_pure, purity, rho_u
@@ -151,11 +152,11 @@ def test_pure_product_states_have_zero_covariance_matrix():
         assert np.max(np.abs(cd.cov)) < 1e-12
 
 
-def test_correlation_data_of_matrix_accepts_partial_transpose():
+def test_correlation_data_from_moments_accepts_partial_transpose():
     from entcov.linalg import partial_transpose
 
     rho = canonical("singlet")
-    cd = correlation_data_of_matrix(partial_transpose(rho.mat, "B"))
+    cd = correlation_data_from_moments(pauli_moments(partial_transpose(rho.mat, "B")))
     # the sigma2 column flips sign, squares are unchanged
     assert abs(np.sum(cd.cov**2) - 3.0) < 1e-12
 

@@ -3,11 +3,14 @@ import pytest
 
 from entcov._rng import STREAM_TRIAL, derive_seed
 from entcov.ensembles import ginibre, separable_mixture
+from entcov.gmeasure import g_from_covariances
 from entcov.jsonio import dumps, loads
+from entcov.linalg import PAULIS, SIGMA0
+from entcov.observables import correlation_data
 from entcov.sampler import (
+    OUTCOMES,
     MeasurementRecord,
     estimate_g,
-    exact_g,
     outcome_probabilities,
     record_from_dict,
     record_to_dict,
@@ -41,6 +44,58 @@ def test_outcome_probabilities_maximally_mixed():
 def test_outcome_probabilities_eigenstate():
     p = outcome_probabilities(canonical("product00"), 3, 3)
     assert np.max(np.abs(p - np.array([1.0, 0.0, 0.0, 0.0]))) < 1e-12
+
+
+def projector_probabilities(rho, i, j):
+    """Tr(rho P_a (x) P_b) with P_a = (1 + a sigma_i) / 2, in the fixed outcome order."""
+    projectors = [
+        np.kron((SIGMA0 + a * PAULIS[i]) / 2, (SIGMA0 + b * PAULIS[j]) / 2) for a, b in OUTCOMES
+    ]
+    return np.array([np.real(np.trace(rho.mat @ proj)) for proj in projectors])
+
+
+def probability_table(rho):
+    return np.array([[outcome_probabilities(rho, i, j) for j in (1, 2, 3)] for i in (1, 2, 3)])
+
+
+def test_outcome_probabilities_match_projector_trace():
+    names = ("singlet", "phi_plus", "phi_minus", "psi_plus", "product00", "maximally_mixed")
+    states = [canonical(name) for name in names] + [rho_u(0.4), rho_u(0.1)]
+    states += [ginibre(41, k, k % 4 + 1) for k in range(200)]
+    for rho in states:
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                diff = outcome_probabilities(rho, i, j) - projector_probabilities(rho, i, j)
+                assert np.max(np.abs(diff)) < 1e-15
+
+
+def test_outcome_probabilities_named_states_exact():
+    # Bit-exact, not within a tolerance: a zero that turns into 5.55e-17 makes
+    # rng.multinomial consume extra draws and moves every pinned shot count.
+    def correlated_table(diag):
+        table = np.full((3, 3, 4), 0.25)
+        for k, probs in enumerate(diag):
+            table[k, k] = probs
+        return table
+
+    same, opposite = [0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0]
+    product00 = np.full((3, 3, 4), 0.25)
+    product00[2, :2] = [0.5, 0.5, 0.0, 0.0]
+    product00[:2, 2] = [0.5, 0.0, 0.5, 0.0]
+    product00[2, 2] = [1.0, 0.0, 0.0, 0.0]
+    expected = {
+        "singlet": (canonical("singlet"), correlated_table([opposite] * 3)),
+        "phi_plus": (canonical("phi_plus"), correlated_table([same, opposite, same])),
+        "product00": (canonical("product00"), product00),
+    }
+    for gamma in (0.4, 0.1):
+        p, q = (1 + 2 * gamma) / 4, (1 - 2 * gamma) / 4
+        table = correlated_table([[p, q, q, p], [q, p, p, q], same])
+        expected[f"rho_u({gamma})"] = (rho_u(gamma), table)
+    for name, (rho, table) in expected.items():
+        assert np.array_equal(probability_table(rho), table), name
+    # the expected tables carry the rounding of (1 - 0.8) / 4, not 0.05
+    assert expected["rho_u(0.4)"][1][0, 0, 1] == 0.04999999999999999
 
 
 def test_outcome_probabilities_rejects_bad_axes():
@@ -100,7 +155,7 @@ def test_estimate_on_exact_frequencies_singlet():
 def test_estimate_on_exact_frequencies_rho_u():
     rho = rho_u(0.25, 0.0)
     est = estimate_g(exact_record(rho, 8))
-    assert abs(est.g_hat - exact_g(rho)) < 1e-12
+    assert abs(est.g_hat - g_from_covariances(correlation_data(rho))) < 1e-12
     assert abs(est.g_hat - 1.5) < 1e-12
 
 
@@ -110,7 +165,7 @@ def test_estimate_on_exact_frequencies_random_states():
     for k in range(20):
         rho = ginibre(909, k, k % 4 + 1)
         est = estimate_g(exact_record(rho, 1))
-        assert abs(est.g_hat - exact_g(rho)) < 1e-9
+        assert abs(est.g_hat - g_from_covariances(correlation_data(rho))) < 1e-9
 
 
 def test_estimate_g_hat_is_sum_of_squared_covariances():
@@ -181,6 +236,24 @@ def test_record_json_rejects_malformed():
     bad = {"shots": 10, "seed": 1, "counts": {"11": [10, 0, 0, 0]}}
     with pytest.raises(ValueError):
         record_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("shots", 10.5), ("shots", True), ("seed", 3.99), ("seed", True), ("seed", "3")]
+)
+def test_record_from_dict_rejects_non_integers(field, value):
+    data = record_to_dict(simulate_record(canonical("singlet"), 10, 1))
+    data[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        record_from_dict(data)
+
+
+def test_record_from_dict_accepts_integral_floats():
+    data = record_to_dict(simulate_record(canonical("singlet"), 10, 1))
+    data.update(shots=10.0, seed=1.0)
+    back = record_from_dict(data)
+    assert type(back.shots_per_setting) is int and back.shots_per_setting == 10
+    assert type(back.seed) is int and back.seed == 1
 
 
 def test_record_validation():
