@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .concurrence import concurrence_mixed
-from .ensembles import ensemble_spec_from_dict, fixed_purity, generate, ginibre, haar_pure
+from .ensembles import EnsembleSpec, ensemble_spec_from_dict, generate, ginibre
 from .gmeasure import (
     analyze,
     bounds_violated,
@@ -103,6 +103,22 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
+def _csv(header: str, rows) -> str:
+    """The header line, then one comma-joined line per row."""
+    return "\n".join([header, *(",".join(_fmt(v) for v in row) for row in rows)])
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: a nonnegative integer."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text}")
+
+
 def cmd_analyze(args) -> int:
     data = _load_json_file(args.state_file)
     if isinstance(data, dict) and "counts" in data:
@@ -119,9 +135,7 @@ def cmd_analyze(args) -> int:
     out = greport_to_dict(report)
     out["concurrence"] = concurrence_mixed(rho)
     if args.format == "csv":
-        header = ",".join(out)
-        row = ",".join(_fmt(v) for v in out.values())
-        _emit(args.output, f"{header}\n{row}")
+        _emit(args.output, _csv(",".join(out), [out.values()]))
     else:
         _emit(args.output, dumps(out))
     return 0
@@ -146,21 +160,20 @@ def cmd_scan_bounds(args) -> int:
     ranks = _parse_ranks(args.rank)
     if args.count < 1:
         raise CliInputError(f"count must be >= 1, got {args.count}")
-    lines = [CSV_SCAN_HEADER]
+    rows = []
     for idx in range(args.count):
         rank = ranks[idx % len(ranks)]
         c, g, p = _measures(ginibre(args.seed, idx, rank))
-        row = ("sample", c, g, p, rank, int(bounds_violated(c, g)))
-        lines.append(",".join(_fmt(v) for v in row))
+        rows.append(("sample", c, g, p, rank, int(bounds_violated(c, g))))
     for kind, curve in (("lower_bound", pure_state_floor), ("upper_bound", mixed_state_ceiling)):
         for c in np.linspace(0.0, 1.0, BOUND_CURVE_POINTS):
             c = float(c)
-            lines.append(",".join(_fmt(v) for v in (kind, c, curve(c), None, None, 0)))
-    _emit(args.output, "\n".join(lines))
+            rows.append((kind, c, curve(c), None, None, 0))
+    _emit(args.output, _csv(CSV_SCAN_HEADER, rows))
     return 0
 
 
-def bin_spreads(cs, gs, width: float = BIN_WIDTH) -> list[tuple[float, float, int, float]]:
+def bin_spreads(cs, gs) -> list[tuple[float, float, int, float]]:
     """Per concurrence bin: (lo, hi, count, spread of G above the pure-state floor).
 
     The spread is max - min of G - C^2 (2 + C^2) inside the bin, i.e. the
@@ -170,11 +183,11 @@ def bin_spreads(cs, gs, width: float = BIN_WIDTH) -> list[tuple[float, float, in
     """
     cs = np.asarray(cs, dtype=float)
     gs = np.asarray(gs, dtype=float)
-    excess = gs - (cs * cs * (2.0 + cs * cs))
+    excess = gs - pure_state_floor(cs)
     out = []
-    n_bins = int(np.ceil(1.0 / width))
+    n_bins = int(np.ceil(1.0 / BIN_WIDTH))
     for k in range(n_bins):
-        lo, hi = k * width, (k + 1) * width
+        lo, hi = k * BIN_WIDTH, (k + 1) * BIN_WIDTH
         mask = (cs >= lo) & (cs < hi) if k < n_bins - 1 else (cs >= lo) & (cs <= 1.0)
         n = int(np.count_nonzero(mask))
         if n == 0:
@@ -184,28 +197,26 @@ def bin_spreads(cs, gs, width: float = BIN_WIDTH) -> list[tuple[float, float, in
     return out
 
 
+def _states(spec: EnsembleSpec):
+    """generate(spec), with an infeasible purity window as an input error."""
+    try:
+        yield from generate(spec)
+    except RuntimeError as exc:
+        raise CliInputError(str(exc)) from exc
+
+
 def cmd_purity_slice(args) -> int:
-    if args.count < 1:
-        raise CliInputError(f"count must be >= 1, got {args.count}")
-    if args.window <= 0:
-        raise CliInputError(f"window must be positive, got {args.window}")
-
-    rows = []
-    for idx in range(args.count):
-        if args.purity == 1.0:
-            # A rank-4 rejection sweep essentially never reaches purity 1;
-            # the pure slice is sampled directly from Haar states instead.
-            rho = from_pure(haar_pure(args.seed, idx))
-        else:
-            try:
-                rho = fixed_purity(args.seed, idx, args.purity, args.window)
-            except (ValueError, RuntimeError) as exc:
-                raise CliInputError(str(exc)) from exc
-        rows.append(_measures(rho))
-
-    lines = ["concurrence,g,purity"]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _emit(args.output, "\n".join(lines))
+    # A rank-4 rejection sweep essentially never reaches purity 1; the pure
+    # slice is sampled directly from Haar states instead.
+    kind = "haar_pure" if args.purity == 1.0 else "fixed_purity"
+    try:
+        spec = EnsembleSpec(
+            kind, args.count, args.seed, purity_target=args.purity, purity_window=args.window
+        )
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
+    rows = [_measures(rho) for _, rho in _states(spec)]
+    _emit(args.output, _csv("concurrence,g,purity", rows))
 
     print(
         "# per-bin spread of G above the pure-state curve C^2(2+C^2), bin width "
@@ -237,18 +248,11 @@ def cmd_ensemble(args) -> int:
         raise CliInputError(f"{args.spec}: {exc}") from exc
 
     if args.format == "json":
-        states = []
-        for idx, rho in generate(spec):
-            entry = {"index": idx}
-            entry.update(density_matrix_to_dict(rho))
-            states.append(entry)
+        states = [{"index": idx, **density_matrix_to_dict(rho)} for idx, rho in _states(spec)]
         _emit(args.output, dumps(states))
-        return 0
-
-    lines = ["index,kind,concurrence,g,purity"]
-    for idx, rho in generate(spec):
-        lines.append(",".join(_fmt(v) for v in (idx, spec.kind, *_measures(rho))))
-    _emit(args.output, "\n".join(lines))
+    else:
+        rows = ((idx, spec.kind, *_measures(rho)) for idx, rho in _states(spec))
+        _emit(args.output, _csv("index,kind,concurrence,g,purity", rows))
     return 0
 
 
@@ -268,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-bounds", help="CSV of (C, G) samples plus bound curves")
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--rank", default="1,2,3,4", help="comma list of Ginibre ranks to cycle")
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_scan_bounds)
@@ -277,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--purity", type=float, required=True)
     p.add_argument("--window", type=float, default=0.005)
     p.add_argument("--count", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_purity_slice)
 
     p = sub.add_parser("sample", help="simulate the 9-setting protocol at finite shots")
     p.add_argument("state_file")
     p.add_argument("--shots", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_sample)
 

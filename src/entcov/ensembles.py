@@ -120,7 +120,8 @@ class EnsembleSpec:
 
     kind selects the generator; rank applies to ginibre, purity_target and
     purity_window to fixed_purity, mixture_terms to separable_mixture.  A
-    rho_u_sweep walks gamma uniformly over [0, 1/2] at theta = 0.
+    purity target or window is checked whenever it is given, whatever the
+    kind.  A rho_u_sweep walks gamma uniformly over [0, 1/2] at theta = 0.
     """
 
     kind: str
@@ -144,10 +145,10 @@ class EnsembleSpec:
         if self.kind == "fixed_purity":
             if self.purity_target is None or self.purity_window is None:
                 raise ValueError("fixed_purity needs purity_target and purity_window")
-            if not 0.25 <= self.purity_target <= 1.0:
-                raise ValueError("purity_target must lie in [0.25, 1]")
-            if self.purity_window <= 0.0:
-                raise ValueError("purity_window must be positive")
+        if self.purity_target is not None and not 0.25 <= self.purity_target <= 1.0:
+            raise ValueError(f"purity_target must lie in [0.25, 1], got {self.purity_target}")
+        if self.purity_window is not None and not self.purity_window > 0.0:
+            raise ValueError(f"purity_window must be positive, got {self.purity_window}")
         if self.kind == "separable_mixture":
             if self.mixture_terms is None or self.mixture_terms < 1:
                 raise ValueError("separable_mixture needs mixture_terms >= 1")

@@ -161,6 +161,6 @@ def mixed_state_ceiling(c: float) -> float:
     return 1.0 + 2.0 * c * c
 
 
-def bounds_violated(c: float, g: float, tol: float = CERT_MARGIN) -> bool:
-    """True when (c, g) falls outside the mixed-state band beyond ``tol``."""
-    return g < pure_state_floor(c) - tol or g > mixed_state_ceiling(c) + tol
+def bounds_violated(c: float, g: float) -> bool:
+    """True when (c, g) falls outside the mixed-state band beyond CERT_MARGIN."""
+    return g < pure_state_floor(c) - CERT_MARGIN or g > mixed_state_ceiling(c) + CERT_MARGIN

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 loads = json.loads
 
 
@@ -25,6 +27,23 @@ def _json_int(name: str, value) -> int:
     return value
 
 
+def _json_floats(name: str, value) -> np.ndarray:
+    """A numeric field of parsed JSON (an array, possibly nested) as floats.
+
+    Booleans, strings and null are rejected rather than coerced to numbers.
+    """
+
+    def check(item) -> None:
+        if isinstance(item, (list, tuple)):
+            for x in item:
+                check(x)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{name} must hold only numbers, got {item!r}")
+
+    check(value)
+    return np.asarray(value, dtype=float)
+
+
 def format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot serialize non-finite float {x}")
@@ -33,14 +52,14 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps(obj, indent: int | None = 2) -> str:
-    """Serialize dicts/lists/scalars; floats get 17 significant digits."""
+def dumps(obj) -> str:
+    """Serialize dicts/lists/scalars with a 2-space indent; floats get 17 significant digits."""
     pieces: list[str] = []
-    _write(obj, pieces, indent, 0)
+    _write(obj, pieces, 0)
     return "".join(pieces)
 
 
-def _write(obj, out: list[str], indent: int | None, level: int) -> None:
+def _write(obj, out: list[str], level: int) -> None:
     if isinstance(obj, bool) or obj is None:
         out.append(json.dumps(obj))
     elif isinstance(obj, int):
@@ -51,26 +70,22 @@ def _write(obj, out: list[str], indent: int | None, level: int) -> None:
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
         items = [(json.dumps(str(k)) + ": ", v) for k, v in obj.items()]
-        _write_items(items, "{", "}", out, indent, level)
+        _write_items(items, "{", "}", out, level)
     elif isinstance(obj, (list, tuple)):
-        _write_items([("", v) for v in obj], "[", "]", out, indent, level)
+        _write_items([("", v) for v in obj], "[", "]", out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_items(items, open_b, close_b, out, indent, level) -> None:
+def _write_items(items, open_b, close_b, out, level) -> None:
     if not items:
         out.append(open_b + close_b)
         return
-    if indent is None:
-        head, sep, tail = "", ", ", ""
-    else:
-        inner = "\n" + " " * (indent * (level + 1))
-        head, sep, tail = inner, "," + inner, "\n" + " " * (indent * level)
-    out.append(open_b + head)
+    inner = "\n" + "  " * (level + 1)
+    out.append(open_b + inner)
     for k, (prefix, value) in enumerate(items):
         if k:
-            out.append(sep)
+            out.append("," + inner)
         out.append(prefix)
-        _write(value, out, indent, level + 1)
-    out.append(tail + close_b)
+        _write(value, out, level + 1)
+    out.append("\n" + "  " * level + close_b)

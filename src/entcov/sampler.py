@@ -18,7 +18,7 @@ import numpy as np
 
 from ._rng import STREAM_BOOTSTRAP, STREAM_SETTING, STREAM_TRIAL, derive_seed, rng_at
 from .gmeasure import g_from_covariances
-from .jsonio import _json_int
+from .jsonio import _json_floats, _json_int
 from .observables import correlation_data, pauli_moments
 from .states import DensityMatrix
 
@@ -29,7 +29,8 @@ _A = np.array([a for a, _ in OUTCOMES], dtype=float)
 _B = np.array([b for _, b in OUTCOMES], dtype=float)
 
 COUNT_SUM_TOL = 1e-6
-DEFAULT_BOOTSTRAP = 200
+BOOTSTRAP_REPLICATES = 200
+MAX_SHOTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,8 @@ class MeasurementRecord:
         c = np.asarray(self.counts, dtype=float)
         if c.shape != (3, 3, 4):
             raise ValueError(f"counts must have shape (3, 3, 4), got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("counts must be finite")
         if np.any(c < 0):
             raise ValueError("counts must be nonnegative")
         sums = c.sum(axis=2)
@@ -112,24 +115,22 @@ def _covariances_from_counts(counts: np.ndarray) -> np.ndarray:
     return e_ab - a_marg * b_marg
 
 
-def estimate_g(rec: MeasurementRecord, n_boot: int = DEFAULT_BOOTSTRAP) -> GEstimate:
+def estimate_g(rec: MeasurementRecord) -> GEstimate:
     """Plug-in G with a bootstrap standard error.
 
-    Each bootstrap replicate redraws every setting's table multinomially at
-    the empirical frequencies; stderr is the standard deviation of the
-    replicate G values.
+    Each of the BOOTSTRAP_REPLICATES replicates redraws every setting's
+    table multinomially at the empirical frequencies; stderr is the
+    standard deviation of the replicate G values.
     """
-    if n_boot < 2:
-        raise ValueError(f"n_boot must be >= 2, got {n_boot}")
     cov_hat = _covariances_from_counts(rec.counts)
     g_hat = float(np.sum(cov_hat**2))
 
     n = int(round(rec.shots_per_setting))
     freqs = rec.counts / rec.counts.sum(axis=2, keepdims=True)
     rng = rng_at(rec.seed, STREAM_BOOTSTRAP)
-    replicates = np.empty(n_boot)
+    replicates = np.empty(BOOTSTRAP_REPLICATES)
     boot_counts = np.empty((3, 3, 4))
-    for r in range(n_boot):
+    for r in range(BOOTSTRAP_REPLICATES):
         for i in range(3):
             for j in range(3):
                 boot_counts[i, j] = rng.multinomial(n, freqs[i, j])
@@ -150,14 +151,13 @@ def shots_for_verdict(
     seed: int,
     trials: int = 100,
     required: int = 95,
-    max_shots: int = 2**22,
 ) -> int:
     """Smallest shots-per-setting that certifies entanglement reliably.
 
     Success at a given shot count means g_hat - confidence_sigma * stderr > 1
     in at least ``required`` of ``trials`` seeded runs.  The count is located
-    on a doubling grid and then refined by bisection.  States with G <= 1
-    cannot be certified by this measure and are rejected.
+    on a doubling grid up to MAX_SHOTS and then refined by bisection.
+    States with G <= 1 cannot be certified by this measure and are rejected.
     """
     g = g_from_covariances(correlation_data(rho))
     if g <= 1.0 + 1e-9:
@@ -176,8 +176,8 @@ def shots_for_verdict(
     shots = 1
     while not succeeds(shots):
         shots *= 2
-        if shots > max_shots:
-            raise RuntimeError(f"no shot count up to {max_shots} certifies this state")
+        if shots > MAX_SHOTS:
+            raise RuntimeError(f"no shot count up to {MAX_SHOTS} certifies this state")
     if shots == 1:
         return 1
     lo, hi = shots // 2, shots  # lo fails, hi succeeds
@@ -211,7 +211,7 @@ def record_from_dict(data: dict) -> MeasurementRecord:
         raise ValueError('record "counts" must have exactly the keys "11".."33"')
     counts = np.zeros((3, 3, 4))
     for key, row in data["counts"].items():
-        arr = np.asarray(row, dtype=float)
+        arr = _json_floats(f'counts["{key}"]', row)
         if arr.shape != (4,):
             raise ValueError(f'counts["{key}"] must have 4 entries')
         counts[int(key[0]) - 1, int(key[1]) - 1] = arr

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .jsonio import _json_floats
 from .linalg import SIGMA0, tensor
 
 VALIDATION_TOL = 1e-10
@@ -131,8 +132,8 @@ def density_matrix_from_dict(data: dict) -> DensityMatrix:
     """Parse the {"re", "im"} JSON form, enforcing all DensityMatrix invariants."""
     if not isinstance(data, dict) or set(data) != {"re", "im"}:
         raise ValueError('density matrix JSON must have exactly the fields "re" and "im"')
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
+    re = _json_floats('"re"', data["re"])
+    im = _json_floats('"im"', data["im"])
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise ValueError('"re" and "im" must each be 4x4 arrays of numbers')
     return DensityMatrix(re + 1j * im)
@@ -146,7 +147,7 @@ def pure_state_to_dict(p: PureState) -> dict:
 def pure_state_from_dict(data: dict) -> PureState:
     if not isinstance(data, dict) or set(data) != {"amps"}:
         raise ValueError('pure state JSON must have exactly the field "amps"')
-    amps = np.asarray(data["amps"], dtype=float)
+    amps = _json_floats('"amps"', data["amps"])
     if amps.shape != (4, 2):
         raise ValueError('"amps" must be 4 pairs [re, im]')
     return PureState(amps[:, 0] + 1j * amps[:, 1])

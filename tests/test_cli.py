@@ -174,18 +174,48 @@ def test_purity_slice_mixed_target(tmp_path, capsys):
     assert all(abs(float(r[2]) - 0.5) <= 0.01 for r in rows)
 
 
-def test_purity_slice_infeasible_window(tmp_path, capsys, monkeypatch):
+def cap_fixed_purity(monkeypatch):
+    """Make an infeasible window fail after 500 attempts instead of 10**6."""
     from entcov import ensembles
 
-    def capped(seed, index, target, window, max_attempts=10**6):
-        return ensembles.fixed_purity(seed, index, target, window, max_attempts=500)
+    original = ensembles.fixed_purity
 
-    monkeypatch.setattr(cli, "fixed_purity", capped)
+    def capped(seed, index, target, window, max_attempts=10**6):
+        return original(seed, index, target, window, max_attempts=500)
+
+    monkeypatch.setattr(ensembles, "fixed_purity", capped)
+
+
+def test_purity_slice_infeasible_window(tmp_path, capsys, monkeypatch):
+    cap_fixed_purity(monkeypatch)
     code, _, err = run_cli(
         capsys, ["purity-slice", "--purity", "0.99", "--window", "1e-9", "--count", "1"]
     )
     assert code == 2
     assert "infeasible" in err
+
+
+def test_purity_slice_pure_target_rejects_zero_window(capsys):
+    code, _, err = run_cli(
+        capsys, ["purity-slice", "--purity", "1.0", "--window", "0", "--count", "1"]
+    )
+    assert code == 2
+    assert "purity_window must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-bounds", "--count", "1"],
+        ["purity-slice", "--purity", "0.46", "--count", "1"],
+        ["sample", "state.json"],
+    ],
+)
+def test_negative_seed_is_an_input_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
 
 
 def test_sample_command_deterministic(tmp_path, capsys):
@@ -248,6 +278,27 @@ def test_sweep_csv_text_is_pinned(tmp_path, capsys, command):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_CSV_SHA256[command]
+
+
+def test_ensemble_infeasible_window(tmp_path, capsys, monkeypatch):
+    cap_fixed_purity(monkeypatch)
+    spec = {"kind": "fixed_purity", "count": 1, "seed": 1,
+            "purity_target": 0.99, "purity_window": 1e-9}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, ["ensemble", str(spec_path)])
+    assert code == 2
+    assert "infeasible" in err
+
+
+def test_analyze_record_with_null_count(tmp_path, capsys):
+    data = record_to_dict(simulate_record(canonical("singlet"), 10, 1))
+    data["counts"]["12"] = [None, 0, 0, 0]
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert "must hold only numbers" in err
 
 
 def test_ensemble_rejects_bad_spec(tmp_path, capsys):

@@ -162,6 +162,15 @@ def test_ensemble_spec_validation():
         EnsembleSpec(kind="separable_mixture", count=10, seed=1, mixture_terms=0)
 
 
+def test_ensemble_spec_checks_purity_fields_of_every_kind():
+    with pytest.raises(ValueError, match="purity_window must be positive"):
+        EnsembleSpec("haar_pure", 1, 0, purity_window=-1.0)
+    with pytest.raises(ValueError, match="purity_window must be positive"):
+        EnsembleSpec("haar_pure", 1, 0, purity_target=1.0, purity_window=0.0)
+    with pytest.raises(ValueError, match="purity_target must lie in"):
+        EnsembleSpec("haar_pure", 1, 0, purity_target=1.5, purity_window=0.01)
+
+
 def test_ensemble_spec_json_round_trip():
     spec = EnsembleSpec(kind="fixed_purity", count=5, seed=9, purity_target=0.46, purity_window=0.01)
     back = ensemble_spec_from_dict(loads(dumps(ensemble_spec_to_dict(spec))))

@@ -256,6 +256,14 @@ def test_record_from_dict_accepts_integral_floats():
     assert type(back.seed) is int and back.seed == 1
 
 
+@pytest.mark.parametrize("value", [True, "1", None])
+def test_record_from_dict_rejects_non_numeric_counts(value):
+    data = record_to_dict(simulate_record(canonical("singlet"), 10, 1))
+    data["counts"]["11"] = [value, 0, 0, 0]
+    with pytest.raises(ValueError, match=r'^counts\["11"\] must hold only numbers'):
+        record_from_dict(data)
+
+
 def test_record_validation():
     good = np.zeros((3, 3, 4))
     good[:, :, 0] = 5
@@ -266,3 +274,12 @@ def test_record_validation():
     bad[0, 0] = [6, -1, 0, 0]
     with pytest.raises(ValueError):
         MeasurementRecord(shots_per_setting=5, counts=bad, seed=0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_record_rejects_non_finite_counts(value):
+    counts = np.zeros((3, 3, 4))
+    counts[:, :, 0] = 5
+    counts[0, 0] = [value, 5, 0, 0]
+    with pytest.raises(ValueError, match="^counts must be finite$"):
+        MeasurementRecord(shots_per_setting=5, counts=counts, seed=0)

@@ -147,3 +147,19 @@ def test_pure_state_json_round_trip():
     assert np.array_equal(back.amps, p.amps)
     with pytest.raises(ValueError):
         pure_state_from_dict({"amps": [[1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_density_matrix_from_dict_rejects_non_numbers(value):
+    data = density_matrix_to_dict(rho_u(0.25))
+    data["re"][0][0] = value
+    with pytest.raises(ValueError, match='^"re" must hold only numbers'):
+        density_matrix_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_pure_state_from_dict_rejects_non_numbers(value):
+    data = pure_state_to_dict(haar_pure(5, 0))
+    data["amps"][1][1] = value
+    with pytest.raises(ValueError, match='^"amps" must hold only numbers'):
+        pure_state_from_dict(data)
