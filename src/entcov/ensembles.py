@@ -22,7 +22,7 @@ from ._rng import (
     STREAM_UNITARY,
     rng_at,
 )
-from .jsonio import _json_int
+from .jsonio import _json_floats, _json_int
 from .states import DensityMatrix, PureState, from_pure, purity, rho_u
 
 MAX_REJECTION_ATTEMPTS = 10**6
@@ -186,13 +186,21 @@ def ensemble_spec_from_dict(data: dict) -> EnsembleSpec:
     allowed = required | {"rank", "purity_target", "purity_window", "mixture_terms"}
     if not required <= set(data) or not set(data) <= allowed:
         raise ValueError(f"ensemble spec fields must include {sorted(required)}")
+    purity = {}
+    for name in ("purity_target", "purity_window"):
+        value = data.get(name)
+        if value is not None:
+            value = _json_floats(name, value)
+            if value.ndim:
+                raise ValueError(f"{name} must be a number, got {data[name]!r}")
+            value = float(value)
+        purity[name] = value
     return EnsembleSpec(
         kind=str(data["kind"]),
         count=_json_int("count", data["count"]),
         seed=_json_int("seed", data["seed"]),
         rank=None if data.get("rank") is None else _json_int("rank", data["rank"]),
-        purity_target=None if data.get("purity_target") is None else float(data["purity_target"]),
-        purity_window=None if data.get("purity_window") is None else float(data["purity_window"]),
+        **purity,
         mixture_terms=(
             None
             if data.get("mixture_terms") is None

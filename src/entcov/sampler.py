@@ -33,6 +33,13 @@ BOOTSTRAP_REPLICATES = 200
 MAX_SHOTS = 2**22
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """value as a Python int; booleans, non-integers and values below minimum are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Per-setting coincidence counts of one simulated (or real) run.
@@ -47,8 +54,8 @@ class MeasurementRecord:
     seed: int
 
     def __post_init__(self):
-        if self.shots_per_setting < 1:
-            raise ValueError(f"shots_per_setting must be >= 1, got {self.shots_per_setting}")
+        for name, minimum in (("shots_per_setting", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         c = np.asarray(self.counts, dtype=float)
         if c.shape != (3, 3, 4):
             raise ValueError(f"counts must have shape (3, 3, 4), got {c.shape}")
@@ -74,41 +81,38 @@ class GEstimate:
     shots_per_setting: int
 
 
-def outcome_probabilities(rho: DensityMatrix, i: int, j: int) -> np.ndarray:
-    """The four joint probabilities p(a, b) of setting (i, j), fixed order.
+def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
+    """The (3, 3, 4) table of joint probabilities p[i-1, j-1] of every setting (i, j).
 
-    p(a, b) = (t00 + a t_i0 + b t_0j + ab t_ij) / 4 from the Pauli moment
+    p(a, b) = (t00 + a t_i0 + b t_0j + ab t_ij) / 4 from one Pauli moment
     table.  t00 = Tr(rho) rather than a literal 1 keeps the exact zeros of
     Bell and product states exact, so the multinomial draws stay unchanged.
     """
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError(f"axes must be in 1..3, got ({i}, {j})")
     t = pauli_moments(rho.mat)
-    probs = (t[0, 0] + _A * t[i, 0] + _B * t[0, j] + _AB * t[i, j]) / 4
+    probs = (t[0, 0] + _A * t[1:, 0, None, None] + _B * t[0, 1:, None] + _AB * t[1:, 1:, None]) / 4
     probs = np.where(probs < 0, 0.0, probs)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {total}, expected 1")
-    return probs / total
+    totals = probs.sum(axis=-1, keepdims=True)
+    worst = np.max(np.abs(totals - 1.0))
+    if worst > 1e-12:
+        raise ValueError(f"a setting's probabilities miss a sum of 1 by {worst}")
+    return probs / totals
 
 
 def simulate_record(rho: DensityMatrix, shots: int, seed: int) -> MeasurementRecord:
     """Draw ``shots`` outcomes per setting; per-setting streams allow the nine
     settings to be simulated in parallel without changing the result."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _integer("shots", shots, 1)
+    p = outcome_probabilities(rho)
     counts = np.zeros((3, 3, 4))
-    for i in range(1, 4):
-        for j in range(1, 4):
-            p = outcome_probabilities(rho, i, j)
-            rng = rng_at(seed, STREAM_SETTING, i, j)
-            counts[i - 1, j - 1] = rng.multinomial(shots, p)
+    for i in range(3):
+        for j in range(3):
+            counts[i, j] = rng_at(seed, STREAM_SETTING, i + 1, j + 1).multinomial(shots, p[i, j])
     return MeasurementRecord(shots_per_setting=shots, counts=counts, seed=seed)
 
 
 def _covariances_from_counts(counts: np.ndarray) -> np.ndarray:
     """Plug-in covariance of each setting from its own table and marginals."""
-    totals = counts.sum(axis=2)
+    totals = counts.sum(axis=-1)
     e_ab = counts @ _AB / totals
     a_marg = counts @ _A / totals
     b_marg = counts @ _B / totals
@@ -120,22 +124,16 @@ def estimate_g(rec: MeasurementRecord) -> GEstimate:
 
     Each of the BOOTSTRAP_REPLICATES replicates redraws every setting's
     table multinomially at the empirical frequencies; stderr is the
-    standard deviation of the replicate G values.
+    standard deviation of the replicate G values.  The one draw consumes
+    the stream replicate by replicate, setting by setting.
     """
     cov_hat = _covariances_from_counts(rec.counts)
     g_hat = float(np.sum(cov_hat**2))
 
-    n = int(round(rec.shots_per_setting))
-    freqs = rec.counts / rec.counts.sum(axis=2, keepdims=True)
+    freqs = rec.counts / rec.counts.sum(axis=-1, keepdims=True)
     rng = rng_at(rec.seed, STREAM_BOOTSTRAP)
-    replicates = np.empty(BOOTSTRAP_REPLICATES)
-    boot_counts = np.empty((3, 3, 4))
-    for r in range(BOOTSTRAP_REPLICATES):
-        for i in range(3):
-            for j in range(3):
-                boot_counts[i, j] = rng.multinomial(n, freqs[i, j])
-        cov_r = _covariances_from_counts(boot_counts)
-        replicates[r] = np.sum(cov_r**2)
+    boot = rng.multinomial(rec.shots_per_setting, freqs, size=(BOOTSTRAP_REPLICATES, 3, 3))
+    replicates = np.sum(_covariances_from_counts(boot) ** 2, axis=(1, 2))
     stderr = float(np.std(replicates, ddof=1))
     return GEstimate(
         g_hat=g_hat,

@@ -372,10 +372,7 @@ def test_criterion_10_area_not_a_line():
 
 
 def _exact_record(rho, shots):
-    counts = np.zeros((3, 3, 4))
-    for i in range(1, 4):
-        for j in range(1, 4):
-            counts[i - 1, j - 1] = shots * outcome_probabilities(rho, i, j)
+    counts = shots * outcome_probabilities(rho)
     return MeasurementRecord(shots_per_setting=shots, counts=counts, seed=0)
 
 

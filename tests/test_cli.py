@@ -301,6 +301,28 @@ def test_analyze_record_with_null_count(tmp_path, capsys):
     assert "must hold only numbers" in err
 
 
+@pytest.mark.parametrize("field, value", [("seed", -1), ("shots", True), ("shots", 2.5)])
+def test_analyze_rejects_bad_record_fields(tmp_path, capsys, field, value):
+    data = record_to_dict(simulate_record(canonical("singlet"), 10, 1))
+    data[field] = value
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert f"{field} must be an integer" in err
+
+
+@pytest.mark.parametrize("value", ["0.5", True])
+def test_ensemble_rejects_non_numeric_purity(tmp_path, capsys, value):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"kind": "fixed_purity", "count": 1, "seed": 1, "purity_target": value, "purity_window": 0.02}
+    ))
+    code, _, err = run_cli(capsys, ["ensemble", str(spec_path)])
+    assert code == 2
+    assert "purity_target must hold only numbers" in err
+
+
 def test_ensemble_rejects_bad_spec(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"kind": "ginibre", "count": 3, "seed": 1}))

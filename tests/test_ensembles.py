@@ -203,6 +203,22 @@ def test_ensemble_spec_from_dict_rejects_non_integers(field, value):
         ensemble_spec_from_dict(data)
 
 
+@pytest.mark.parametrize("field", ["purity_target", "purity_window"])
+@pytest.mark.parametrize("value", ["0.5", True, [0.5]])
+def test_ensemble_spec_from_dict_rejects_non_numeric_purity(field, value):
+    data = {"kind": "fixed_purity", "count": 2, "seed": 1,
+            "purity_target": 0.5, "purity_window": 0.02}
+    data[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        ensemble_spec_from_dict(data)
+
+
+def test_ensemble_spec_from_dict_accepts_integer_purity():
+    data = {"kind": "fixed_purity", "count": 2, "seed": 1, "purity_target": 1, "purity_window": 0.02}
+    spec = ensemble_spec_from_dict(data)
+    assert type(spec.purity_target) is float and spec.purity_target == 1.0
+
+
 def test_ensemble_spec_from_dict_accepts_integral_floats():
     spec = ensemble_spec_from_dict({"kind": "ginibre", "count": 4.0, "seed": 1.0, "rank": 3.0})
     assert spec == EnsembleSpec(kind="ginibre", count=4, seed=1, rank=3)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from entcov._rng import STREAM_TRIAL, derive_seed
+from entcov._rng import STREAM_BOOTSTRAP, STREAM_TRIAL, derive_seed, rng_at
 from entcov.ensembles import ginibre, separable_mixture
 from entcov.gmeasure import g_from_covariances
 from entcov.jsonio import dumps, loads
 from entcov.linalg import PAULIS, SIGMA0
 from entcov.observables import correlation_data
 from entcov.sampler import (
+    BOOTSTRAP_REPLICATES,
     OUTCOMES,
     MeasurementRecord,
     estimate_g,
@@ -22,27 +23,24 @@ from entcov.states import canonical, rho_u
 
 def exact_record(rho, shots, seed=0):
     """Synthetic record whose counts are exactly shots * p(a, b)."""
-    counts = np.zeros((3, 3, 4))
-    for i in range(1, 4):
-        for j in range(1, 4):
-            counts[i - 1, j - 1] = shots * outcome_probabilities(rho, i, j)
-    return MeasurementRecord(shots_per_setting=shots, counts=counts, seed=seed)
+    return MeasurementRecord(
+        shots_per_setting=shots, counts=shots * outcome_probabilities(rho), seed=seed
+    )
 
 
 def test_outcome_probabilities_singlet():
-    p = outcome_probabilities(canonical("singlet"), 3, 3)
+    p = outcome_probabilities(canonical("singlet"))[2, 2]
     assert np.max(np.abs(p - np.array([0.0, 0.5, 0.5, 0.0]))) < 1e-12
 
 
 def test_outcome_probabilities_maximally_mixed():
-    mm = canonical("maximally_mixed")
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            assert np.max(np.abs(outcome_probabilities(mm, i, j) - 0.25)) < 1e-12
+    table = outcome_probabilities(canonical("maximally_mixed"))
+    assert table.shape == (3, 3, 4)
+    assert np.max(np.abs(table - 0.25)) < 1e-12
 
 
 def test_outcome_probabilities_eigenstate():
-    p = outcome_probabilities(canonical("product00"), 3, 3)
+    p = outcome_probabilities(canonical("product00"))[2, 2]
     assert np.max(np.abs(p - np.array([1.0, 0.0, 0.0, 0.0]))) < 1e-12
 
 
@@ -54,18 +52,15 @@ def projector_probabilities(rho, i, j):
     return np.array([np.real(np.trace(rho.mat @ proj)) for proj in projectors])
 
 
-def probability_table(rho):
-    return np.array([[outcome_probabilities(rho, i, j) for j in (1, 2, 3)] for i in (1, 2, 3)])
-
-
 def test_outcome_probabilities_match_projector_trace():
     names = ("singlet", "phi_plus", "phi_minus", "psi_plus", "product00", "maximally_mixed")
     states = [canonical(name) for name in names] + [rho_u(0.4), rho_u(0.1)]
     states += [ginibre(41, k, k % 4 + 1) for k in range(200)]
     for rho in states:
+        table = outcome_probabilities(rho)
         for i in (1, 2, 3):
             for j in (1, 2, 3):
-                diff = outcome_probabilities(rho, i, j) - projector_probabilities(rho, i, j)
+                diff = table[i - 1, j - 1] - projector_probabilities(rho, i, j)
                 assert np.max(np.abs(diff)) < 1e-15
 
 
@@ -93,14 +88,9 @@ def test_outcome_probabilities_named_states_exact():
         table = correlated_table([[p, q, q, p], [q, p, p, q], same])
         expected[f"rho_u({gamma})"] = (rho_u(gamma), table)
     for name, (rho, table) in expected.items():
-        assert np.array_equal(probability_table(rho), table), name
+        assert np.array_equal(outcome_probabilities(rho), table), name
     # the expected tables carry the rounding of (1 - 0.8) / 4, not 0.05
     assert expected["rho_u(0.4)"][1][0, 0, 1] == 0.04999999999999999
-
-
-def test_outcome_probabilities_rejects_bad_axes():
-    with pytest.raises(ValueError):
-        outcome_probabilities(canonical("singlet"), 0, 1)
 
 
 def test_simulate_record_deterministic_state():
@@ -124,10 +114,11 @@ def test_settings_draw_from_independent_streams():
 
     rho = rho_u(0.3, 0.7)
     rec = simulate_record(rho, 400, 31)
+    table = outcome_probabilities(rho)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             rng = rng_at(31, STREAM_SETTING, i, j)
-            direct = rng.multinomial(400, outcome_probabilities(rho, i, j))
+            direct = rng.multinomial(400, table[i - 1, j - 1])
             assert np.array_equal(rec.counts[i - 1, j - 1], direct)
 
 
@@ -179,6 +170,37 @@ def test_estimate_is_deterministic():
     a = estimate_g(rec)
     b = estimate_g(rec)
     assert a.g_hat == b.g_hat and a.stderr == b.stderr
+
+
+def looped_bootstrap_stderr(rec):
+    """The bootstrap as one multinomial call per replicate and setting, in r/i/j order."""
+    ab = np.array([x * y for x, y in OUTCOMES], dtype=float)
+    a = np.array([x for x, _ in OUTCOMES], dtype=float)
+    b = np.array([y for _, y in OUTCOMES], dtype=float)
+    freqs = rec.counts / rec.counts.sum(axis=2, keepdims=True)
+    rng = rng_at(rec.seed, STREAM_BOOTSTRAP)
+    replicates = np.empty(BOOTSTRAP_REPLICATES)
+    boot_counts = np.empty((3, 3, 4))
+    for r in range(BOOTSTRAP_REPLICATES):
+        for i in range(3):
+            for j in range(3):
+                boot_counts[i, j] = rng.multinomial(rec.shots_per_setting, freqs[i, j])
+        n = boot_counts.sum(axis=2)
+        cov = boot_counts @ ab / n - (boot_counts @ a / n) * (boot_counts @ b / n)
+        replicates[r] = np.sum(cov**2)
+    return float(np.std(replicates, ddof=1))
+
+
+def test_one_call_bootstrap_draws_the_looped_values():
+    # one multinomial call of shape (replicates, 3, 3) consumes the stream in
+    # the same r/i/j order as a call per replicate and setting, so stderr is
+    # unchanged to the last bit
+    states = [canonical("singlet"), rho_u(0.4)] + [ginibre(5, rank, rank) for rank in (1, 2, 3, 4)]
+    records = [exact_record(ginibre(5, 9, 3), 6, seed=21)]
+    for k, rho in enumerate(states):
+        records += [simulate_record(rho, shots, 100 + k) for shots in (1, 7, 50, 799)]
+    for rec in records:
+        assert estimate_g(rec).stderr == looped_bootstrap_stderr(rec)
 
 
 def test_estimator_bias_shrinks_for_zero_g_state():
@@ -262,6 +284,34 @@ def test_record_from_dict_rejects_non_numeric_counts(value):
     data["counts"]["11"] = [value, 0, 0, 0]
     with pytest.raises(ValueError, match=r'^counts\["11"\] must hold only numbers'):
         record_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "shots, message",
+    [(2.5, "got 2.5"), (True, "got True"), (5.0, "got 5.0"), (0, "got 0")],
+)
+def test_simulate_record_rejects_bad_shots(shots, message):
+    with pytest.raises(ValueError, match=f"^shots must be an integer >= 1, {message}$"):
+        simulate_record(canonical("singlet"), shots, 1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("shots_per_setting", 2.5), ("shots_per_setting", True), ("seed", -1), ("seed", 1.0)],
+)
+def test_record_rejects_bad_shots_and_seed(field, value):
+    fields = {"shots_per_setting": 1, "counts": np.tile([1.0, 0, 0, 0], (3, 3, 1)), "seed": 0}
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        MeasurementRecord(**fields)
+
+
+def test_record_stores_numpy_integers_as_int():
+    rec = MeasurementRecord(
+        shots_per_setting=np.int64(1), counts=np.tile([1, 0, 0, 0], (3, 3, 1)), seed=np.uint32(3)
+    )
+    assert type(rec.shots_per_setting) is int and type(rec.seed) is int
+    assert record_from_dict(loads(dumps(record_to_dict(rec)))).seed == 3
 
 
 def test_record_validation():
