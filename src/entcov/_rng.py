@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .jsonio import _integer
+
 # Stream ids; keep globally unique so no two call sites share a stream.
 STREAM_HAAR = 0
 STREAM_GINIBRE = 1
@@ -21,23 +23,22 @@ STREAM_BOOTSTRAP = 6
 STREAM_TRIAL = 7
 
 
-def _split_u64(value: int) -> tuple[int, int]:
-    v = int(value) & 0xFFFFFFFFFFFFFFFF
-    return v >> 32, v & 0xFFFFFFFF
-
-
 def _seed_sequence(seed: int, stream: int, index: tuple[int, ...]) -> np.random.SeedSequence:
-    """The SeedSequence at address (seed, stream, index...)."""
-    if int(seed) < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    """The SeedSequence at address (seed, stream, index...); each index part is two key words."""
+    seed = _integer("seed", seed, 0)
     key = (int(stream),)
     for part in index:
-        key += _split_u64(part)
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+        part = _integer("index", part, 0, 2**64 - 1)
+        key += (part >> 32, part & 0xFFFFFFFF)
+    return np.random.SeedSequence(entropy=seed, spawn_key=key)
 
 
 def rng_at(seed: int, stream: int, *index: int) -> np.random.Generator:
-    """Generator for the stream addressed by (seed, stream, index...)."""
+    """Generator for the stream addressed by (seed, stream, index...).
+
+    seed must be an integer >= 0 and each index part one in [0, 2**64);
+    anything else raises ValueError rather than aliasing another address.
+    """
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, stream, index)))
 
 

@@ -8,9 +8,9 @@ Commands:
   sample        finite-shot simulation of the 9-setting protocol
   ensemble      run a generator described by an ensemble-spec JSON file
 
-All commands accept --seed and default it to a fixed constant, so bare
-invocations are reproducible.  Exit codes: 0 success, 1 runtime error,
-2 input error.
+scan-bounds, purity-slice and sample take --seed with a fixed default, so
+bare invocations are reproducible.  Exit codes: 0 success, 1 runtime
+error, 2 input error (bad integer options included, reported by argparse).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .concurrence import concurrence_mixed
-from .ensembles import EnsembleSpec, ensemble_spec_from_dict, generate, ginibre
+from .ensembles import _RANKS, EnsembleSpec, ensemble_spec_from_dict, generate, ginibre
 from .gmeasure import (
     analyze,
     bounds_violated,
@@ -32,7 +32,7 @@ from .gmeasure import (
     mixed_state_ceiling,
     pure_state_floor,
 )
-from .jsonio import dumps, format_float
+from .jsonio import _integer, dumps, format_float
 from .observables import correlation_data
 from .sampler import estimate_g, estimate_to_dict, record_from_dict, simulate_record
 from .states import (
@@ -108,15 +108,20 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(_fmt(v) for v in row) for row in rows)])
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: a nonnegative integer."""
-    try:
-        seed = int(text)
-        if seed >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text}")
+def _int_option(name: str, *bounds: int):
+    """argparse type of an integer option, checked by the package's integer rule."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = text  # not an integer literal; the rule rejects it by name
+        try:
+            return _integer(name, value, *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
 
 
 def cmd_analyze(args) -> int:
@@ -126,13 +131,11 @@ def cmd_analyze(args) -> int:
             rec = record_from_dict(data)
         except ValueError as exc:
             raise CliInputError(f"{args.state_file}: {exc}") from exc
-        out = estimate_to_dict(estimate_g(rec))
-        _emit(args.output, dumps(out))
+        _emit(args.output, dumps(estimate_to_dict(estimate_g(rec))))
         return 0
 
     rho = _load_state(args.state_file)
-    report = analyze(rho)
-    out = greport_to_dict(report)
+    out = greport_to_dict(analyze(rho))
     out["concurrence"] = concurrence_mixed(rho)
     if args.format == "csv":
         _emit(args.output, _csv(",".join(out), [out.values()]))
@@ -141,13 +144,12 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_ranks(text: str) -> list[int]:
-    try:
-        ranks = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise CliInputError(f"bad rank list {text!r}") from exc
-    if not ranks or any(r not in (1, 2, 3, 4) for r in ranks):
-        raise CliInputError(f"ranks must be a comma list drawn from 1..4, got {text!r}")
+def _rank_list(text: str) -> list[int]:
+    """argparse type of --rank: a nonempty comma list of Ginibre ranks."""
+    parse = _int_option("rank", *_RANKS)
+    ranks = [parse(part) for part in text.split(",") if part.strip()]
+    if not ranks:
+        raise argparse.ArgumentTypeError(f"rank list is empty: {text!r}")
     return ranks
 
 
@@ -157,12 +159,9 @@ def _measures(rho: DensityMatrix) -> tuple[float, float, float]:
 
 
 def cmd_scan_bounds(args) -> int:
-    ranks = _parse_ranks(args.rank)
-    if args.count < 1:
-        raise CliInputError(f"count must be >= 1, got {args.count}")
     rows = []
     for idx in range(args.count):
-        rank = ranks[idx % len(ranks)]
+        rank = args.rank[idx % len(args.rank)]
         c, g, p = _measures(ginibre(args.seed, idx, rank))
         rows.append(("sample", c, g, p, rank, int(bounds_violated(c, g))))
     for kind, curve in (("lower_bound", pure_state_floor), ("upper_bound", mixed_state_ceiling)):
@@ -230,11 +229,7 @@ def cmd_purity_slice(args) -> int:
 
 def cmd_sample(args) -> int:
     rho = _load_state(args.state_file)
-    if args.shots < 1:
-        raise CliInputError(f"shots must be >= 1, got {args.shots}")
-    rec = simulate_record(rho, args.shots, args.seed)
-    est = estimate_g(rec)
-    out = estimate_to_dict(est)
+    out = estimate_to_dict(estimate_g(simulate_record(rho, args.shots, args.seed)))
     out["g_exact"] = g_from_covariances(correlation_data(rho))
     _emit(args.output, dumps(out))
     return 0
@@ -271,24 +266,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan-bounds", help="CSV of (C, G) samples plus bound curves")
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--rank", default="1,2,3,4", help="comma list of Ginibre ranks to cycle")
+    p.add_argument("--count", type=_int_option("count", 1), default=1000)
+    p.add_argument("--seed", type=_int_option("seed", 0), default=DEFAULT_SEED)
+    p.add_argument(
+        "--rank", type=_rank_list, default="1,2,3,4", help="comma list of Ginibre ranks to cycle"
+    )
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_scan_bounds)
 
     p = sub.add_parser("purity-slice", help="CSV of a fixed-purity ensemble")
     p.add_argument("--purity", type=float, required=True)
     p.add_argument("--window", type=float, default=0.005)
-    p.add_argument("--count", type=int, default=5000)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--count", type=_int_option("count", 1), default=5000)
+    p.add_argument("--seed", type=_int_option("seed", 0), default=DEFAULT_SEED)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_purity_slice)
 
     p = sub.add_parser("sample", help="simulate the 9-setting protocol at finite shots")
     p.add_argument("state_file")
-    p.add_argument("--shots", type=int, default=10000)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--shots", type=_int_option("shots", 1), default=10000)
+    p.add_argument("--seed", type=_int_option("seed", 0), default=DEFAULT_SEED)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_sample)
 

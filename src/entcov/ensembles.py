@@ -10,6 +10,7 @@ results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,16 @@ from ._rng import (
     STREAM_UNITARY,
     rng_at,
 )
-from .jsonio import _json_floats, _json_int
+from .jsonio import _integer, _json_floats, _json_int
 from .states import DensityMatrix, PureState, from_pure, purity, rho_u
 
 MAX_REJECTION_ATTEMPTS = 10**6
 
 ENSEMBLE_KINDS = ("haar_pure", "ginibre", "fixed_purity", "separable_mixture", "rho_u_sweep")
+
+# Bounds (minimum[, maximum]) of a Ginibre rank and of every integer field of EnsembleSpec.
+_RANKS = (1, 4)
+_INT_FIELDS = {"count": (1,), "seed": (0,), "rank": _RANKS, "mixture_terms": (1,)}
 
 
 def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
@@ -48,9 +53,16 @@ def _ginibre_matrix(rng: np.random.Generator, rank: int) -> np.ndarray:
 
 def ginibre(seed: int, index: int, rank: int) -> DensityMatrix:
     """Random mixed state of rank at most ``rank`` under the induced measure."""
-    if rank not in (1, 2, 3, 4):
-        raise ValueError(f"rank must be 1..4, got {rank}")
+    rank = _integer("rank", rank, *_RANKS)
     return DensityMatrix(_ginibre_matrix(rng_at(seed, STREAM_GINIBRE, index), rank))
+
+
+def _check_purity(target: float | None, window: float | None) -> None:
+    """Reject a purity target outside [0.25, 1] and a window that is not positive and finite."""
+    if target is not None and not 0.25 <= target <= 1.0:
+        raise ValueError(f"purity_target must lie in [0.25, 1], got {target}")
+    if window is not None and not 0.0 < window < math.inf:
+        raise ValueError(f"purity_window must be positive and finite, got {window}")
 
 
 def fixed_purity(
@@ -66,10 +78,8 @@ def fixed_purity(
     window (e.g. a near-pure target, which rank-4 sampling essentially never
     hits).
     """
-    if not 0.25 <= target <= 1.0:
-        raise ValueError(f"purity target must lie in [0.25, 1], got {target}")
-    if window <= 0.0:
-        raise ValueError(f"purity window must be positive, got {window}")
+    _check_purity(target, window)
+    max_attempts = _integer("max_attempts", max_attempts, 1)
     rng = rng_at(seed, STREAM_FIXED_PURITY, index)
     for _ in range(max_attempts):
         rho = DensityMatrix(_ginibre_matrix(rng, 4))
@@ -83,8 +93,7 @@ def fixed_purity(
 
 def separable_mixture(seed: int, index: int, terms: int) -> DensityMatrix:
     """Convex mixture of ``terms`` random product states with flat Dirichlet weights."""
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
+    terms = _integer("terms", terms, 1)
     rng = rng_at(seed, STREAM_SEPARABLE, index)
     weights = rng.standard_exponential(terms)
     weights /= weights.sum()
@@ -120,8 +129,10 @@ class EnsembleSpec:
 
     kind selects the generator; rank applies to ginibre, purity_target and
     purity_window to fixed_purity, mixture_terms to separable_mixture.  A
-    purity target or window is checked whenever it is given, whatever the
-    kind.  A rho_u_sweep walks gamma uniformly over [0, 1/2] at theta = 0.
+    rho_u_sweep walks gamma uniformly over [0, 1/2] at theta = 0.  Every
+    given field is checked, whatever the kind: by the integer rule count and
+    mixture_terms >= 1, seed >= 0, rank in 1..4 (numpy integers are stored as
+    int); purity_target in [0.25, 1] and purity_window positive and finite.
     """
 
     kind: str
@@ -135,23 +146,15 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if self.kind == "ginibre":
-            if self.rank not in (1, 2, 3, 4):
-                raise ValueError("ginibre needs rank in 1..4")
         if self.kind == "fixed_purity":
             if self.purity_target is None or self.purity_window is None:
                 raise ValueError("fixed_purity needs purity_target and purity_window")
-        if self.purity_target is not None and not 0.25 <= self.purity_target <= 1.0:
-            raise ValueError(f"purity_target must lie in [0.25, 1], got {self.purity_target}")
-        if self.purity_window is not None and not self.purity_window > 0.0:
-            raise ValueError(f"purity_window must be positive, got {self.purity_window}")
-        if self.kind == "separable_mixture":
-            if self.mixture_terms is None or self.mixture_terms < 1:
-                raise ValueError("separable_mixture needs mixture_terms >= 1")
+        needed = {"ginibre": "rank", "separable_mixture": "mixture_terms"}.get(self.kind)
+        for name, bounds in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if value is not None or name in ("count", "seed", needed):
+                object.__setattr__(self, name, _integer(name, value, *bounds))
+        _check_purity(self.purity_target, self.purity_window)
 
 
 def generate(spec: EnsembleSpec):
@@ -195,15 +198,9 @@ def ensemble_spec_from_dict(data: dict) -> EnsembleSpec:
                 raise ValueError(f"{name} must be a number, got {data[name]!r}")
             value = float(value)
         purity[name] = value
-    return EnsembleSpec(
-        kind=str(data["kind"]),
-        count=_json_int("count", data["count"]),
-        seed=_json_int("seed", data["seed"]),
-        rank=None if data.get("rank") is None else _json_int("rank", data["rank"]),
-        **purity,
-        mixture_terms=(
-            None
-            if data.get("mixture_terms") is None
-            else _json_int("mixture_terms", data["mixture_terms"])
-        ),
-    )
+    ints = {
+        name: _json_int(name, data[name], *bounds)
+        for name, bounds in _INT_FIELDS.items()
+        if name in required or data.get(name) is not None
+    }
+    return EnsembleSpec(kind=str(data["kind"]), **ints, **purity)

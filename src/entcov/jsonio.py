@@ -15,16 +15,25 @@ import numpy as np
 loads = json.loads
 
 
-def _json_int(name: str, value) -> int:
-    """An integer field of parsed JSON; integral floats such as 4.0 are accepted.
+def _integer(name: str, value, minimum: int, maximum: float = math.inf) -> int:
+    """value as a Python int; booleans, non-integers and values out of range are rejected.
 
-    Booleans, fractions and non-numbers are rejected rather than truncated.
+    The package's one integer rule, shared by constructors, generators,
+    stream addresses, JSON loaders and CLI options.
     """
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, np.integer):
+        value = int(value)
+    if type(value) is not int or not minimum <= value <= maximum:  # bool is not int here
+        upper = f" and <= {maximum}" if maximum < math.inf else ""
+        raise ValueError(f"{name} must be an integer >= {minimum}{upper}, got {value!r}")
     return value
+
+
+def _json_int(name: str, value, *bounds) -> int:
+    """An integer JSON field under the integer rule; an integral float such as 4.0 is an int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _integer(name, value, *bounds)
 
 
 def _json_floats(name: str, value) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import _integer
 from .linalg import PAULIS, herm_defect, tensor
 from .states import DensityMatrix
 
@@ -80,16 +81,9 @@ def variance(rho: DensityMatrix, obs) -> float:
     return max(second - mean * mean, 0.0)
 
 
-def _check_axis(i: int) -> int:
-    if i not in (1, 2, 3):
-        raise ValueError(f"Pauli axis must be 1, 2 or 3, got {i}")
-    return i
-
-
 def covariance(rho: DensityMatrix, i: int, j: int) -> float:
-    """C(sigma_i on A, sigma_j on B) = <sigma_i (x) sigma_j> - <sigma_i><sigma_j>."""
-    _check_axis(i)
-    _check_axis(j)
+    """C(sigma_i on A, sigma_j on B) = <sigma_i (x) sigma_j> - <sigma_i><sigma_j>; i, j in 1..3."""
+    i, j = _integer("i", i, 1, 3), _integer("j", j, 1, 3)
     joint = expectation(rho, PAIR_OBS[i, j])
     a = expectation(rho, PAIR_OBS[i, 0])
     b = expectation(rho, PAIR_OBS[0, j])

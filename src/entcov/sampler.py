@@ -12,13 +12,14 @@ accidentals).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import STREAM_BOOTSTRAP, STREAM_SETTING, STREAM_TRIAL, derive_seed, rng_at
 from .gmeasure import g_from_covariances
-from .jsonio import _json_floats, _json_int
+from .jsonio import _integer, _json_floats, _json_int
 from .observables import correlation_data, pauli_moments
 from .states import DensityMatrix
 
@@ -31,13 +32,6 @@ _B = np.array([b for _, b in OUTCOMES], dtype=float)
 COUNT_SUM_TOL = 1e-6
 BOOTSTRAP_REPLICATES = 200
 MAX_SHOTS = 2**22
-
-
-def _integer(name: str, value, minimum: int) -> int:
-    """value as a Python int; booleans, non-integers and values below minimum are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -155,8 +149,15 @@ def shots_for_verdict(
     Success at a given shot count means g_hat - confidence_sigma * stderr > 1
     in at least ``required`` of ``trials`` seeded runs.  The count is located
     on a doubling grid up to MAX_SHOTS and then refined by bisection.
-    States with G <= 1 cannot be certified by this measure and are rejected.
+    seed >= 0, trials >= 1 and 1 <= required <= trials follow the integer
+    rule, and confidence_sigma must be finite and >= 0; anything else raises
+    ValueError before a trial runs.  States with G <= 1 cannot be certified
+    by this measure and are rejected.
     """
+    trials = _integer("trials", trials, 1)
+    required = _integer("required", required, 1, trials)
+    if not (confidence_sigma >= 0 and math.isfinite(confidence_sigma)):
+        raise ValueError(f"confidence_sigma must be finite and >= 0, got {confidence_sigma!r}")
     g = g_from_covariances(correlation_data(rho))
     if g <= 1.0 + 1e-9:
         raise ValueError(f"state has G = {g:.6g} <= 1 and cannot be certified")
@@ -214,9 +215,9 @@ def record_from_dict(data: dict) -> MeasurementRecord:
             raise ValueError(f'counts["{key}"] must have 4 entries')
         counts[int(key[0]) - 1, int(key[1]) - 1] = arr
     return MeasurementRecord(
-        shots_per_setting=_json_int("shots", data["shots"]),
+        shots_per_setting=_json_int("shots", data["shots"], 1),
         counts=counts,
-        seed=_json_int("seed", data["seed"]),
+        seed=_json_int("seed", data["seed"], 0),
     )
 
 

@@ -215,7 +215,34 @@ def test_negative_seed_is_an_input_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--seed", "-1"])
     assert exc.value.code == 2
-    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan-bounds", "--count", "0"], "count must be an integer >= 1, got 0"),
+        (["scan-bounds", "--count", "2.5"], "count must be an integer >= 1, got '2.5'"),
+        (["purity-slice", "--purity", "0.46", "--count", "true"], "count must be an integer >= 1"),
+        (["sample", "state.json", "--shots", "0"], "shots must be an integer >= 1, got 0"),
+        (["sample", "state.json", "--seed", "1.0"], "seed must be an integer >= 0, got '1.0'"),
+        (["scan-bounds", "--rank", "2,5"], "rank must be an integer >= 1 and <= 4, got 5"),
+        (["scan-bounds", "--rank", ","], "rank list is empty"),
+    ],
+)
+def test_bad_integer_option_is_an_input_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_purity_slice_infinite_window_is_an_input_error(capsys):
+    code, out, err = run_cli(
+        capsys, ["purity-slice", "--purity", "0.5", "--window", "inf", "--count", "3"]
+    )
+    assert code == 2 and out == ""
+    assert "purity_window must be positive and finite, got inf" in err
 
 
 def test_sample_command_deterministic(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,25 @@ def test_ensemble_spec_checks_purity_fields_of_every_kind():
         EnsembleSpec("haar_pure", 1, 0, purity_target=1.0, purity_window=0.0)
     with pytest.raises(ValueError, match="purity_target must lie in"):
         EnsembleSpec("haar_pure", 1, 0, purity_target=1.5, purity_window=0.01)
+
+
+@pytest.mark.parametrize("window", [math.inf, math.nan])
+def test_purity_window_must_be_finite(window):
+    with pytest.raises(ValueError, match="^purity_window must be positive and finite"):
+        fixed_purity(1, 0, 0.5, window)
+    with pytest.raises(ValueError, match="^purity_window must be positive and finite"):
+        EnsembleSpec("fixed_purity", 1, 0, purity_target=0.5, purity_window=window)
+
+
+def test_purity_target_must_be_finite():
+    with pytest.raises(ValueError, match="^purity_target must lie in"):
+        fixed_purity(1, 0, math.nan, 0.01)
+
+
+def test_ensemble_spec_stores_numpy_integers_as_int():
+    spec = EnsembleSpec("ginibre", np.int64(4), np.uint32(1), rank=np.int8(2))
+    assert all(type(v) is int for v in (spec.count, spec.seed, spec.rank))
+    assert ensemble_spec_from_dict(loads(dumps(ensemble_spec_to_dict(spec)))) == spec
 
 
 def test_ensemble_spec_json_round_trip():

@@ -239,6 +239,23 @@ def test_shots_for_verdict_rejects_uncertifiable_states():
         shots_for_verdict(separable_mixture(7, 0, 3), 3.0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"trials": 0, "required": 0}, "trials"),  # an empty vote needs no trial
+        ({"trials": 100, "required": 0}, "required"),
+        ({"trials": 100, "required": 101}, "required"),  # a vote no run can win
+        ({"confidence_sigma": float("nan")}, "confidence_sigma"),
+        ({"confidence_sigma": float("inf")}, "confidence_sigma"),
+        ({"confidence_sigma": -1.0}, "confidence_sigma"),
+    ],
+)
+def test_shots_for_verdict_rejects_impossible_votes_at_once(kwargs, field):
+    kwargs = {"confidence_sigma": 3.0, **kwargs}
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        shots_for_verdict(canonical("singlet"), seed=2026, **kwargs)
+
+
 def test_record_json_round_trip():
     rec = simulate_record(canonical("singlet"), 250, 17)
     data = loads(dumps(record_to_dict(rec)))
