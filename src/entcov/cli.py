@@ -55,46 +55,45 @@ class CliInputError(Exception):
     """Any problem with user-supplied files or arguments (exit code 2)."""
 
 
-def _load_json_file(path: str) -> dict:
+def _load(path: str, parse):
+    """parse(the JSON value in path); an unreadable, malformed or invalid file is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            data = json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"parse error in {path}: {exc}") from exc
-
-
-def _load_state(path: str) -> DensityMatrix:
-    data = _load_json_file(path)
     try:
-        if isinstance(data, dict) and "amps" in data:
-            return from_pure(pure_state_from_dict(data))
-        return density_matrix_from_dict(data)
+        return parse(data)
     except ValueError as exc:
         raise CliInputError(f"{path}: {exc}") from exc
 
 
-def _open_output(path: str):
-    if path == "-":
-        return sys.stdout, False
-    try:
-        return open(path, "w", encoding="utf-8"), True
-    except OSError as exc:
-        raise CliInputError(f"cannot write {path}: {exc}") from exc
+def _state(data) -> DensityMatrix:
+    if isinstance(data, dict) and "amps" in data:
+        return from_pure(pure_state_from_dict(data))
+    return density_matrix_from_dict(data)
+
+
+def _state_or_record(data):
+    if isinstance(data, dict) and "counts" in data:
+        return record_from_dict(data)
+    return _state(data)
 
 
 def _emit(path: str, text: str) -> None:
-    fh, close = _open_output(path)
+    """Write text, newline-terminated, to the file at path or to stdout for "-"."""
+    text = text if text.endswith("\n") else text + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+        return
     try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
+    with fh:
         fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _fmt(value) -> str:
@@ -125,16 +124,11 @@ def _int_option(name: str, *bounds: int):
 
 
 def cmd_analyze(args) -> int:
-    data = _load_json_file(args.state_file)
-    if isinstance(data, dict) and "counts" in data:
-        try:
-            rec = record_from_dict(data)
-        except ValueError as exc:
-            raise CliInputError(f"{args.state_file}: {exc}") from exc
-        _emit(args.output, dumps(estimate_to_dict(estimate_g(rec))))
+    rho = _load(args.state_file, _state_or_record)
+    if not isinstance(rho, DensityMatrix):  # a measurement record
+        _emit(args.output, dumps(estimate_to_dict(estimate_g(rho))))
         return 0
 
-    rho = _load_state(args.state_file)
     out = greport_to_dict(analyze(rho))
     out["concurrence"] = concurrence_mixed(rho)
     if args.format == "csv":
@@ -228,7 +222,7 @@ def cmd_purity_slice(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    rho = _load_state(args.state_file)
+    rho = _load(args.state_file, _state)
     out = estimate_to_dict(estimate_g(simulate_record(rho, args.shots, args.seed)))
     out["g_exact"] = g_from_covariances(correlation_data(rho))
     _emit(args.output, dumps(out))
@@ -236,12 +230,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    data = _load_json_file(args.spec)
-    try:
-        spec = ensemble_spec_from_dict(data)
-    except ValueError as exc:
-        raise CliInputError(f"{args.spec}: {exc}") from exc
-
+    spec = _load(args.spec, ensemble_spec_from_dict)
     if args.format == "json":
         states = [{"index": idx, **density_matrix_to_dict(rho)} for idx, rho in _states(spec)]
         _emit(args.output, dumps(states))

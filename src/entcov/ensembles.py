@@ -23,7 +23,7 @@ from ._rng import (
     STREAM_UNITARY,
     rng_at,
 )
-from .jsonio import _integer, _json_floats, _json_int
+from .jsonio import _integer, _json_floats, _json_int, _real
 from .states import DensityMatrix, PureState, from_pure, purity, rho_u
 
 MAX_REJECTION_ATTEMPTS = 10**6
@@ -57,37 +57,39 @@ def ginibre(seed: int, index: int, rank: int) -> DensityMatrix:
     return DensityMatrix(_ginibre_matrix(rng_at(seed, STREAM_GINIBRE, index), rank))
 
 
-def _check_purity(target: float | None, window: float | None) -> None:
-    """Reject a purity target outside [0.25, 1] and a window that is not positive and finite."""
-    if target is not None and not 0.25 <= target <= 1.0:
-        raise ValueError(f"purity_target must lie in [0.25, 1], got {target}")
-    if window is not None and not 0.0 < window < math.inf:
-        raise ValueError(f"purity_window must be positive and finite, got {window}")
+def _check_purity(target, window) -> tuple[float | None, float | None]:
+    """(target, window) as plain floats, each None if not given.
+
+    Booleans and non-numbers are rejected, as are a target outside [0.25, 1]
+    and a window that is not positive and finite.
+    """
+    if target is not None:
+        target = _real("purity_target", target)
+        if not 0.25 <= target <= 1.0:
+            raise ValueError(f"purity_target must lie in [0.25, 1], got {target}")
+    if window is not None:
+        window = _real("purity_window", window)
+        if not 0.0 < window < math.inf:
+            raise ValueError(f"purity_window must be positive and finite, got {window}")
+    return target, window
 
 
-def fixed_purity(
-    seed: int,
-    index: int,
-    target: float,
-    window: float,
-    max_attempts: int = MAX_REJECTION_ATTEMPTS,
-) -> DensityMatrix:
+def fixed_purity(seed: int, index: int, target: float, window: float) -> DensityMatrix:
     """Rank-4 Ginibre state rejection-sampled into purity [target-window, target+window].
 
-    Raises RuntimeError once ``max_attempts`` rejections signal an infeasible
-    window (e.g. a near-pure target, which rank-4 sampling essentially never
-    hits).
+    Raises RuntimeError once MAX_REJECTION_ATTEMPTS rejections signal an
+    infeasible window (e.g. a near-pure target, which rank-4 sampling
+    essentially never hits).
     """
-    _check_purity(target, window)
-    max_attempts = _integer("max_attempts", max_attempts, 1)
+    target, window = _check_purity(target, window)
     rng = rng_at(seed, STREAM_FIXED_PURITY, index)
-    for _ in range(max_attempts):
+    for _ in range(MAX_REJECTION_ATTEMPTS):
         rho = DensityMatrix(_ginibre_matrix(rng, 4))
         if abs(purity(rho) - target) <= window:
             return rho
     raise RuntimeError(
-        f"no rank-4 sample hit purity {target} +- {window} in {max_attempts} attempts; "
-        "the window is infeasible"
+        f"no rank-4 sample hit purity {target} +- {window} in {MAX_REJECTION_ATTEMPTS} "
+        "attempts; the window is infeasible"
     )
 
 
@@ -132,7 +134,8 @@ class EnsembleSpec:
     rho_u_sweep walks gamma uniformly over [0, 1/2] at theta = 0.  Every
     given field is checked, whatever the kind: by the integer rule count and
     mixture_terms >= 1, seed >= 0, rank in 1..4 (numpy integers are stored as
-    int); purity_target in [0.25, 1] and purity_window positive and finite.
+    int); purity_target in [0.25, 1] and purity_window positive and finite,
+    both real numbers and never booleans (numpy floats are stored as float).
     """
 
     kind: str
@@ -154,7 +157,9 @@ class EnsembleSpec:
             value = getattr(self, name)
             if value is not None or name in ("count", "seed", needed):
                 object.__setattr__(self, name, _integer(name, value, *bounds))
-        _check_purity(self.purity_target, self.purity_window)
+        target, window = _check_purity(self.purity_target, self.purity_window)
+        object.__setattr__(self, "purity_target", target)
+        object.__setattr__(self, "purity_window", window)
 
 
 def generate(spec: EnsembleSpec):

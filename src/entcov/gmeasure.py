@@ -31,12 +31,16 @@ from .states import DensityMatrix
 logger = logging.getLogger(__name__)
 
 G_MAX = 3.0
-CLAMP_TOL = 1e-10
 FORM_TOL = 1e-10
 CERT_MARGIN = 1e-9
 
 VERDICT_CERTIFIED = "entangled_certified"
 VERDICT_NOT_CERTIFIED = "not_certified"
+
+
+def certifies(g: float) -> bool:
+    """The verdict rule: G > 1 certifies entanglement, beyond CERT_MARGIN of rounding."""
+    return g > 1.0 + CERT_MARGIN
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class GReport:
         c_min, c_max = self.conc_interval
         if not 0.0 <= c_min <= c_max <= 1.0:
             raise ValueError(f"invalid concurrence interval {self.conc_interval}")
-        expected = VERDICT_CERTIFIED if self.g > 1.0 + CERT_MARGIN else VERDICT_NOT_CERTIFIED
+        expected = VERDICT_CERTIFIED if certifies(self.g) else VERDICT_NOT_CERTIFIED
         if self.verdict != expected:
             raise ValueError(f"verdict {self.verdict!r} inconsistent with g = {self.g}")
 
@@ -124,12 +128,11 @@ def analyze(rho: DensityMatrix) -> GReport:
     """Compute both G forms, L3, the verdict and the concurrence interval."""
     g = g_from_covariances(correlation_data(rho))
     g_hs = g_hilbert_schmidt(rho)
-    verdict = VERDICT_CERTIFIED if g > 1.0 + CERT_MARGIN else VERDICT_NOT_CERTIFIED
     return GReport(
         g=g,
         g_hs=g_hs,
         l3=l3(rho),
-        verdict=verdict,
+        verdict=VERDICT_CERTIFIED if certifies(g) else VERDICT_NOT_CERTIFIED,
         conc_interval=concurrence_interval(g),
     )
 

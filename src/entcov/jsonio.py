@@ -29,6 +29,16 @@ def _integer(name: str, value, minimum: int, maximum: float = math.inf) -> int:
     return value
 
 
+def _real(name: str, value) -> float:
+    """value as a Python float; booleans and non-numbers are rejected.
+
+    The float counterpart of ``_integer``: numpy scalars are stored as float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _json_int(name: str, value, *bounds) -> int:
     """An integer JSON field under the integer rule; an integral float such as 4.0 is an int."""
     if isinstance(value, float) and value.is_integer():

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-HERM_TOL = 1e-10
-PSD_TOL = 1e-10
+# The one rounding tolerance of every matrix check: Hermiticity, unit trace,
+# positivity, unitarity and the imaginary residue of an expectation value.
+MATRIX_TOL = 1e-10
 
 SIGMA0 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -81,7 +82,7 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """
     m = as_cmat(m)
     defect = herm_defect(m)
-    if defect > HERM_TOL:
+    if defect > MATRIX_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     return w[::-1].copy(), v[:, ::-1].copy()
@@ -93,14 +94,14 @@ RELATIVE_EIG_FLOOR = 1e-13
 def sqrt_psd(m) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
-    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything more negative
+    Eigenvalues in [-MATRIX_TOL, 0) are clamped to zero; anything more negative
     is rejected.  Eigenvalues below RELATIVE_EIG_FLOOR of the largest are
     also zeroed: they are eigensolver noise, and letting sqrt amplify them
     (sqrt(1e-16) = 1e-8) would poison downstream spectra of rank-deficient
     inputs.
     """
     w, v = eig_hermitian(m)
-    if w[-1] < -PSD_TOL:
+    if w[-1] < -MATRIX_TOL:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[-1]:.3e})")
     w = np.maximum(w, 0.0)
     w[w < RELATIVE_EIG_FLOOR * w[0]] = 0.0

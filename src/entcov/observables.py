@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import _integer
-from .linalg import PAULIS, herm_defect, tensor
+from .linalg import MATRIX_TOL, PAULIS, herm_defect, tensor
 from .states import DensityMatrix
 
-IMAG_TOL = 1e-10
 CONSISTENCY_TOL = 1e-12
 
 # PAIR_OBS[m, n] = sigma_m (x) sigma_n, m, n in 0..3
@@ -65,10 +64,10 @@ def expectation(rho: DensityMatrix, obs) -> float:
     """<obs> = Tr(rho obs) for a Hermitian observable."""
     obs = np.asarray(obs, dtype=complex)
     defect = herm_defect(obs)
-    if defect > IMAG_TOL:
+    if defect > MATRIX_TOL:
         raise ValueError(f"observable is not Hermitian (defect {defect:.3e})")
     val = complex(np.trace(rho.mat @ obs))
-    if abs(val.imag) > IMAG_TOL:
+    if abs(val.imag) > MATRIX_TOL:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
 
@@ -97,11 +96,11 @@ def pauli_moments(mat: np.ndarray) -> np.ndarray:
     lets G be evaluated algebraically on partial transposes.
     """
     defect = herm_defect(np.asarray(mat, dtype=complex))
-    if defect > IMAG_TOL:
+    if defect > MATRIX_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     t = np.einsum("mnij,ji->mn", PAIR_OBS, mat)
     residue = float(np.max(np.abs(t.imag)))
-    if residue > IMAG_TOL:
+    if residue > MATRIX_TOL:
         raise ValueError(f"Pauli moments have imaginary residue {residue:.3e}")
     return np.real(t)
 

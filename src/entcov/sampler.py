@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import STREAM_BOOTSTRAP, STREAM_SETTING, STREAM_TRIAL, derive_seed, rng_at
-from .gmeasure import g_from_covariances
-from .jsonio import _integer, _json_floats, _json_int
+from .gmeasure import certifies, g_from_covariances
+from .jsonio import _integer, _json_floats, _json_int, _real
 from .observables import correlation_data, pauli_moments
 from .states import DensityMatrix
 
@@ -148,28 +148,36 @@ def shots_for_verdict(
 
     Success at a given shot count means g_hat - confidence_sigma * stderr > 1
     in at least ``required`` of ``trials`` seeded runs.  The count is located
-    on a doubling grid up to MAX_SHOTS and then refined by bisection.
-    seed >= 0, trials >= 1 and 1 <= required <= trials follow the integer
-    rule, and confidence_sigma must be finite and >= 0; anything else raises
-    ValueError before a trial runs.  States with G <= 1 cannot be certified
-    by this measure and are rejected.
+    on a doubling grid up to MAX_SHOTS and then refined by bisection.  Each
+    vote stops as soon as it is decided, once ``required`` hits are reached
+    or can no longer be reached; every trial has its own seed, so stopping
+    early never changes the result.  seed >= 0, trials >= 1 and
+    1 <= required <= trials follow the integer rule, and confidence_sigma
+    must be a finite real number >= 0 (not a boolean); anything else raises
+    ValueError before a trial runs.  States with G <= 1, which
+    ``gmeasure.certifies`` rejects, cannot be certified and are rejected too.
     """
     trials = _integer("trials", trials, 1)
     required = _integer("required", required, 1, trials)
-    if not (confidence_sigma >= 0 and math.isfinite(confidence_sigma)):
+    sigma = _real("confidence_sigma", confidence_sigma)
+    if not (sigma >= 0 and math.isfinite(sigma)):
         raise ValueError(f"confidence_sigma must be finite and >= 0, got {confidence_sigma!r}")
     g = g_from_covariances(correlation_data(rho))
-    if g <= 1.0 + 1e-9:
+    if not certifies(g):
         raise ValueError(f"state has G = {g:.6g} <= 1 and cannot be certified")
 
     trial_seeds = [derive_seed(seed, STREAM_TRIAL, t) for t in range(trials)]
 
     def succeeds(shots: int) -> bool:
-        hits = 0
+        hits = misses = 0
         for t_seed in trial_seeds:
             est = estimate_g(simulate_record(rho, shots, t_seed))
-            if est.g_hat - confidence_sigma * est.stderr > 1.0:
+            if est.g_hat - sigma * est.stderr > 1.0:
                 hits += 1
+            else:
+                misses += 1
+            if hits >= required or misses > trials - required:
+                break
         return hits >= required
 
     shots = 1

@@ -15,9 +15,8 @@ import numpy as np
 
 from . import linalg
 from .jsonio import _json_floats
-from .linalg import SIGMA0, tensor
+from .linalg import MATRIX_TOL, SIGMA0, tensor
 
-VALIDATION_TOL = 1e-10
 PURE_NORM_TOL = 1e-12
 
 
@@ -30,13 +29,13 @@ class DensityMatrix:
     def __post_init__(self):
         m = linalg.as_cmat(self.mat, dims=(4,))
         defect = linalg.herm_defect(m)
-        if defect > VALIDATION_TOL:
+        if defect > MATRIX_TOL:
             raise ValueError(f"not Hermitian: defect {defect:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > VALIDATION_TOL:
+        if abs(tr - 1.0) > MATRIX_TOL:
             raise ValueError(f"trace must be 1, got {tr.real:.12g}{tr.imag:+.3e}j")
         wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        if wmin < -VALIDATION_TOL:
+        if wmin < -MATRIX_TOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {wmin:.3e}")
         m = m.copy()
         m.setflags(write=False)
@@ -112,12 +111,12 @@ def canonical(name: str) -> DensityMatrix:
 
 
 def apply_local_unitary(rho: DensityMatrix, u_a, u_b) -> DensityMatrix:
-    """Conjugate by uA (x) uB; both factors must be unitary within 1e-10."""
+    """Conjugate by uA (x) uB; both factors must be unitary within MATRIX_TOL."""
     u_a = linalg.as_cmat(u_a, dims=(2,))
     u_b = linalg.as_cmat(u_b, dims=(2,))
     for name, u in (("uA", u_a), ("uB", u_b)):
         defect = float(np.max(np.abs(u @ u.conj().T - SIGMA0)))
-        if defect > VALIDATION_TOL:
+        if defect > MATRIX_TOL:
             raise ValueError(f"{name} is not unitary (defect {defect:.3e})")
     u = tensor(u_a, u_b)
     return DensityMatrix(u @ rho.mat @ u.conj().T)

@@ -178,12 +178,7 @@ def cap_fixed_purity(monkeypatch):
     """Make an infeasible window fail after 500 attempts instead of 10**6."""
     from entcov import ensembles
 
-    original = ensembles.fixed_purity
-
-    def capped(seed, index, target, window, max_attempts=10**6):
-        return original(seed, index, target, window, max_attempts=500)
-
-    monkeypatch.setattr(ensembles, "fixed_purity", capped)
+    monkeypatch.setattr(ensembles, "MAX_REJECTION_ATTEMPTS", 500)
 
 
 def test_purity_slice_infeasible_window(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entcov import ensembles
 from entcov.concurrence import concurrence_mixed, concurrence_pure
 from entcov.ensembles import (
     EnsembleSpec,
@@ -101,9 +102,10 @@ def test_fixed_purity_determinism():
     assert np.array_equal(a.mat, b.mat)
 
 
-def test_fixed_purity_infeasible_window_errors():
-    with pytest.raises(RuntimeError):
-        fixed_purity(1, 0, 1.0, 1e-12, max_attempts=2000)
+def test_fixed_purity_infeasible_window_errors(monkeypatch):
+    monkeypatch.setattr(ensembles, "MAX_REJECTION_ATTEMPTS", 2000)
+    with pytest.raises(RuntimeError, match=" in 2000 attempts; the window is infeasible$"):
+        fixed_purity(1, 0, 1.0, 1e-12)
 
 
 def test_fixed_purity_rejects_bad_inputs():
@@ -111,6 +113,10 @@ def test_fixed_purity_rejects_bad_inputs():
         fixed_purity(1, 0, 0.2, 0.01)
     with pytest.raises(ValueError):
         fixed_purity(1, 0, 0.5, 0.0)
+    with pytest.raises(ValueError, match="^purity_target must be a real number, got True$"):
+        fixed_purity(1, 0, True, 0.01)  # not run at target 1
+    with pytest.raises(ValueError, match="^purity_window must be a real number, got True$"):
+        fixed_purity(1, 0, 0.5, True)
 
 
 def test_separable_mixture_single_term_is_product():
@@ -238,6 +244,22 @@ def test_ensemble_spec_from_dict_accepts_integer_purity():
     data = {"kind": "fixed_purity", "count": 2, "seed": 1, "purity_target": 1, "purity_window": 0.02}
     spec = ensemble_spec_from_dict(data)
     assert type(spec.purity_target) is float and spec.purity_target == 1.0
+
+
+@pytest.mark.parametrize("field", ["purity_target", "purity_window"])
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", [0.5], 0.5j])
+def test_ensemble_spec_rejects_non_real_purity(field, value):
+    fields = {"purity_target": 0.5, "purity_window": 0.02, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+        EnsembleSpec("fixed_purity", 2, 1, **fields)
+
+
+def test_ensemble_spec_stores_numpy_floats_as_float():
+    spec = EnsembleSpec("fixed_purity", 2, 1, purity_target=np.float32(0.46),
+                        purity_window=np.float64(0.02))
+    assert type(spec.purity_target) is float and spec.purity_target == float(np.float32(0.46))
+    assert type(spec.purity_window) is float and spec.purity_window == 0.02
+    assert ensemble_spec_from_dict(loads(dumps(ensemble_spec_to_dict(spec)))) == spec
 
 
 def test_ensemble_spec_from_dict_accepts_integral_floats():

@@ -55,7 +55,7 @@ ENTRY_POINTS = [
     ("index", lambda v: haar_pure(1, v), -1),
     ("seed", lambda v: haar_pure(v, 0), -1),
     ("terms", lambda v: separable_mixture(1, 0, v), 0),
-    ("max_attempts", lambda v: fixed_purity(1, 0, 0.5, 0.1, max_attempts=v), 0),
+    ("index", lambda v: fixed_purity(1, v, 0.5, 0.1), -1),
     ("seed", lambda v: rng_at(v, STREAM_TRIAL, 0), -1),
     ("index", lambda v: rng_at(1, STREAM_TRIAL, v), -1),
     ("seed", lambda v: derive_seed(v, STREAM_TRIAL, 0), -1),

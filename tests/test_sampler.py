@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entcov import sampler
 from entcov._rng import STREAM_BOOTSTRAP, STREAM_TRIAL, derive_seed, rng_at
 from entcov.ensembles import ginibre, separable_mixture
 from entcov.gmeasure import g_from_covariances
@@ -254,6 +255,27 @@ def test_shots_for_verdict_rejects_impossible_votes_at_once(kwargs, field):
     kwargs = {"confidence_sigma": 3.0, **kwargs}
     with pytest.raises(ValueError, match=f"^{field} must be "):
         shots_for_verdict(canonical("singlet"), seed=2026, **kwargs)
+
+
+@pytest.mark.parametrize("sigma", [True, np.True_, "3", None])
+def test_shots_for_verdict_rejects_non_real_sigma(sigma):
+    with pytest.raises(ValueError, match="^confidence_sigma must be a real number, got "):
+        shots_for_verdict(canonical("singlet"), sigma, seed=2026)
+
+
+def test_unreachable_sigma_stops_each_vote_once_decided(monkeypatch):
+    """A vote of 10 needing 8 is lost after its third miss, so the 23 grid
+    points 1, 2, ..., 2**22 cost 3 estimates each, not 10."""
+    calls = []
+
+    def counted(rec):
+        calls.append(rec.shots_per_setting)
+        return estimate_g(rec)
+
+    monkeypatch.setattr(sampler, "estimate_g", counted)
+    with pytest.raises(RuntimeError, match="^no shot count up to 4194304 certifies"):
+        shots_for_verdict(canonical("singlet"), 1e9, 1, trials=10, required=8)
+    assert calls == [2**k for k in range(23) for _ in range(3)]
 
 
 def test_record_json_round_trip():

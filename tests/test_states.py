@@ -163,3 +163,27 @@ def test_pure_state_from_dict_rejects_non_numbers(value):
     data["amps"][1][1] = value
     with pytest.raises(ValueError, match='^"amps" must hold only numbers'):
         pure_state_from_dict(data)
+
+
+def _off_by(defect: float) -> np.ndarray:
+    """rho_u(0), G = 1, off by a Hermiticity defect and a minimum eigenvalue -defect."""
+    m = np.diag([0.5 + defect, -defect, 0.0, 0.5]).astype(complex)
+    m[0, 3] += defect  # one entry without its mirror
+    return m
+
+
+def test_one_matrix_tolerance_holds_through_the_analysis():
+    from entcov.concurrence import concurrence_mixed
+    from entcov.gmeasure import g_hilbert_schmidt
+    from entcov.linalg import MATRIX_TOL, herm_defect
+    from entcov.observables import correlation_data
+
+    m = _off_by(0.9 * MATRIX_TOL)
+    assert 0.8 * MATRIX_TOL < herm_defect(m) <= MATRIX_TOL
+    assert -MATRIX_TOL < np.linalg.eigvalsh((m + m.conj().T) / 2)[0] < -0.8 * MATRIX_TOL
+    rho = DensityMatrix(m)
+    assert abs(concurrence_mixed(rho)) < 1e-9
+    assert abs(np.sum(correlation_data(rho).cov ** 2) - 1.0) < 1e-9
+    assert abs(g_hilbert_schmidt(rho) - 1.0) < 1e-9
+    with pytest.raises(ValueError, match="^not Hermitian"):
+        DensityMatrix(_off_by(1.1 * MATRIX_TOL))
