@@ -16,15 +16,23 @@ error, 2 input error (bad integer options included, reported by argparse).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .concurrence import concurrence_mixed
-from .ensembles import _RANKS, EnsembleSpec, ensemble_spec_from_dict, generate, ginibre
+from .concurrence import _concurrence, concurrence_mixed
+from .ensembles import (
+    _RANKS,
+    EnsembleSpec,
+    _ginibre_matrix,
+    _matrices,
+    ensemble_spec_from_dict,
+)
 from .gmeasure import (
+    _g_from_moments,
     analyze,
     bounds_violated,
     g_from_covariances,
@@ -33,20 +41,24 @@ from .gmeasure import (
     pure_state_floor,
 )
 from .jsonio import _integer, dumps, format_float
-from .observables import correlation_data
+from .observables import correlation_data, pauli_moments
 from .sampler import estimate_g, estimate_to_dict, record_from_dict, simulate_record
 from .states import (
     DensityMatrix,
-    density_matrix_to_dict,
+    _purity,
+    _validated,
     density_matrix_from_dict,
+    density_matrix_to_dict,
     from_pure,
-    purity,
     pure_state_from_dict,
 )
 
 DEFAULT_SEED = 12345
 BOUND_CURVE_POINTS = 200
 BIN_WIDTH = 0.05
+# States per stack in the sweeps; outputs do not depend on it.  Larger stacks
+# gained no speed and raised peak memory (1024: +2.3 MiB on a 1024-state scan).
+CHUNK = 128
 
 CSV_SCAN_HEADER = "kind,concurrence,g,purity,rank,violates"
 
@@ -147,17 +159,25 @@ def _rank_list(text: str) -> list[int]:
     return ranks
 
 
-def _measures(rho: DensityMatrix) -> tuple[float, float, float]:
-    """(concurrence, G, purity): the columns every sweep command writes."""
-    return concurrence_mixed(rho), g_from_covariances(correlation_data(rho)), purity(rho)
+def _measures(matrices):
+    """Yield (concurrence, G, purity), the columns every sweep command writes, per matrix.
+
+    The matrices are validated and measured CHUNK at a time, as stacks.
+    """
+    matrices = iter(matrices)
+    while chunk := list(itertools.islice(matrices, CHUNK)):
+        mats = _validated(np.stack(chunk))
+        columns = (_concurrence(mats), _g_from_moments(pauli_moments(mats)), _purity(mats))
+        yield from zip(*(column.tolist() for column in columns))
 
 
 def cmd_scan_bounds(args) -> int:
-    rows = []
-    for idx in range(args.count):
-        rank = args.rank[idx % len(args.rank)]
-        c, g, p = _measures(ginibre(args.seed, idx, rank))
-        rows.append(("sample", c, g, p, rank, int(bounds_violated(c, g))))
+    ranks = [args.rank[idx % len(args.rank)] for idx in range(args.count)]
+    matrices = (_ginibre_matrix(args.seed, idx, rank) for idx, rank in enumerate(ranks))
+    rows = [
+        ("sample", c, g, p, rank, int(bounds_violated(c, g)))
+        for rank, (c, g, p) in zip(ranks, _measures(matrices))
+    ]
     for kind, curve in (("lower_bound", pure_state_floor), ("upper_bound", mixed_state_ceiling)):
         for c in np.linspace(0.0, 1.0, BOUND_CURVE_POINTS):
             c = float(c)
@@ -190,10 +210,11 @@ def bin_spreads(cs, gs) -> list[tuple[float, float, int, float]]:
     return out
 
 
-def _states(spec: EnsembleSpec):
-    """generate(spec), with an infeasible purity window as an input error."""
+def _spec_matrices(spec: EnsembleSpec):
+    """The spec's matrices in index order, with an infeasible purity window as an input error."""
     try:
-        yield from generate(spec)
+        for _, m in _matrices(spec):
+            yield m
     except RuntimeError as exc:
         raise CliInputError(str(exc)) from exc
 
@@ -208,7 +229,7 @@ def cmd_purity_slice(args) -> int:
         )
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    rows = [_measures(rho) for _, rho in _states(spec)]
+    rows = list(_measures(_spec_matrices(spec)))
     _emit(args.output, _csv("concurrence,g,purity", rows))
 
     print(
@@ -232,10 +253,15 @@ def cmd_sample(args) -> int:
 def cmd_ensemble(args) -> int:
     spec = _load(args.spec, ensemble_spec_from_dict)
     if args.format == "json":
-        states = [{"index": idx, **density_matrix_to_dict(rho)} for idx, rho in _states(spec)]
+        states = [
+            {"index": idx, **density_matrix_to_dict(DensityMatrix(m))}
+            for idx, m in enumerate(_spec_matrices(spec))
+        ]
         _emit(args.output, dumps(states))
     else:
-        rows = ((idx, spec.kind, *_measures(rho)) for idx, rho in _states(spec))
+        rows = (
+            (idx, spec.kind, *row) for idx, row in enumerate(_measures(_spec_matrices(spec)))
+        )
         _emit(args.output, _csv("index,kind,concurrence,g,purity", rows))
     return 0
 

@@ -77,6 +77,19 @@ def concurrence_pure(p: PureState) -> float:
 SPECTRUM_FLOOR = 1e-12
 
 
+def _concurrence(m: np.ndarray):
+    """Wootters concurrence of a valid 4x4 state matrix, or of each matrix of a stack."""
+    rho_tilde = _YY @ m.conj() @ _YY
+    s = sqrt_psd(m)
+    # Hermitian up to rounding since s and rho_tilde both are; eig_hermitian
+    # symmetrizes its input.
+    w, _ = eig_hermitian(s @ rho_tilde @ s)
+    w = np.maximum(w, 0.0)
+    w[w < SPECTRUM_FLOOR] = 0.0
+    lam = np.sqrt(w)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
 def concurrence_mixed(rho: DensityMatrix) -> float:
     """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit state.
 
@@ -85,12 +98,4 @@ def concurrence_mixed(rho: DensityMatrix) -> float:
     obtained from the Hermitian matrix sqrt(rho) rho_tilde sqrt(rho), which
     shares that spectrum.
     """
-    rho_tilde = _YY @ rho.mat.conj() @ _YY
-    s = sqrt_psd(rho.mat)
-    # Hermitian up to rounding since s and rho_tilde both are; eig_hermitian
-    # symmetrizes its input.
-    w, _ = eig_hermitian(s @ rho_tilde @ s)
-    w = np.maximum(w, 0.0)
-    w[w < SPECTRUM_FLOOR] = 0.0
-    lam = np.sqrt(w)
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(_concurrence(rho.mat))

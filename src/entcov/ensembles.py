@@ -24,9 +24,12 @@ from ._rng import (
     rng_at,
 )
 from .jsonio import _integer, _json_floats, _json_int, _real
-from .states import DensityMatrix, PureState, from_pure, purity, rho_u
+from .linalg import _dagger
+from .states import DensityMatrix, PureState, _purity, _validated, rho_u
 
 MAX_REJECTION_ATTEMPTS = 10**6
+# fixed_purity draws its attempts this many at a time (the last block is cut to the cap).
+REJECTION_BLOCK = 32
 
 ENSEMBLE_KINDS = ("haar_pure", "ginibre", "fixed_purity", "separable_mixture", "rho_u_sweep")
 
@@ -39,22 +42,30 @@ def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _haar_amps(seed: int, index: int) -> np.ndarray:
+    z = _complex_normals(rng_at(seed, STREAM_HAAR, index), 4)
+    return z / np.linalg.norm(z)
+
+
 def haar_pure(seed: int, index: int) -> PureState:
     """Haar-random pure two-qubit state: normalized complex normal amplitudes."""
-    z = _complex_normals(rng_at(seed, STREAM_HAAR, index), 4)
-    return PureState(z / np.linalg.norm(z))
+    return PureState(_haar_amps(seed, index))
 
 
-def _ginibre_matrix(rng: np.random.Generator, rank: int) -> np.ndarray:
-    x = _complex_normals(rng, (4, rank))
-    m = x @ x.conj().T
-    return m / np.real(np.trace(m))
+def _induced(z: np.ndarray) -> np.ndarray:
+    """z z^dagger / Tr(z z^dagger) of a complex 4 x r matrix, or of each of a stack."""
+    m = z @ _dagger(z)
+    return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
+
+
+def _ginibre_matrix(seed: int, index: int, rank: int) -> np.ndarray:
+    rank = _integer("rank", rank, *_RANKS)
+    return _induced(_complex_normals(rng_at(seed, STREAM_GINIBRE, index), (4, rank)))
 
 
 def ginibre(seed: int, index: int, rank: int) -> DensityMatrix:
     """Random mixed state of rank at most ``rank`` under the induced measure."""
-    rank = _integer("rank", rank, *_RANKS)
-    return DensityMatrix(_ginibre_matrix(rng_at(seed, STREAM_GINIBRE, index), rank))
+    return DensityMatrix(_ginibre_matrix(seed, index, rank))
 
 
 def _check_purity(target, window) -> tuple[float | None, float | None]:
@@ -74,27 +85,39 @@ def _check_purity(target, window) -> tuple[float | None, float | None]:
     return target, window
 
 
-def fixed_purity(seed: int, index: int, target: float, window: float) -> DensityMatrix:
-    """Rank-4 Ginibre state rejection-sampled into purity [target-window, target+window].
-
-    Raises RuntimeError once MAX_REJECTION_ATTEMPTS rejections signal an
-    infeasible window (e.g. a near-pure target, which rank-4 sampling
-    essentially never hits).
-    """
-    target, window = _check_purity(target, window)
+def _fixed_purity_matrix(seed: int, index: int, target: float, window: float) -> np.ndarray:
+    # Attempts are drawn REJECTION_BLOCK at a time as (real, imaginary) pairs,
+    # the order in which one attempt at a time would draw them, so the
+    # accepted matrix does not depend on the block size; draws past the hit
+    # are never read, and nothing else reads this index's stream.
     rng = rng_at(seed, STREAM_FIXED_PURITY, index)
-    for _ in range(MAX_REJECTION_ATTEMPTS):
-        rho = DensityMatrix(_ginibre_matrix(rng, 4))
-        if abs(purity(rho) - target) <= window:
-            return rho
+    for start in range(0, MAX_REJECTION_ATTEMPTS, REJECTION_BLOCK):
+        x = rng.standard_normal((min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS - start), 2, 4, 4))
+        mats = _induced(x[:, 0] + 1j * x[:, 1])
+        hits = np.flatnonzero(np.abs(_purity(mats) - target) <= window)
+        last = hits[0] if hits.size else len(mats) - 1
+        _validated(mats[: last + 1])
+        if hits.size:
+            return mats[last].copy()  # not a view that keeps the whole block alive
     raise RuntimeError(
         f"no rank-4 sample hit purity {target} +- {window} in {MAX_REJECTION_ATTEMPTS} "
         "attempts; the window is infeasible"
     )
 
 
-def separable_mixture(seed: int, index: int, terms: int) -> DensityMatrix:
-    """Convex mixture of ``terms`` random product states with flat Dirichlet weights."""
+def fixed_purity(seed: int, index: int, target: float, window: float) -> DensityMatrix:
+    """Rank-4 Ginibre state rejection-sampled into purity [target-window, target+window].
+
+    Every attempt up to and including the accepted one is validated.
+    Raises RuntimeError once MAX_REJECTION_ATTEMPTS rejections signal an
+    infeasible window (e.g. a near-pure target, which rank-4 sampling
+    essentially never hits).
+    """
+    target, window = _check_purity(target, window)
+    return DensityMatrix(_fixed_purity_matrix(seed, index, target, window))
+
+
+def _separable_matrix(seed: int, index: int, terms: int) -> np.ndarray:
     terms = _integer("terms", terms, 1)
     rng = rng_at(seed, STREAM_SEPARABLE, index)
     weights = rng.standard_exponential(terms)
@@ -106,7 +129,12 @@ def separable_mixture(seed: int, index: int, terms: int) -> DensityMatrix:
         b = _complex_normals(rng, 2)
         b /= np.linalg.norm(b)
         m += w * np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
-    return DensityMatrix(m)
+    return m
+
+
+def separable_mixture(seed: int, index: int, terms: int) -> DensityMatrix:
+    """Convex mixture of ``terms`` random product states with flat Dirichlet weights."""
+    return DensityMatrix(_separable_matrix(seed, index, terms))
 
 
 def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
@@ -162,20 +190,31 @@ class EnsembleSpec:
         object.__setattr__(self, "purity_window", window)
 
 
-def generate(spec: EnsembleSpec):
-    """Yield (index, DensityMatrix) for every index of the spec, in order."""
+def _matrices(spec: EnsembleSpec):
+    """Yield (index, 4x4 complex matrix) for every index of the spec, in order.
+
+    The matrices are not validated; ``generate`` and the CLI's sweeps do
+    that, one state or one stack at a time.
+    """
     for i in range(spec.count):
         if spec.kind == "haar_pure":
-            yield i, from_pure(haar_pure(spec.seed, i))
+            a = _haar_amps(spec.seed, i)
+            yield i, np.outer(a, a.conj())
         elif spec.kind == "ginibre":
-            yield i, ginibre(spec.seed, i, spec.rank)
+            yield i, _ginibre_matrix(spec.seed, i, spec.rank)
         elif spec.kind == "fixed_purity":
-            yield i, fixed_purity(spec.seed, i, spec.purity_target, spec.purity_window)
+            yield i, _fixed_purity_matrix(spec.seed, i, spec.purity_target, spec.purity_window)
         elif spec.kind == "separable_mixture":
-            yield i, separable_mixture(spec.seed, i, spec.mixture_terms)
+            yield i, _separable_matrix(spec.seed, i, spec.mixture_terms)
         else:  # rho_u_sweep
             gamma = 0.5 * i / (spec.count - 1) if spec.count > 1 else 0.0
-            yield i, rho_u(gamma, 0.0)
+            yield i, rho_u(gamma, 0.0).mat
+
+
+def generate(spec: EnsembleSpec):
+    """Yield (index, DensityMatrix) for every index of the spec, in order."""
+    for i, m in _matrices(spec):
+        yield i, DensityMatrix(m)
 
 
 def ensemble_spec_to_dict(spec: EnsembleSpec) -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import partial_trace
-from .observables import CorrelationData, correlation_data, pauli_moments
+from .observables import CorrelationData, _covariances, correlation_data, pauli_moments
 from .states import DensityMatrix
 
 logger = logging.getLogger(__name__)
@@ -66,18 +66,29 @@ class GReport:
             raise ValueError(f"verdict {self.verdict!r} inconsistent with g = {self.g}")
 
 
-def _clamp_g(g: float) -> float:
-    if g > G_MAX + CERT_MARGIN:
+def _clamp_g(g):
+    """G (a float or an array) clamped into [0, 3], except values far beyond 3."""
+    far = g > G_MAX + CERT_MARGIN
+    if np.any(far):
         # A value this far out signals an invalid input, not a rounding issue;
         # pass it through rather than truncating silently.
-        logger.debug("G = %.17g exceeds 3 beyond tolerance; returning unclamped", g)
-        return g
-    return min(max(g, 0.0), G_MAX)
+        logger.debug("G = %.17g exceeds 3 beyond tolerance; returning unclamped", np.max(g))
+    return np.where(far, g, np.minimum(np.maximum(g, 0.0), G_MAX))
+
+
+def _g(cov: np.ndarray):
+    """Sum of the nine squared covariances of a 3x3 table, or of each table of a stack."""
+    return _clamp_g(np.sum(cov**2, axis=(-2, -1)))
+
+
+def _g_from_moments(t: np.ndarray):
+    """G straight from a Pauli moment table or a stack of them."""
+    return _g(_covariances(t))
 
 
 def g_from_covariances(cd: CorrelationData) -> float:
     """Sum of the nine squared covariances."""
-    return _clamp_g(float(np.sum(cd.cov**2)))
+    return float(_g(cd.cov))
 
 
 def g_hilbert_schmidt(rho: DensityMatrix) -> float:
@@ -85,7 +96,7 @@ def g_hilbert_schmidt(rho: DensityMatrix) -> float:
     rho_a = partial_trace(rho.mat, "A")
     rho_b = partial_trace(rho.mat, "B")
     diff = rho.mat - np.kron(rho_a, rho_b)
-    return _clamp_g(4.0 * float(np.real(np.trace(diff @ diff))))
+    return float(_clamp_g(4.0 * float(np.real(np.trace(diff @ diff)))))
 
 
 def l3(rho: DensityMatrix) -> float:

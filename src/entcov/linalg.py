@@ -3,6 +3,12 @@
 Index convention, used everywhere in this package: subsystem A is the
 slow (leftmost) tensor factor, so a 4x4 row index r splits as
 r = 2*iA + iB.
+
+``as_cmat``, ``herm_defect``, ``eig_hermitian`` and ``sqrt_psd`` also take
+a stack of shape (..., n, n) and work matrix by matrix; a single matrix is
+the stack's one-matrix case and gets bit-identical results.  Each check
+runs over the whole stack in turn and reports its first failing matrix
+(in C order), so a stack with one bad matrix fails as that matrix would.
 """
 
 from __future__ import annotations
@@ -24,20 +30,39 @@ for _m in PAULIS:
 
 
 def as_cmat(m, dims=(2, 4)) -> np.ndarray:
-    """Coerce to a square complex matrix of an allowed dimension; reject NaN/Inf."""
+    """Coerce to a square complex matrix, or a stack (..., n, n) of them, of an
+    allowed dimension; reject NaN/Inf."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] not in dims:
-        raise ValueError(f"expected matrix dimension in {dims}, got {a.shape[0]}")
+    if a.shape[-1] not in dims:
+        raise ValueError(f"expected matrix dimension in {dims}, got {a.shape[-1]}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
 
 
-def herm_defect(m: np.ndarray) -> float:
-    """Max entrywise deviation from Hermiticity."""
-    return float(np.max(np.abs(m - m.conj().T)))
+def _one_matrix(m, dims) -> np.ndarray:
+    """as_cmat for operations defined on a single matrix only."""
+    a = as_cmat(m, dims)
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def herm_defect(m: np.ndarray):
+    """Max entrywise deviation from Hermiticity: a float, or one per matrix of a stack."""
+    return np.abs(m - _dagger(m)).max(axis=(-2, -1))
+
+
+def _first_failing(bad, values):
+    """The entry of values at the first True of bad (C order), or None if none is."""
+    return np.asarray(values)[bad].flat[0] if bad.any() else None
 
 
 def tensor(a, b) -> np.ndarray:
@@ -45,14 +70,14 @@ def tensor(a, b) -> np.ndarray:
 
     Element ((2i+k), (2j+l)) equals a[i, j] * b[k, l].
     """
-    a = as_cmat(a, dims=(2,))
-    b = as_cmat(b, dims=(2,))
+    a = _one_matrix(a, dims=(2,))
+    b = _one_matrix(b, dims=(2,))
     return np.kron(a, b)
 
 
 def partial_trace(m, keep: str) -> np.ndarray:
     """Reduced 2x2 matrix of subsystem ``keep`` ("A" or "B") of a 4x4 matrix."""
-    m = as_cmat(m, dims=(4,))
+    m = _one_matrix(m, dims=(4,))
     r = m.reshape(2, 2, 2, 2)
     if keep == "A":
         return np.einsum("ikjk->ij", r)
@@ -63,7 +88,7 @@ def partial_trace(m, keep: str) -> np.ndarray:
 
 def partial_transpose(m, sub: str) -> np.ndarray:
     """Transpose the indices of one subsystem ("A" or "B") of a 4x4 matrix."""
-    m = as_cmat(m, dims=(4,))
+    m = _one_matrix(m, dims=(4,))
     r = m.reshape(2, 2, 2, 2)
     if sub == "A":
         out = r.transpose(2, 1, 0, 3)
@@ -77,15 +102,16 @@ def partial_transpose(m, sub: str) -> np.ndarray:
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
-    Returns (w, v) with real w and v[:, k] the eigenvector belonging to w[k],
-    so that v @ diag(w) @ v.conj().T reconstructs the input.
+    Returns (w, v) with real w and v[..., :, k] the eigenvector belonging to
+    w[..., k], so that v @ diag(w) @ v^dagger reconstructs the input.
     """
     m = as_cmat(m)
     defect = herm_defect(m)
-    if defect > MATRIX_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    worst = _first_failing(defect > MATRIX_TOL, defect)
+    if worst is not None:
+        raise ValueError(f"matrix is not Hermitian (defect {worst:.3e})")
+    w, v = np.linalg.eigh((m + _dagger(m)) / 2)
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 RELATIVE_EIG_FLOOR = 1e-13
@@ -101,8 +127,9 @@ def sqrt_psd(m) -> np.ndarray:
     inputs.
     """
     w, v = eig_hermitian(m)
-    if w[-1] < -MATRIX_TOL:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w[-1]:.3e})")
+    w_min = _first_failing(w[..., -1] < -MATRIX_TOL, w[..., -1])
+    if w_min is not None:
+        raise ValueError(f"matrix is not PSD (min eigenvalue {w_min:.3e})")
     w = np.maximum(w, 0.0)
-    w[w < RELATIVE_EIG_FLOOR * w[0]] = 0.0
-    return (v * np.sqrt(w)) @ v.conj().T
+    w[w < RELATIVE_EIG_FLOOR * w[..., :1]] = 0.0
+    return (v * np.sqrt(w)[..., None, :]) @ _dagger(v)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import _integer
-from .linalg import MATRIX_TOL, PAULIS, herm_defect, tensor
+from .linalg import MATRIX_TOL, PAULIS, _first_failing, herm_defect, tensor
 from .states import DensityMatrix
 
 CONSISTENCY_TOL = 1e-12
@@ -93,27 +93,34 @@ def pauli_moments(mat: np.ndarray) -> np.ndarray:
     """4x4 table t[m, n] = Tr(M sigma_m (x) sigma_n) of a Hermitian matrix.
 
     Works on any Hermitian matrix, not only physical states; this is what
-    lets G be evaluated algebraically on partial transposes.
+    lets G be evaluated algebraically on partial transposes.  A stack of
+    shape (..., 4, 4) gives one table per matrix, each bit-identical to the
+    table of that matrix alone; a failing check reports the first failing
+    matrix.
     """
     defect = herm_defect(np.asarray(mat, dtype=complex))
-    if defect > MATRIX_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    t = np.einsum("mnij,ji->mn", PAIR_OBS, mat)
-    residue = float(np.max(np.abs(t.imag)))
-    if residue > MATRIX_TOL:
-        raise ValueError(f"Pauli moments have imaginary residue {residue:.3e}")
+    worst = _first_failing(defect > MATRIX_TOL, defect)
+    if worst is not None:
+        raise ValueError(f"matrix is not Hermitian (defect {worst:.3e})")
+    t = np.einsum("mnij,...ji->...mn", PAIR_OBS, mat)
+    residue = np.max(np.abs(t.imag), axis=(-2, -1))
+    worst = _first_failing(residue > MATRIX_TOL, residue)
+    if worst is not None:
+        raise ValueError(f"Pauli moments have imaginary residue {worst:.3e}")
     return np.real(t)
 
 
+def _covariances(t: np.ndarray) -> np.ndarray:
+    """The 3x3 covariances t[i, j] - t[i, 0] t[0, j] (i, j in 1..3) of a moment table or stack."""
+    return t[..., 1:, 1:] - t[..., 1:, 0, None] * t[..., None, 0, 1:]
+
+
 def correlation_data_from_moments(t: np.ndarray) -> CorrelationData:
-    corr = t[1:, 1:]
-    bloch_a = t[1:, 0]
-    bloch_b = t[0, 1:]
     return CorrelationData(
-        cov=corr - np.outer(bloch_a, bloch_b),
-        blochA=bloch_a,
-        blochB=bloch_b,
-        corrT=corr,
+        cov=_covariances(t),
+        blochA=t[1:, 0],
+        blochB=t[0, 1:],
+        corrT=t[1:, 1:],
     )
 
 

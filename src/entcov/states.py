@@ -20,6 +20,31 @@ from .linalg import MATRIX_TOL, SIGMA0, tensor
 PURE_NORM_TOL = 1e-12
 
 
+def _validated(mats) -> np.ndarray:
+    """An (N, 4, 4) stack as complex, every matrix checked as DensityMatrix checks one.
+
+    The checks, in order: finite entries, Hermitian, unit trace and PSD, the
+    last by one stacked eigvalsh.  A failing stack raises the message its
+    first failing matrix raises on its own.
+    """
+    m = np.asarray(mats, dtype=complex)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    x = m if finite.all() else np.where(finite[:, None, None], m, 0.0)
+    defect = linalg.herm_defect(x)
+    tr = np.trace(x, axis1=-2, axis2=-1)
+    wmin = np.linalg.eigvalsh((x + linalg._dagger(x)) / 2)[:, 0]
+    bad = ~finite | (defect > MATRIX_TOL) | (np.abs(tr - 1.0) > MATRIX_TOL) | (wmin < -MATRIX_TOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        linalg.as_cmat(m[k])  # raises the message for non-finite entries
+        if defect[k] > MATRIX_TOL:
+            raise ValueError(f"not Hermitian: defect {defect[k]:.3e}")
+        if abs(tr[k] - 1.0) > MATRIX_TOL:
+            raise ValueError(f"trace must be 1, got {tr[k].real:.12g}{tr[k].imag:+.3e}j")
+        raise ValueError(f"not positive semidefinite: min eigenvalue {wmin[k]:.3e}")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A 4x4 complex matrix validated to be Hermitian, unit-trace and PSD."""
@@ -27,17 +52,8 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_cmat(self.mat, dims=(4,))
-        defect = linalg.herm_defect(m)
-        if defect > MATRIX_TOL:
-            raise ValueError(f"not Hermitian: defect {defect:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > MATRIX_TOL:
-            raise ValueError(f"trace must be 1, got {tr.real:.12g}{tr.imag:+.3e}j")
-        wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        if wmin < -MATRIX_TOL:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {wmin:.3e}")
-        m = m.copy()
+        m = linalg._one_matrix(self.mat, dims=(4,))
+        m = _validated(m[None])[0].copy()
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -67,10 +83,14 @@ def from_pure(p: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(p.amps, p.amps.conj()))
 
 
+def _purity(m: np.ndarray):
+    """Tr(m^2) of a 4x4 matrix or of each matrix of a stack, clamped into [1/4, 1]."""
+    return np.minimum(np.maximum(np.real(np.trace(m @ m, axis1=-2, axis2=-1)), 0.25), 1.0)
+
+
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2), clamped into [1/4, 1] after rounding tolerance."""
-    p = float(np.real(np.trace(rho.mat @ rho.mat)))
-    return min(max(p, 0.25), 1.0)
+    return float(_purity(rho.mat))
 
 
 def rho_u(gamma: float, theta: float = 0.0) -> DensityMatrix:

@@ -287,19 +287,42 @@ SWEEP_CSV_SHA256 = {
 }
 
 
+def pinned_argv(tmp_path, command):
+    """The invocation whose CSV text SWEEP_CSV_SHA256 pins."""
+    if command == "scan-bounds":
+        return ["scan-bounds", "--count", "64", "--seed", "12345"]
+    if command == "purity-slice":
+        return ["purity-slice", "--purity", "0.46", "--count", "8", "--seed", "12345"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "ginibre", "count": 16, "seed": 7, "rank": 2}))
+    return ["ensemble", str(spec_path)]
+
+
 @pytest.mark.parametrize("command", sorted(SWEEP_CSV_SHA256))
 def test_sweep_csv_text_is_pinned(tmp_path, capsys, command):
-    if command == "scan-bounds":
-        argv = ["scan-bounds", "--count", "64", "--seed", "12345"]
-    elif command == "purity-slice":
-        argv = ["purity-slice", "--purity", "0.46", "--count", "8", "--seed", "12345"]
-    else:
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"kind": "ginibre", "count": 16, "seed": 7, "rank": 2}))
-        argv = ["ensemble", str(spec_path)]
-    code, out, _ = run_cli(capsys, argv)
+    code, out, _ = run_cli(capsys, pinned_argv(tmp_path, command))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_CSV_SHA256[command]
+
+
+def test_sweep_output_does_not_depend_on_chunk(tmp_path, capsys, monkeypatch):
+    spec_path = tmp_path / "fixed.json"
+    spec_path.write_text(json.dumps({"kind": "fixed_purity", "count": 20, "seed": 3,
+                                     "purity_target": 0.46, "purity_window": 0.005}))
+    argvs = [pinned_argv(tmp_path, command) for command in sorted(SWEEP_CSV_SHA256)] + [
+        ["scan-bounds", "--count", str(cli.CHUNK + 44), "--seed", "5", "--rank", "1,3,4"],
+        ["ensemble", str(spec_path)],
+        ["ensemble", str(spec_path), "--format", "json"],
+        ["ensemble", str(tmp_path / "spec.json"), "--format", "json"],
+    ]
+    default, outputs = cli.CHUNK, {}
+    for chunk in (1, 7, default):
+        monkeypatch.setattr(cli, "CHUNK", chunk)
+        outputs[chunk] = [run_cli(capsys, argv) for argv in argvs]
+        for command, (code, out, _) in zip(sorted(SWEEP_CSV_SHA256), outputs[chunk]):
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_CSV_SHA256[command]
+    assert outputs[1] == outputs[7] == outputs[default]
 
 
 def test_ensemble_infeasible_window(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entcov import ensembles
+from entcov._rng import STREAM_FIXED_PURITY, rng_at
 from entcov.concurrence import concurrence_mixed, concurrence_pure
 from entcov.ensembles import (
     EnsembleSpec,
@@ -19,7 +20,7 @@ from entcov.ensembles import (
 from entcov.gmeasure import g_from_covariances, l3
 from entcov.jsonio import dumps, loads
 from entcov.observables import correlation_data
-from entcov.states import apply_local_unitary, canonical, from_pure, purity
+from entcov.states import DensityMatrix, apply_local_unitary, canonical, from_pure, purity
 
 
 def test_haar_pure_determinism():
@@ -106,6 +107,56 @@ def test_fixed_purity_infeasible_window_errors(monkeypatch):
     monkeypatch.setattr(ensembles, "MAX_REJECTION_ATTEMPTS", 2000)
     with pytest.raises(RuntimeError, match=" in 2000 attempts; the window is infeasible$"):
         fixed_purity(1, 0, 1.0, 1e-12)
+
+
+def one_attempt_fixed_purity(seed, index, target, window):
+    """fixed_purity as it was before block draws: one attempt and one DensityMatrix at a time.
+
+    Returns the accepted state and the number of attempts it took.
+    """
+    rng = rng_at(seed, STREAM_FIXED_PURITY, index)
+    for attempt in range(1, ensembles.MAX_REJECTION_ATTEMPTS + 1):
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m = x @ x.conj().T
+        rho = DensityMatrix(m / np.real(np.trace(m)))
+        p = min(max(float(np.real(np.trace(rho.mat @ rho.mat))), 0.25), 1.0)
+        if abs(p - target) <= window:
+            return rho, attempt
+    raise RuntimeError(
+        f"no rank-4 sample hit purity {target} +- {window} in {ensembles.MAX_REJECTION_ATTEMPTS} "
+        "attempts; the window is infeasible"
+    )
+
+
+# At this seed the first hits of indices 0..199 at 0.46 +- 0.005 include
+# attempts 1, 31, 32, 33, 34, 50 and 51, on both sides of every cap below.
+ORACLE_SEED = 20260905
+
+
+def test_block_drawn_fixed_purity_matches_the_one_attempt_loop():
+    attempts = set()
+    for k in range(200):
+        expected, n = one_attempt_fixed_purity(ORACLE_SEED, k, 0.46, 0.005)
+        attempts.add(n)
+        assert np.array_equal(fixed_purity(ORACLE_SEED, k, 0.46, 0.005).mat, expected.mat)
+    assert {1, 31, 32, 33, 34, 50, 51} <= attempts
+
+
+@pytest.mark.parametrize("cap", [1, 31, 32, 33, 50])
+def test_block_drawn_fixed_purity_keeps_the_attempt_cap_exact(monkeypatch, cap):
+    monkeypatch.setattr(ensembles, "MAX_REJECTION_ATTEMPTS", cap)
+    outcomes = set()
+    for k in range(200):
+        try:
+            expected, _ = one_attempt_fixed_purity(ORACLE_SEED, k, 0.46, 0.005)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match=f" in {cap} attempts; the window is infeasible$"):
+                fixed_purity(ORACLE_SEED, k, 0.46, 0.005)
+            outcomes.add("raised")
+        else:
+            assert np.array_equal(fixed_purity(ORACLE_SEED, k, 0.46, 0.005).mat, expected.mat)
+            outcomes.add("hit")
+    assert outcomes == {"hit", "raised"}
 
 
 def test_fixed_purity_rejects_bad_inputs():

@@ -1,0 +1,162 @@
+"""The stacked (N, 4, 4) kernels against the per-state code they replaced.
+
+The reference functions below are the scalar implementations as they stood
+before the kernels took stacks; every kernel must reproduce them bit for
+bit (``np.array_equal``) on every matrix of a stack, whatever the stack's
+size and mix of states, and so must the public scalar functions, which
+are now the kernels' one-matrix case.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entcov.concurrence import _concurrence, concurrence_mixed
+from entcov.ensembles import ginibre, haar_pure, separable_mixture
+from entcov.gmeasure import _g_from_moments, g_from_covariances
+from entcov.linalg import MATRIX_TOL, SIGMA2, eig_hermitian, sqrt_psd, tensor
+from entcov.observables import PAIR_OBS, correlation_data, pauli_moments
+from entcov.states import (
+    DensityMatrix,
+    _purity,
+    _validated,
+    canonical,
+    from_pure,
+    purity,
+    rho_u,
+)
+
+YY = tensor(SIGMA2, SIGMA2)
+NAMED = ("singlet", "phi_plus", "phi_minus", "psi_plus", "product00", "maximally_mixed",
+         "classically_correlated")
+
+
+def ref_validate(m) -> None:
+    """The DensityMatrix checks, one matrix at a time."""
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    if defect > MATRIX_TOL:
+        raise ValueError(f"not Hermitian: defect {defect:.3e}")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > MATRIX_TOL:
+        raise ValueError(f"trace must be 1, got {tr.real:.12g}{tr.imag:+.3e}j")
+    wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    if wmin < -MATRIX_TOL:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {wmin:.3e}")
+
+
+def ref_purity(m) -> float:
+    return min(max(float(np.real(np.trace(m @ m))), 0.25), 1.0)
+
+
+def ref_moments(m) -> np.ndarray:
+    return np.real(np.einsum("mnij,ji->mn", PAIR_OBS, m))
+
+
+def ref_g(m) -> float:
+    t = ref_moments(m)
+    cov = t[1:, 1:] - np.outer(t[1:, 0], t[0, 1:])
+    return min(max(float(np.sum(cov**2)), 0.0), 3.0)
+
+
+def ref_eigh(m):
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def ref_concurrence(m) -> float:
+    rho_tilde = YY @ m.conj() @ YY
+    w, v = ref_eigh(m)
+    w = np.maximum(w, 0.0)
+    w[w < 1e-13 * w[0]] = 0.0
+    s = (v * np.sqrt(w)) @ v.conj().T
+    w, _ = ref_eigh(s @ rho_tilde @ s)
+    w = np.maximum(w, 0.0)
+    w[w < 1e-12] = 0.0
+    lam = np.sqrt(w)
+    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+seeds, indices = st.integers(0, 2**32 - 1), st.integers(0, 10**6)
+one_state = st.one_of(
+    st.builds(lambda s, i, r: ginibre(s, i, r).mat, seeds, indices, st.integers(1, 4)),
+    st.builds(lambda s, i: from_pure(haar_pure(s, i)).mat, seeds, indices),
+    st.builds(lambda s, i, n: separable_mixture(s, i, n).mat, seeds, indices, st.integers(1, 6)),
+    st.builds(lambda name: canonical(name).mat, st.sampled_from(NAMED)),
+    st.builds(lambda g: rho_u(g, 0.0).mat, st.floats(0.0, 0.5)),
+)
+stacks = st.lists(one_state, min_size=1, max_size=64).map(np.stack)
+few = settings(max_examples=40, deadline=None, database=None)
+
+
+@few
+@given(stacks)
+def test_stack_kernels_equal_the_scalar_reference(mats):
+    assert np.array_equal(_validated(mats), mats)
+    p, t, c = _purity(mats), pauli_moments(mats), _concurrence(mats)
+    g = _g_from_moments(t)
+    for k, m in enumerate(mats):
+        ref_validate(m)
+        rho = DensityMatrix(m)
+        assert np.array_equal(rho.mat, m)
+        assert np.array_equal(p[k], ref_purity(m)) and purity(rho) == p[k]
+        assert np.array_equal(t[k], ref_moments(m))
+        assert np.array_equal(pauli_moments(m), t[k])
+        assert np.array_equal(g[k], ref_g(m))
+        assert g_from_covariances(correlation_data(rho)) == g[k]
+        assert np.array_equal(c[k], ref_concurrence(m)) and concurrence_mixed(rho) == c[k]
+
+
+def corrupt(m: np.ndarray, how: str) -> np.ndarray:
+    m = m.copy()
+    if how == "nan":
+        m[0, 1] = np.nan
+    elif how == "inf":
+        m[2, 2] = np.inf
+    elif how == "hermitian":
+        m[0, 1] += 1e-6
+    elif how == "trace":
+        m *= 1.01
+    else:  # Hermitian and unit trace, but the (1, 1) entry is at most -1
+        m += np.diag([2.0, -2.0, 0.0, 0.0])
+    return m
+
+
+def message(fn, m) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(m)
+    return str(info.value)
+
+
+BAD = ("nan", "inf", "hermitian", "trace", "psd")
+
+
+@few
+@given(stacks, st.data())
+def test_a_bad_matrix_raises_its_own_scalar_message(mats, data):
+    n = len(mats)
+    k = data.draw(st.integers(0, n - 1), label="bad index")
+    how = data.draw(st.sampled_from(BAD), label="corruption")
+    single = mats.copy()
+    single[k] = corrupt(mats[k], how)
+    # the state validation reports the first failing matrix across all its checks
+    several = single.copy()
+    if k < n - 1 and data.draw(st.booleans(), label="second bad matrix"):
+        later = data.draw(st.integers(k + 1, n - 1), label="later index")
+        several[later] = corrupt(mats[later], data.draw(st.sampled_from(BAD), label="later how"))
+    expected = message(DensityMatrix, single[k])
+    assert message(ref_validate, single[k]) == expected
+    for bad in (single, several):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            _validated(bad)
+    # the linear-algebra kernels run each check over the whole stack in turn
+    kernels = {"hermitian": (pauli_moments, eig_hermitian, sqrt_psd), "psd": (sqrt_psd,)}
+    for kernel in kernels.get(how, ()):
+        scalar = message(kernel, single[k])
+        with pytest.raises(ValueError, match=f"^{re.escape(scalar)}$"):
+            kernel(single)

@@ -1,4 +1,4 @@
-"""Property-based tests over generated Ginibre states and records.
+"""Property-based tests over generated Ginibre states, local unitaries and records.
 
 Example counts are small so the suite stays fast; every state is addressed
 as ginibre(seed, index, rank), so a failing example replays exactly.
@@ -8,8 +8,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entcov.ensembles import ginibre
+from entcov.concurrence import concurrence_mixed
+from entcov.ensembles import ginibre, random_local_unitary
+from entcov.gmeasure import g_from_covariances, l3
 from entcov.jsonio import dumps, loads
+from entcov.linalg import SIGMA1, partial_transpose
+from entcov.observables import correlation_data, correlation_data_from_moments, pauli_moments
 from entcov.sampler import (
     MeasurementRecord,
     outcome_probabilities,
@@ -17,6 +21,7 @@ from entcov.sampler import (
     record_to_dict,
     simulate_record,
 )
+from entcov.states import apply_local_unitary, canonical
 
 states = st.builds(
     ginibre,
@@ -24,7 +29,12 @@ states = st.builds(
     st.integers(0, 10**6),
     st.integers(1, 4),
 )
+unitaries = st.builds(random_local_unitary, st.integers(0, 2**32 - 1), st.integers(0, 10**6))
 few = settings(max_examples=30, deadline=None, database=None)
+
+
+def g_of(rho) -> float:
+    return g_from_covariances(correlation_data(rho))
 
 
 @few
@@ -57,3 +67,31 @@ def test_record_json_re_serializes_to_identical_text(rho, shots, seed, exact):
         rec = simulate_record(rho, shots, seed)
     text = dumps(record_to_dict(rec))
     assert dumps(record_to_dict(record_from_dict(loads(text)))) == text
+
+
+@few
+@given(states, unitaries)
+def test_g_and_concurrence_are_local_unitary_invariants(rho, u):
+    rotated = apply_local_unitary(rho, *u)
+    assert abs(g_of(rotated) - g_of(rho)) <= 1e-12
+    assert abs(concurrence_mixed(rotated) - concurrence_mixed(rho)) <= 1e-9
+
+
+@few
+@given(states, st.sampled_from("AB"))
+def test_g_is_unchanged_by_partial_transposition(rho, sub):
+    moments = pauli_moments(partial_transpose(rho.mat, sub))
+    assert abs(g_from_covariances(correlation_data_from_moments(moments)) - g_of(rho)) <= 1e-12
+
+
+@few
+@given(unitaries)
+def test_l3_contrast_of_the_singlet_survives_a_common_rotation(u):
+    # U (x) U leaves the singlet unchanged, so L3 stays 0 for it and 8 for its
+    # sigma1-flip, while G is 3 for both: L3 is not a local-unitary invariant
+    u_a, _ = u
+    singlet = apply_local_unitary(canonical("singlet"), u_a, u_a)
+    flipped = apply_local_unitary(canonical("singlet"), SIGMA1 @ u_a, u_a)
+    assert l3(singlet) <= 1e-12
+    assert abs(l3(flipped) - 8.0) <= 1e-12
+    assert abs(g_of(singlet) - 3.0) <= 1e-12 and abs(g_of(flipped) - 3.0) <= 1e-12
