@@ -1,12 +1,18 @@
 """Counter-based deterministic random streams.
 
-Every stream is addressed by (seed, stream id, index...) through a
-SeedSequence spawn key feeding the Philox counter-based bit generator, so
+Every stream is addressed by (seed, stream id, index...): the Philox
+counter-based bit generator keyed as numpy's
+``SeedSequence(entropy=seed, spawn_key=(stream, hi, lo, ...))`` keys it, so
 the sample at one address never depends on which other addresses were
 generated, in what order, or on how many workers did the generating.
+``_keys`` derives the keys of many addresses in one vectorised pass and
+``_streams`` serves them through one re-keyed generator; ``rng_at`` and
+``derive_seed`` are the one-address case.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -22,15 +28,176 @@ STREAM_SETTING = 5
 STREAM_BOOTSTRAP = 6
 STREAM_TRIAL = 7
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, the entropy hash (INIT_A, MULT_A), the mixer and the output
+# hash (INIT_B, MULT_B).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MAX_INDEX = 2**64 - 1
 
-def _seed_sequence(seed: int, stream: int, index: tuple[int, ...]) -> np.random.SeedSequence:
-    """The SeedSequence at address (seed, stream, index...); each index part is two key words."""
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """(hashed value, next hash constant), in Python ints masked to 32 bits."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    return r ^ r >> 16
+
+
+def _absorb(pool: list, words, const: int) -> tuple[list, int]:
+    """Mix each word beyond the pool size into every pool word."""
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool, const
+
+
+@functools.lru_cache(maxsize=256)
+def _seeded_pool(seed: int, stream: int) -> tuple[tuple, int]:
+    """The pool and hash constant once the seed and the stream id are absorbed.
+
+    These words are shared by every address of a (seed, stream); only the
+    index words that follow differ, so one-address callers such as a loop of
+    ``rng_at`` calls hash them once.
+    """
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    # With a spawn key, numpy pads the seed to the pool size with zeros.
+    words += [0] * (_POOL_SIZE - len(words)) + [stream]
+    pool, const = [], _INIT_A
+    for word in words[:_POOL_SIZE]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    pool, const = _absorb(pool, words[_POOL_SIZE:], const)
+    return tuple(pool), const
+
+
+def _index_words(indices) -> tuple[int, list]:
+    """(number of addresses, spawn-key words of their index parts).
+
+    indices is an integer array, 1-D for one part per address, or a
+    sequence of index tuples; every part must be an integer in [0, 2**64).
+    Each part contributes its high and low 32-bit words: uint32 columns, or
+    Python ints when there is a single address.
+    """
+    if isinstance(indices, np.ndarray):
+        indices = indices.reshape(len(indices), -1)
+        if len(indices) > 1 and indices.dtype.kind in "ui" and indices.min(initial=0) >= 0:
+            return len(indices), _columns(indices.astype(np.uint64))
+        indices = indices.tolist()  # one address, or parts the integer rule checks one by one
+    rows = [[_integer("index", part, 0, _MAX_INDEX) for part in row] for row in indices]
+    if len(rows) == 1:
+        return 1, [word for part in rows[0] for word in (part >> 32, part & _MASK32)]
+    return len(rows), _columns(np.array(rows, dtype=np.uint64).reshape(len(rows), -1))
+
+
+def _columns(parts: np.ndarray) -> list[np.ndarray]:
+    """The high and low 32-bit words of each column of an (n, parts) uint64 array."""
+    words = []
+    for column in parts.T:
+        words += [(column >> 32).astype(np.uint32), (column & _MASK32).astype(np.uint32)]
+    return words
+
+
+def _consts(const: int, mult: int, count: int) -> np.ndarray:
+    """(count, 1) uint32 column of the hash constants const, const * mult, ..."""
+    out = []
+    for _ in range(count):
+        out.append(const)
+        const = const * mult & _MASK32
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_OUTPUT_CONSTS = _consts(_INIT_B, _MULT_B, _POOL_SIZE + 1)
+
+
+def _keys(seed: int, stream: int, indices) -> np.ndarray:
+    """The (n, 2) uint64 Philox keys of the addresses (seed, stream, *index) for index in indices.
+
+    Row k equals ``np.random.SeedSequence(entropy=seed, spawn_key=(stream,
+    hi_0, lo_0, hi_1, lo_1, ...)).generate_state(2, np.uint64)`` for the
+    parts of indices[k], with hi/lo the 32-bit halves of each part.  seed
+    must be an integer >= 0; see ``_index_words`` for indices.
+    """
     seed = _integer("seed", seed, 0)
-    key = (int(stream),)
-    for part in index:
-        part = _integer("index", part, 0, 2**64 - 1)
-        key += (part >> 32, part & 0xFFFFFFFF)
-    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+    n, words = _index_words(indices)
+    pool, const = _seeded_pool(seed, int(stream))
+    if n == 1:  # numpy's own loop; Python ints beat arrays of one
+        pool, _ = _absorb(list(pool), words, const)
+        out, const = [], _INIT_B
+        for word in pool:
+            hashed, const = _hashmix(word, const, _MULT_B)
+            out.append(hashed)
+        return np.array([[out[0] | out[1] << 32, out[2] | out[3] << 32]], dtype=np.uint64)
+    # The same steps on uint32 columns, the four pool words at once: mixing
+    # a word into pool word d uses the d-th of the next hash constants.
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    for word in words:
+        consts = _consts(const, _MULT_A, _POOL_SIZE + 1)
+        const = int(consts[-1, 0])
+        hashed = (word ^ consts[:-1]) * consts[1:]
+        hashed ^= hashed >> 16
+        pool = pool * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
+        pool ^= pool >> 16
+    out = (pool ^ _OUTPUT_CONSTS[:-1]) * _OUTPUT_CONSTS[1:]
+    out = (out ^ out >> 16).astype(np.uint64)
+    keys = np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=-1)
+    return np.broadcast_to(keys, (n, 2))
+
+
+@functools.cache
+def _key_seed() -> type:
+    """The seed-sequence type that hands Philox a key derived by ``_keys``.
+
+    Built on first use: numpy's ISeedSequence base lives in numpy.random,
+    whose import (about 10 ms and 6 MiB) commands that draw nothing skip.
+    """
+
+    class KeySeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return KeySeed
+
+
+def _generator(key: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_key_seed()(key)))
+
+
+def _streams(seed: int, stream: int, indices):
+    """Yield the generator of each address (seed, stream, *index) for index in indices, in order.
+
+    One generator is re-keyed per address, so consume each before asking
+    for the next.  Re-keying restores the state a fresh Philox has: counter
+    0, the new key, an empty buffer and no spare 32-bit half, so the draws
+    equal ``rng_at``'s.
+    """
+    keys = _keys(seed, stream, indices)
+    rng = _generator(keys[0])
+    fresh = rng.bit_generator.state
+    yield rng
+    for key in keys[1:]:
+        fresh["state"]["key"] = key
+        rng.bit_generator.state = fresh
+        yield rng
 
 
 def rng_at(seed: int, stream: int, *index: int) -> np.random.Generator:
@@ -39,10 +206,10 @@ def rng_at(seed: int, stream: int, *index: int) -> np.random.Generator:
     seed must be an integer >= 0 and each index part one in [0, 2**64);
     anything else raises ValueError rather than aliasing another address.
     """
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, stream, index)))
+    return _generator(_keys(seed, stream, [index])[0])
 
 
 def derive_seed(seed: int, stream: int, *index: int) -> int:
     """A fresh 64-bit seed deterministically derived from an address."""
-    words = _seed_sequence(seed, stream, index).generate_state(2, dtype=np.uint64)
-    return int(words[0] ^ words[1])
+    key = _keys(seed, stream, [index])[0]
+    return int(key[0] ^ key[1])

@@ -27,7 +27,7 @@ from .concurrence import _concurrence, concurrence_mixed
 from .ensembles import (
     _RANKS,
     EnsembleSpec,
-    _ginibre_matrix,
+    _ginibre_chunks,
     _matrices,
     ensemble_spec_from_dict,
 )
@@ -159,24 +159,22 @@ def _rank_list(text: str) -> list[int]:
     return ranks
 
 
-def _measures(matrices):
+def _measures(stacks):
     """Yield (concurrence, G, purity), the columns every sweep command writes, per matrix.
 
-    The matrices are validated and measured CHUNK at a time, as stacks.
+    Each (n, 4, 4) stack is validated and measured as a whole.
     """
-    matrices = iter(matrices)
-    while chunk := list(itertools.islice(matrices, CHUNK)):
-        mats = _validated(np.stack(chunk))
+    for mats in stacks:
+        mats = _validated(mats)
         columns = (_concurrence(mats), _g_from_moments(pauli_moments(mats)), _purity(mats))
         yield from zip(*(column.tolist() for column in columns))
 
 
 def cmd_scan_bounds(args) -> int:
-    ranks = [args.rank[idx % len(args.rank)] for idx in range(args.count)]
-    matrices = (_ginibre_matrix(args.seed, idx, rank) for idx, rank in enumerate(ranks))
+    stacks = _ginibre_chunks(args.seed, args.count, args.rank, CHUNK)
     rows = [
         ("sample", c, g, p, rank, int(bounds_violated(c, g)))
-        for rank, (c, g, p) in zip(ranks, _measures(matrices))
+        for rank, (c, g, p) in zip(itertools.cycle(args.rank), _measures(stacks))
     ]
     for kind, curve in (("lower_bound", pure_state_floor), ("upper_bound", mixed_state_ceiling)):
         for c in np.linspace(0.0, 1.0, BOUND_CURVE_POINTS):
@@ -211,10 +209,9 @@ def bin_spreads(cs, gs) -> list[tuple[float, float, int, float]]:
 
 
 def _spec_matrices(spec: EnsembleSpec):
-    """The spec's matrices in index order, with an infeasible purity window as an input error."""
+    """The spec's matrices in stacks of CHUNK; an infeasible purity window is an input error."""
     try:
-        for _, m in _matrices(spec):
-            yield m
+        yield from _matrices(spec, CHUNK)
     except RuntimeError as exc:
         raise CliInputError(str(exc)) from exc
 
@@ -253,9 +250,10 @@ def cmd_sample(args) -> int:
 def cmd_ensemble(args) -> int:
     spec = _load(args.spec, ensemble_spec_from_dict)
     if args.format == "json":
+        matrices = (m for mats in _spec_matrices(spec) for m in mats)
         states = [
             {"index": idx, **density_matrix_to_dict(DensityMatrix(m))}
-            for idx, m in enumerate(_spec_matrices(spec))
+            for idx, m in enumerate(matrices)
         ]
         _emit(args.output, dumps(states))
     else:

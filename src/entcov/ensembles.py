@@ -5,7 +5,9 @@ construction X X^dag / Tr(X X^dag) (the Hilbert-Schmidt induced measure),
 with the rank of X as a knob to explore the region near both concurrence
 bounds.  Every generator is a pure function of (seed, index, params);
 indices can be evaluated in parallel and in any order with byte-identical
-results.
+results.  Each index draws from its own stream; sweeps draw a chunk of
+indices through one re-keyed generator (``_rng._streams``) and form each
+chunk as one (n, 4, 4) stack.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from ._rng import (
     STREAM_HAAR,
     STREAM_SEPARABLE,
     STREAM_UNITARY,
+    _streams,
     rng_at,
 )
 from .jsonio import _integer, _json_floats, _json_int, _real
@@ -38,18 +41,26 @@ _RANKS = (1, 4)
 _INT_FIELDS = {"count": (1,), "seed": (0,), "rank": _RANKS, "mixture_terms": (1,)}
 
 
-def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _complex_normals(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex normals of the given shape: all real parts, then all imaginary parts, in one draw."""
+    x = rng.standard_normal((2, *shape))
+    return x[0] + 1j * x[1]
 
 
-def _haar_amps(seed: int, index: int) -> np.ndarray:
-    z = _complex_normals(rng_at(seed, STREAM_HAAR, index), 4)
+def _haar_amps(rng: np.random.Generator) -> np.ndarray:
+    z = _complex_normals(rng, (4,))
     return z / np.linalg.norm(z)
 
 
 def haar_pure(seed: int, index: int) -> PureState:
     """Haar-random pure two-qubit state: normalized complex normal amplitudes."""
-    return PureState(_haar_amps(seed, index))
+    return PureState(_haar_amps(rng_at(seed, STREAM_HAAR, index)))
+
+
+def _haar_stack(seed: int, indices) -> np.ndarray:
+    """The (n, 4, 4) stack of Haar pure-state projectors of the indices."""
+    a = np.stack([_haar_amps(rng) for rng in _streams(seed, STREAM_HAAR, indices)])
+    return a[:, :, None] * a.conj()[:, None, :]
 
 
 def _induced(z: np.ndarray) -> np.ndarray:
@@ -58,14 +69,27 @@ def _induced(z: np.ndarray) -> np.ndarray:
     return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
 
 
-def _ginibre_matrix(seed: int, index: int, rank: int) -> np.ndarray:
-    rank = _integer("rank", rank, *_RANKS)
-    return _induced(_complex_normals(rng_at(seed, STREAM_GINIBRE, index), (4, rank)))
+def _ginibre_stack(seed: int, indices, ranks) -> np.ndarray:
+    """The (n, 4, 4) stack of Ginibre states of the indices, index k of rank ranks[k].
+
+    Each index draws its 4 x rank normals (real parts, then imaginary parts)
+    from its own stream; each rank group is then formed as one stack.
+    """
+    streams = _streams(seed, STREAM_GINIBRE, indices)
+    draws = [rng.standard_normal((2, 4, rank)) for rng, rank in zip(streams, ranks)]
+    out = np.empty((len(draws), 4, 4), dtype=complex)
+    for rank in set(ranks):
+        group = [k for k, r in enumerate(ranks) if r == rank]
+        x = np.stack([draws[k] for k in group])
+        out[group] = _induced(x[:, 0] + 1j * x[:, 1])
+    return out
 
 
 def ginibre(seed: int, index: int, rank: int) -> DensityMatrix:
     """Random mixed state of rank at most ``rank`` under the induced measure."""
-    return DensityMatrix(_ginibre_matrix(seed, index, rank))
+    rank = _integer("rank", rank, *_RANKS)
+    rng = rng_at(seed, STREAM_GINIBRE, index)
+    return DensityMatrix(_induced(_complex_normals(rng, (4, rank))))
 
 
 def _check_purity(target, window) -> tuple[float | None, float | None]:
@@ -85,12 +109,11 @@ def _check_purity(target, window) -> tuple[float | None, float | None]:
     return target, window
 
 
-def _fixed_purity_matrix(seed: int, index: int, target: float, window: float) -> np.ndarray:
+def _fixed_purity_matrix(rng: np.random.Generator, target: float, window: float) -> np.ndarray:
     # Attempts are drawn REJECTION_BLOCK at a time as (real, imaginary) pairs,
     # the order in which one attempt at a time would draw them, so the
     # accepted matrix does not depend on the block size; draws past the hit
     # are never read, and nothing else reads this index's stream.
-    rng = rng_at(seed, STREAM_FIXED_PURITY, index)
     for start in range(0, MAX_REJECTION_ATTEMPTS, REJECTION_BLOCK):
         x = rng.standard_normal((min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS - start), 2, 4, 4))
         mats = _induced(x[:, 0] + 1j * x[:, 1])
@@ -114,19 +137,18 @@ def fixed_purity(seed: int, index: int, target: float, window: float) -> Density
     essentially never hits).
     """
     target, window = _check_purity(target, window)
-    return DensityMatrix(_fixed_purity_matrix(seed, index, target, window))
+    rng = rng_at(seed, STREAM_FIXED_PURITY, index)
+    return DensityMatrix(_fixed_purity_matrix(rng, target, window))
 
 
-def _separable_matrix(seed: int, index: int, terms: int) -> np.ndarray:
-    terms = _integer("terms", terms, 1)
-    rng = rng_at(seed, STREAM_SEPARABLE, index)
+def _separable_matrix(rng: np.random.Generator, terms: int) -> np.ndarray:
     weights = rng.standard_exponential(terms)
     weights /= weights.sum()
     m = np.zeros((4, 4), dtype=complex)
     for w in weights:
-        a = _complex_normals(rng, 2)
+        a = _complex_normals(rng, (2,))
         a /= np.linalg.norm(a)
-        b = _complex_normals(rng, 2)
+        b = _complex_normals(rng, (2,))
         b /= np.linalg.norm(b)
         m += w * np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
     return m
@@ -134,7 +156,8 @@ def _separable_matrix(seed: int, index: int, terms: int) -> np.ndarray:
 
 def separable_mixture(seed: int, index: int, terms: int) -> DensityMatrix:
     """Convex mixture of ``terms`` random product states with flat Dirichlet weights."""
-    return DensityMatrix(_separable_matrix(seed, index, terms))
+    terms = _integer("terms", terms, 1)
+    return DensityMatrix(_separable_matrix(rng_at(seed, STREAM_SEPARABLE, index), terms))
 
 
 def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
@@ -190,31 +213,50 @@ class EnsembleSpec:
         object.__setattr__(self, "purity_window", window)
 
 
-def _matrices(spec: EnsembleSpec):
-    """Yield (index, 4x4 complex matrix) for every index of the spec, in order.
+def _index_chunks(count: int, chunk: int):
+    """Yield the indices 0..count-1 as consecutive integer arrays of at most chunk."""
+    for start in range(0, count, chunk):
+        yield np.arange(start, min(start + chunk, count))
+
+
+def _ginibre_chunks(seed: int, count: int, ranks, chunk: int):
+    """Yield the Ginibre states of indices 0..count-1 as stacks of at most chunk.
+
+    Index i has rank ranks[i % len(ranks)]: one rank, or the rank cycle of
+    ``scan-bounds``.
+    """
+    for idx in _index_chunks(count, chunk):
+        yield _ginibre_stack(seed, idx, [ranks[i % len(ranks)] for i in idx.tolist()])
+
+
+def _matrices(spec: EnsembleSpec, chunk: int):
+    """Yield the spec's matrices in index order, as (n, 4, 4) stacks of at most chunk.
 
     The matrices are not validated; ``generate`` and the CLI's sweeps do
-    that, one state or one stack at a time.
+    that.  The stacks do not depend on chunk.
     """
-    for i in range(spec.count):
+    if spec.kind == "ginibre":
+        yield from _ginibre_chunks(spec.seed, spec.count, (spec.rank,), chunk)
+        return
+    for idx in _index_chunks(spec.count, chunk):
         if spec.kind == "haar_pure":
-            a = _haar_amps(spec.seed, i)
-            yield i, np.outer(a, a.conj())
-        elif spec.kind == "ginibre":
-            yield i, _ginibre_matrix(spec.seed, i, spec.rank)
+            yield _haar_stack(spec.seed, idx)
         elif spec.kind == "fixed_purity":
-            yield i, _fixed_purity_matrix(spec.seed, i, spec.purity_target, spec.purity_window)
+            target, window = spec.purity_target, spec.purity_window
+            streams = _streams(spec.seed, STREAM_FIXED_PURITY, idx)
+            yield np.stack([_fixed_purity_matrix(rng, target, window) for rng in streams])
         elif spec.kind == "separable_mixture":
-            yield i, _separable_matrix(spec.seed, i, spec.mixture_terms)
+            streams = _streams(spec.seed, STREAM_SEPARABLE, idx)
+            yield np.stack([_separable_matrix(rng, spec.mixture_terms) for rng in streams])
         else:  # rho_u_sweep
-            gamma = 0.5 * i / (spec.count - 1) if spec.count > 1 else 0.0
-            yield i, rho_u(gamma, 0.0).mat
+            last = max(spec.count - 1, 1)
+            yield np.stack([rho_u(0.5 * i / last, 0.0).mat for i in idx.tolist()])
 
 
 def generate(spec: EnsembleSpec):
-    """Yield (index, DensityMatrix) for every index of the spec, in order."""
-    for i, m in _matrices(spec):
-        yield i, DensityMatrix(m)
+    """Yield (index, DensityMatrix) for every index of the spec, in order, one at a time."""
+    for i, mats in enumerate(_matrices(spec, 1)):
+        yield i, DensityMatrix(mats[0])
 
 
 def ensemble_spec_to_dict(spec: EnsembleSpec) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import STREAM_BOOTSTRAP, STREAM_SETTING, STREAM_TRIAL, derive_seed, rng_at
+from ._rng import STREAM_BOOTSTRAP, STREAM_SETTING, STREAM_TRIAL, _streams, derive_seed, rng_at
 from .gmeasure import certifies, g_from_covariances
 from .jsonio import _integer, _json_floats, _json_int, _real
 from .observables import correlation_data, pauli_moments
@@ -28,6 +28,8 @@ OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _AB = np.array([a * b for a, b in OUTCOMES], dtype=float)
 _A = np.array([a for a, _ in OUTCOMES], dtype=float)
 _B = np.array([b for _, b in OUTCOMES], dtype=float)
+# The nine settings (i, j) in row order, as 1-based stream index parts.
+_SETTINGS = np.array([(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
 
 COUNT_SUM_TOL = 1e-6
 BOOTSTRAP_REPLICATES = 200
@@ -92,16 +94,19 @@ def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
     return probs / totals
 
 
+def _simulate(p: np.ndarray, shots: int, seed: int) -> MeasurementRecord:
+    """The record of ``shots`` draws per setting from the outcome table p."""
+    counts = np.zeros((3, 3, 4))
+    for setting, rng in zip(np.ndindex(3, 3), _streams(seed, STREAM_SETTING, _SETTINGS)):
+        counts[setting] = rng.multinomial(shots, p[setting])
+    return MeasurementRecord(shots_per_setting=shots, counts=counts, seed=seed)
+
+
 def simulate_record(rho: DensityMatrix, shots: int, seed: int) -> MeasurementRecord:
     """Draw ``shots`` outcomes per setting; per-setting streams allow the nine
     settings to be simulated in parallel without changing the result."""
     shots = _integer("shots", shots, 1)
-    p = outcome_probabilities(rho)
-    counts = np.zeros((3, 3, 4))
-    for i in range(3):
-        for j in range(3):
-            counts[i, j] = rng_at(seed, STREAM_SETTING, i + 1, j + 1).multinomial(shots, p[i, j])
-    return MeasurementRecord(shots_per_setting=shots, counts=counts, seed=seed)
+    return _simulate(outcome_probabilities(rho), shots, seed)
 
 
 def _covariances_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -166,12 +171,13 @@ def shots_for_verdict(
     if not certifies(g):
         raise ValueError(f"state has G = {g:.6g} <= 1 and cannot be certified")
 
+    p = outcome_probabilities(rho)
     trial_seeds = [derive_seed(seed, STREAM_TRIAL, t) for t in range(trials)]
 
     def succeeds(shots: int) -> bool:
         hits = misses = 0
         for t_seed in trial_seeds:
-            est = estimate_g(simulate_record(rho, shots, t_seed))
+            est = estimate_g(_simulate(p, shots, t_seed))
             if est.g_hat - sigma * est.stderr > 1.0:
                 hits += 1
             else:

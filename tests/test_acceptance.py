@@ -8,21 +8,34 @@ edge is a conjecture: it fails for some rank-2 and rank-3 states, so the test
 pins the violation counts and the worst case of its seeded sweep instead of
 asserting none.  A 50-digit mpmath recomputation of the counterexamples shows
 that they are real and not floating-point artifacts.  The companion test 04s
-checks restricted sweeps that are clean.
+checks restricted sweeps that are clean.  Both sweeps generate and measure
+their states in stacks, through the kernels the CLI sweeps use.
 """
 
 import numpy as np
 import pytest
 
-from entcov.cli import bin_spreads
+from entcov.cli import CHUNK, bin_spreads
 from entcov.concurrence import (
+    _concurrence,
     concurrence_mixed,
     concurrence_pure,
     g_pure_from_invariants,
     pure_invariants,
 )
-from entcov.ensembles import _complex_normals, ginibre, haar_pure, random_local_unitary, separable_mixture
+from entcov.ensembles import (
+    EnsembleSpec,
+    _complex_normals,
+    _index_chunks,
+    _matrices,
+    _separable_matrix,
+    ginibre,
+    haar_pure,
+    random_local_unitary,
+    separable_mixture,
+)
 from entcov.gmeasure import (
+    _g_from_moments,
     concurrence_interval,
     g_from_covariances,
     g_hilbert_schmidt,
@@ -33,8 +46,8 @@ from entcov.gmeasure import (
 from entcov.linalg import PAULIS, SIGMA0, SIGMA1, partial_transpose
 from entcov.observables import correlation_data, correlation_data_from_moments, pauli_moments
 from entcov.sampler import MeasurementRecord, estimate_g, outcome_probabilities, simulate_record
-from entcov.states import apply_local_unitary, canonical, from_pure, purity, rho_u
-from entcov._rng import STREAM_GINIBRE, STREAM_TRIAL, derive_seed, rng_at
+from entcov.states import _validated, apply_local_unitary, canonical, from_pure, purity, rho_u
+from entcov._rng import STREAM_GINIBRE, STREAM_SEPARABLE, STREAM_TRIAL, _streams, derive_seed, rng_at
 
 
 def report(num, ok, detail):
@@ -84,15 +97,35 @@ def test_criterion_03_rho_u_family():
 def _band_violation(c, g):
     lo_gap = pure_state_floor(c) - g
     hi_gap = g - mixed_state_ceiling(c)
-    return max(lo_gap, hi_gap)
+    return np.maximum(lo_gap, hi_gap)
+
+
+def _ginibre_stacks(seed, count, rank):
+    """ginibre(seed, k, rank) for k < count, CHUNK states at a time."""
+    return _matrices(EnsembleSpec("ginibre", count, seed, rank=rank), CHUNK)
+
+
+def _separable_stacks(seed, count):
+    """separable_mixture(seed, k, k % 8 + 1) for k < count, CHUNK states at a time."""
+    for idx in _index_chunks(count, CHUNK):
+        streams = _streams(seed, STREAM_SEPARABLE, idx)
+        yield np.stack([_separable_matrix(rng, k % 8 + 1) for k, rng in zip(idx.tolist(), streams)])
+
+
+def _c_and_g(stacks):
+    """Yield (indices, C, G) per stack, each stack validated as DensityMatrix validates one state."""
+    start = 0
+    for mats in stacks:
+        mats = _validated(mats)
+        g = _g_from_moments(pauli_moments(mats))
+        yield np.arange(start, start + len(mats)), _concurrence(mats), g
+        start += len(mats)
 
 
 def _criterion_04_sweep():
     for rank in (2, 3, 4):
-        for k in range(30_000):
-            yield rank, k, ginibre(20260804 + rank, k, rank)
-    for k in range(15_000):
-        yield "separable", k, separable_mixture(20260808, k, k % 8 + 1)
+        yield rank, _ginibre_stacks(20260804 + rank, 30_000, rank)
+    yield "separable", _separable_stacks(20260808, 15_000)
 
 
 def test_criterion_04_mixed_state_band_as_stated():
@@ -105,16 +138,15 @@ def test_criterion_04_mixed_state_band_as_stated():
     total = upper = 0
     lower = {2: 0, 3: 0, 4: 0, "separable": 0}
     worst, worst_case = 0.0, None
-    for kind, k, rho in _criterion_04_sweep():
-        c, g = concurrence_mixed(rho), g_of(rho)
-        total += 1
-        if g - mixed_state_ceiling(c) > 1e-9:
-            upper += 1
-        gap = pure_state_floor(c) - g
-        if gap > 1e-9:
-            lower[kind] += 1
-            if gap > worst:
-                worst, worst_case = gap, (kind, k)
+    for kind, stacks in _criterion_04_sweep():
+        for idx, c, g in _c_and_g(stacks):
+            total += len(idx)
+            upper += int(np.count_nonzero(g - mixed_state_ceiling(c) > 1e-9))
+            gap = pure_state_floor(c) - g
+            lower[kind] += int(np.count_nonzero(gap > 1e-9))
+            k = int(np.argmax(gap))  # the first largest gap, as a state-by-state scan finds it
+            if gap[k] > 1e-9 and gap[k] > worst:
+                worst, worst_case = float(gap[k]), (kind, int(idx[k]))
     ok = (
         total == 105_000
         and upper == 0
@@ -213,22 +245,14 @@ def test_criterion_04s_band_where_it_holds():
     # has two lower-edge violations.
     violations = 0
     total = 0
-    for rank in (1, 3, 4):
-        for k in range(30_000):
-            rho = ginibre(20260814 + rank, k, rank)
-            total += 1
-            if _band_violation(concurrence_mixed(rho), g_of(rho)) > 1e-9:
-                violations += 1
-    for k in range(15_000):
-        rho = separable_mixture(20260818, k, k % 8 + 1)
-        total += 1
-        if _band_violation(concurrence_mixed(rho), g_of(rho)) > 1e-9:
-            violations += 1
+    sweeps = [_ginibre_stacks(20260814 + rank, 30_000, rank) for rank in (1, 3, 4)]
+    for stacks in sweeps + [_separable_stacks(20260818, 15_000)]:
+        for idx, c, g in _c_and_g(stacks):
+            total += len(idx)
+            violations += int(np.count_nonzero(_band_violation(c, g) > 1e-9))
     upper_violations = 0
-    for k in range(30_000):
-        rho = ginibre(20260819, k, 2)
-        if g_of(rho) > mixed_state_ceiling(concurrence_mixed(rho)) + 1e-9:
-            upper_violations += 1
+    for _, c, g in _c_and_g(_ginibre_stacks(20260819, 30_000, 2)):
+        upper_violations += int(np.count_nonzero(g > mixed_state_ceiling(c) + 1e-9))
     ok = violations == 0 and upper_violations == 0
     assert report(
         4,

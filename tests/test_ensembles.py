@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from entcov import ensembles
-from entcov._rng import STREAM_FIXED_PURITY, rng_at
+from entcov import cli, ensembles
+from entcov._rng import (
+    STREAM_FIXED_PURITY,
+    STREAM_GINIBRE,
+    STREAM_HAAR,
+    STREAM_SEPARABLE,
+    rng_at,
+)
 from entcov.concurrence import concurrence_mixed, concurrence_pure
 from entcov.ensembles import (
     EnsembleSpec,
@@ -20,7 +26,7 @@ from entcov.ensembles import (
 from entcov.gmeasure import g_from_covariances, l3
 from entcov.jsonio import dumps, loads
 from entcov.observables import correlation_data
-from entcov.states import DensityMatrix, apply_local_unitary, canonical, from_pure, purity
+from entcov.states import DensityMatrix, apply_local_unitary, canonical, from_pure, purity, rho_u
 
 
 def test_haar_pure_determinism():
@@ -339,3 +345,70 @@ def test_rho_u_sweep_covers_gamma_range():
     gs = [g_from_covariances(correlation_data(r)) for r in states]
     assert abs(gs[0] - 1.0) < 1e-12   # gamma = 0
     assert abs(gs[-1] - 3.0) < 1e-12  # gamma = 1/2
+
+
+def complex_normals(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def oracle_matrix(spec, index, rank=None):
+    """Index ``index`` of the spec as it was generated one state at a time from rng_at.
+
+    rank overrides spec.rank, for the rank cycle of scan-bounds.
+    """
+    if spec.kind == "haar_pure":
+        z = complex_normals(rng_at(spec.seed, STREAM_HAAR, index), 4)
+        a = z / np.linalg.norm(z)
+        return np.outer(a, a.conj())
+    if spec.kind == "ginibre":
+        x = complex_normals(rng_at(spec.seed, STREAM_GINIBRE, index), (4, rank or spec.rank))
+        m = x @ x.conj().T
+        return m / np.real(np.trace(m))
+    if spec.kind == "fixed_purity":
+        return one_attempt_fixed_purity(spec.seed, index, spec.purity_target, spec.purity_window)[0].mat
+    if spec.kind == "separable_mixture":
+        rng = rng_at(spec.seed, STREAM_SEPARABLE, index)
+        weights = rng.standard_exponential(spec.mixture_terms)
+        weights /= weights.sum()
+        m = np.zeros((4, 4), dtype=complex)
+        for w in weights:
+            a = complex_normals(rng, 2)
+            a /= np.linalg.norm(a)
+            b = complex_normals(rng, 2)
+            b /= np.linalg.norm(b)
+            m += w * np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+        return m
+    return rho_u(0.5 * index / (spec.count - 1) if spec.count > 1 else 0.0, 0.0).mat
+
+
+# Counts above the default chunk and not divisible by any chunk tested.
+N_CHUNKED = cli.CHUNK + 44
+CHUNK_SPECS = [
+    EnsembleSpec("haar_pure", N_CHUNKED, 4),
+    *(EnsembleSpec("ginibre", N_CHUNKED, 5 + rank, rank=rank) for rank in (1, 2, 3, 4)),
+    EnsembleSpec("fixed_purity", N_CHUNKED, 6, purity_target=0.46, purity_window=0.005),
+    EnsembleSpec("separable_mixture", N_CHUNKED, 7, mixture_terms=3),
+    EnsembleSpec("rho_u_sweep", N_CHUNKED, 0),
+    EnsembleSpec("rho_u_sweep", 1, 0),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, cli.CHUNK])
+@pytest.mark.parametrize("spec", CHUNK_SPECS, ids=lambda spec: f"{spec.kind}-{spec.rank}")
+def test_chunked_matrices_equal_the_per_index_oracle(spec, chunk):
+    stacks = list(ensembles._matrices(spec, chunk))
+    assert [len(s) for s in stacks[:-1]] == [chunk] * (len(stacks) - 1)
+    mats = np.concatenate(stacks)
+    assert len(mats) == spec.count
+    for k, m in enumerate(mats):
+        assert np.array_equal(m, oracle_matrix(spec, k)), k
+
+
+@pytest.mark.parametrize("chunk", [1, 7, cli.CHUNK])
+@pytest.mark.parametrize("ranks", [(1, 2, 3, 4), (1, 3, 4), (2,)])
+def test_scan_rank_cycle_equals_the_per_index_oracle(ranks, chunk):
+    spec = EnsembleSpec("ginibre", N_CHUNKED, 2026, rank=1)
+    mats = np.concatenate(list(ensembles._ginibre_chunks(2026, N_CHUNKED, ranks, chunk)))
+    assert len(mats) == N_CHUNKED
+    for k, m in enumerate(mats):
+        assert np.array_equal(m, oracle_matrix(spec, k, ranks[k % len(ranks)])), k

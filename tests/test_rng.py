@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entcov._rng import STREAM_GINIBRE, STREAM_TRIAL, derive_seed, rng_at
+from entcov._rng import STREAM_GINIBRE, STREAM_TRIAL, _keys, _streams, derive_seed, rng_at
 from entcov.ensembles import (
     EnsembleSpec,
     fixed_purity,
@@ -82,3 +84,84 @@ def test_integer_rule_at_every_entry_point(field, call, below, kind):
 def test_rank_above_four_or_float_rejected(value):
     with pytest.raises(ValueError, match=r"^rank must be an integer >= 1 and <= 4, got "):
         ginibre(1, 0, value)
+
+
+# Seeds of one word, of the four words the pool holds and beyond it; index
+# parts at the edges of the two 32-bit halves and anywhere in [0, 2**64).
+SEEDS = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(0, 2**130))
+PARTS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+def seed_sequence(seed, stream, index):
+    """numpy's own SeedSequence at an address, each index part split into its two 32-bit words."""
+    key = (stream,)
+    for part in index:
+        key += (part >> 32, part & 0xFFFFFFFF)
+    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+
+
+def addresses(n_parts, max_size=12):
+    return st.lists(st.tuples(*[PARTS] * n_parts), min_size=1, max_size=max_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, stream=st.integers(0, 7), n_parts=st.integers(0, 2), data=st.data())
+def test_keys_equal_numpys_seed_sequence(seed, stream, n_parts, data):
+    indices = data.draw(addresses(n_parts))
+    expected = np.array(
+        [seed_sequence(seed, stream, index).generate_state(2, np.uint64) for index in indices]
+    )
+    assert np.array_equal(_keys(seed, stream, indices), expected)
+    assert np.array_equal(_keys(seed, stream, np.array(indices, dtype=np.uint64)), expected)
+    if n_parts == 1:  # a 1-D integer array holds one part per address
+        flat = np.array([part for (part,) in indices], dtype=np.uint64)
+        assert np.array_equal(_keys(seed, stream, flat), expected)
+
+
+def draw_all(rng):
+    return (
+        rng.standard_normal(5),
+        rng.multinomial(50, [0.2, 0.3, 0.5]),
+        rng.standard_exponential(3),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, stream=st.integers(0, 7), n_parts=st.integers(0, 2), data=st.data())
+def test_rekeyed_generator_draws_what_rng_at_draws(seed, stream, n_parts, data):
+    indices = data.draw(addresses(n_parts, max_size=6))
+    for index, rng in zip(indices, _streams(seed, stream, indices)):
+        fresh = rng_at(seed, stream, *index)
+        numpys = np.random.Generator(np.random.Philox(seed_sequence(seed, stream, index)))
+        for a, b, c in zip(draw_all(rng), draw_all(fresh), draw_all(numpys)):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+        # three 32-bit draws leave half a 64-bit word spare for the next
+        # address's re-keying to discard
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize(
+    "address, value",
+    [
+        ((2026, STREAM_TRIAL, 0), 17869917908401515170),
+        ((2026, STREAM_TRIAL, 9), 14447280633774175575),
+        ((424242, STREAM_TRIAL, 1000, 5), 8955057766883105596),
+        ((0, 0), 12837662829208681286),
+        ((2**70 + 11, 6, 2**64 - 1), 14230866662044750304),
+        ((2**32, 3, 2**32, 2**32 - 1), 4364556655634866218),
+    ],
+)
+def test_derive_seed_values_are_unchanged(address, value):
+    assert derive_seed(*address) == value
+    words = seed_sequence(address[0], address[1], address[2:]).generate_state(2, np.uint64)
+    assert derive_seed(*address) == int(words[0] ^ words[1])
+
+
+@pytest.mark.parametrize("bad", [[(-1,)], [(0,), (2**64,)], [(1.5,)], [(True,)]])
+def test_keys_apply_the_integer_rule_to_every_part(bad):
+    message = r"^index must be an integer >= 0 and <= 18446744073709551615, got "
+    with pytest.raises(ValueError, match=message):
+        _keys(1, STREAM_GINIBRE, bad)
+    with pytest.raises(ValueError, match=message):
+        _keys(1, STREAM_GINIBRE, np.array(bad, dtype=object))
