@@ -16,7 +16,7 @@ error, 2 input error (bad integer options included, reported by argparse).
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import sys
 
@@ -27,8 +27,10 @@ from .concurrence import _concurrence, concurrence_mixed
 from .ensembles import (
     _RANKS,
     EnsembleSpec,
-    _ginibre_chunks,
-    _matrices,
+    InfeasibleWindowError,
+    _chunks,
+    _ginibre_stack,
+    _stack,
     ensemble_spec_from_dict,
 )
 from .gmeasure import (
@@ -56,9 +58,6 @@ from .states import (
 DEFAULT_SEED = 12345
 BOUND_CURVE_POINTS = 200
 BIN_WIDTH = 0.05
-# States per stack in the sweeps; outputs do not depend on it.  Larger stacks
-# gained no speed and raised peak memory (1024: +2.3 MiB on a 1024-state scan).
-CHUNK = 128
 
 CSV_SCAN_HEADER = "kind,concurrence,g,purity,rank,violates"
 
@@ -159,22 +158,27 @@ def _rank_list(text: str) -> list[int]:
     return ranks
 
 
-def _measures(stacks):
-    """Yield (concurrence, G, purity), the columns every sweep command writes, per matrix.
+def _sweep(count: int, stack):
+    """Yield (index, concurrence, G, purity) for the indices 0..count-1, in order.
 
-    Each (n, 4, 4) stack is validated and measured as a whole.
+    stack gives the raw matrices of each chunk of indices (see
+    ``ensembles._chunks``); each stack is validated once and measured as a whole.
     """
-    for mats in stacks:
+    for indices, mats in _chunks(count, stack):
         mats = _validated(mats)
         columns = (_concurrence(mats), _g_from_moments(pauli_moments(mats)), _purity(mats))
-        yield from zip(*(column.tolist() for column in columns))
+        yield from zip(indices.tolist(), *(column.tolist() for column in columns))
 
 
 def cmd_scan_bounds(args) -> int:
-    stacks = _ginibre_chunks(args.seed, args.count, args.rank, CHUNK)
+    ranks = [args.rank[i % len(args.rank)] for i in range(args.count)]  # index i has rank ranks[i]
+
+    def stack(indices):
+        return _ginibre_stack(args.seed, indices, [ranks[i] for i in indices.tolist()])
+
     rows = [
-        ("sample", c, g, p, rank, int(bounds_violated(c, g)))
-        for rank, (c, g, p) in zip(itertools.cycle(args.rank), _measures(stacks))
+        ("sample", c, g, p, ranks[i], int(bounds_violated(c, g)))
+        for i, c, g, p in _sweep(args.count, stack)
     ]
     for kind, curve in (("lower_bound", pure_state_floor), ("upper_bound", mixed_state_ceiling)):
         for c in np.linspace(0.0, 1.0, BOUND_CURVE_POINTS):
@@ -208,14 +212,6 @@ def bin_spreads(cs, gs) -> list[tuple[float, float, int, float]]:
     return out
 
 
-def _spec_matrices(spec: EnsembleSpec):
-    """The spec's matrices in stacks of CHUNK; an infeasible purity window is an input error."""
-    try:
-        yield from _matrices(spec, CHUNK)
-    except RuntimeError as exc:
-        raise CliInputError(str(exc)) from exc
-
-
 def cmd_purity_slice(args) -> int:
     # A rank-4 rejection sweep essentially never reaches purity 1; the pure
     # slice is sampled directly from Haar states instead.
@@ -226,7 +222,7 @@ def cmd_purity_slice(args) -> int:
         )
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    rows = list(_measures(_spec_matrices(spec)))
+    rows = [(c, g, p) for _, c, g, p in _sweep(spec.count, functools.partial(_stack, spec))]
     _emit(args.output, _csv("concurrence,g,purity", rows))
 
     print(
@@ -249,17 +245,16 @@ def cmd_sample(args) -> int:
 
 def cmd_ensemble(args) -> int:
     spec = _load(args.spec, ensemble_spec_from_dict)
-    if args.format == "json":
-        matrices = (m for mats in _spec_matrices(spec) for m in mats)
+    stack = functools.partial(_stack, spec)
+    if args.format == "json":  # the states only: no measures are computed
         states = [
-            {"index": idx, **density_matrix_to_dict(DensityMatrix(m))}
-            for idx, m in enumerate(matrices)
+            {"index": i, **density_matrix_to_dict(DensityMatrix(m))}
+            for indices, mats in _chunks(spec.count, stack)
+            for i, m in zip(indices.tolist(), mats)
         ]
         _emit(args.output, dumps(states))
     else:
-        rows = (
-            (idx, spec.kind, *row) for idx, row in enumerate(_measures(_spec_matrices(spec)))
-        )
+        rows = ((i, spec.kind, c, g, p) for i, c, g, p in _sweep(spec.count, stack))
         _emit(args.output, _csv("index,kind,concurrence,g,purity", rows))
     return 0
 
@@ -316,7 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as exc:
+    except (CliInputError, InfeasibleWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures
@@ -326,3 +321,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

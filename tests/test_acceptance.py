@@ -8,14 +8,15 @@ edge is a conjecture: it fails for some rank-2 and rank-3 states, so the test
 pins the violation counts and the worst case of its seeded sweep instead of
 asserting none.  A 50-digit mpmath recomputation of the counterexamples shows
 that they are real and not floating-point artifacts.  The companion test 04s
-checks restricted sweeps that are clean.  Both sweeps generate and measure
-their states in stacks, through the kernels the CLI sweeps use.
+checks restricted sweeps that are clean.  These sweeps, and those of criteria
+07 and 08, generate and measure their states in stacks, through the chunk loop
+and the kernels the CLI sweeps use.
 """
 
 import numpy as np
 import pytest
 
-from entcov.cli import CHUNK, bin_spreads
+from entcov.cli import bin_spreads
 from entcov.concurrence import (
     _concurrence,
     concurrence_mixed,
@@ -24,14 +25,14 @@ from entcov.concurrence import (
     pure_invariants,
 )
 from entcov.ensembles import (
-    EnsembleSpec,
+    _chunks,
     _complex_normals,
-    _index_chunks,
-    _matrices,
+    _ginibre_stack,
+    _haar_stack,
+    _haar_unitary_2x2,
     _separable_matrix,
     ginibre,
     haar_pure,
-    random_local_unitary,
     separable_mixture,
 )
 from entcov.gmeasure import (
@@ -44,10 +45,18 @@ from entcov.gmeasure import (
     pure_state_floor,
 )
 from entcov.linalg import PAULIS, SIGMA0, SIGMA1, partial_transpose
-from entcov.observables import correlation_data, correlation_data_from_moments, pauli_moments
+from entcov.observables import correlation_data, pauli_moments
 from entcov.sampler import MeasurementRecord, estimate_g, outcome_probabilities, simulate_record
 from entcov.states import _validated, apply_local_unitary, canonical, from_pure, purity, rho_u
-from entcov._rng import STREAM_GINIBRE, STREAM_SEPARABLE, STREAM_TRIAL, _streams, derive_seed, rng_at
+from entcov._rng import (
+    STREAM_GINIBRE,
+    STREAM_SEPARABLE,
+    STREAM_TRIAL,
+    STREAM_UNITARY,
+    _streams,
+    derive_seed,
+    rng_at,
+)
 
 
 def report(num, ok, detail):
@@ -100,31 +109,39 @@ def _band_violation(c, g):
     return np.maximum(lo_gap, hi_gap)
 
 
-def _ginibre_stacks(seed, count, rank):
-    """ginibre(seed, k, rank) for k < count, CHUNK states at a time."""
-    return _matrices(EnsembleSpec("ginibre", count, seed, rank=rank), CHUNK)
+def _ginibre_stacks(seed, count, ranks):
+    """(indices, stack) of ginibre(seed, k, ranks[k % len(ranks)]) for k < count, chunk-wise."""
+
+    def stack(idx):
+        return _ginibre_stack(seed, idx, [ranks[k % len(ranks)] for k in idx.tolist()])
+
+    return _chunks(count, stack)
 
 
 def _separable_stacks(seed, count):
-    """separable_mixture(seed, k, k % 8 + 1) for k < count, CHUNK states at a time."""
-    for idx in _index_chunks(count, CHUNK):
+    """(indices, stack) of separable_mixture(seed, k, k % 8 + 1) for k < count, chunk-wise."""
+
+    def stack(idx):
         streams = _streams(seed, STREAM_SEPARABLE, idx)
-        yield np.stack([_separable_matrix(rng, k % 8 + 1) for k, rng in zip(idx.tolist(), streams)])
+        return np.stack([_separable_matrix(rng, k % 8 + 1) for k, rng in zip(idx.tolist(), streams)])
+
+    return _chunks(count, stack)
 
 
-def _c_and_g(stacks):
-    """Yield (indices, C, G) per stack, each stack validated as DensityMatrix validates one state."""
-    start = 0
-    for mats in stacks:
-        mats = _validated(mats)
-        g = _g_from_moments(pauli_moments(mats))
-        yield np.arange(start, start + len(mats)), _concurrence(mats), g
-        start += len(mats)
+def _g_of_stack(mats):
+    """G of each matrix of a stack; partial transposes, which are not states, included."""
+    return _g_from_moments(pauli_moments(mats))
+
+
+def _c_and_g(mats):
+    """(C, G) of each matrix of a stack, validated as DensityMatrix validates one state."""
+    mats = _validated(mats)
+    return _concurrence(mats), _g_of_stack(mats)
 
 
 def _criterion_04_sweep():
     for rank in (2, 3, 4):
-        yield rank, _ginibre_stacks(20260804 + rank, 30_000, rank)
+        yield rank, _ginibre_stacks(20260804 + rank, 30_000, (rank,))
     yield "separable", _separable_stacks(20260808, 15_000)
 
 
@@ -139,7 +156,8 @@ def test_criterion_04_mixed_state_band_as_stated():
     lower = {2: 0, 3: 0, 4: 0, "separable": 0}
     worst, worst_case = 0.0, None
     for kind, stacks in _criterion_04_sweep():
-        for idx, c, g in _c_and_g(stacks):
+        for idx, mats in stacks:
+            c, g = _c_and_g(mats)
             total += len(idx)
             upper += int(np.count_nonzero(g - mixed_state_ceiling(c) > 1e-9))
             gap = pure_state_floor(c) - g
@@ -245,13 +263,15 @@ def test_criterion_04s_band_where_it_holds():
     # has two lower-edge violations.
     violations = 0
     total = 0
-    sweeps = [_ginibre_stacks(20260814 + rank, 30_000, rank) for rank in (1, 3, 4)]
+    sweeps = [_ginibre_stacks(20260814 + rank, 30_000, (rank,)) for rank in (1, 3, 4)]
     for stacks in sweeps + [_separable_stacks(20260818, 15_000)]:
-        for idx, c, g in _c_and_g(stacks):
+        for idx, mats in stacks:
+            c, g = _c_and_g(mats)
             total += len(idx)
             violations += int(np.count_nonzero(_band_violation(c, g) > 1e-9))
     upper_violations = 0
-    for _, c, g in _c_and_g(_ginibre_stacks(20260819, 30_000, 2)):
+    for _, mats in _ginibre_stacks(20260819, 30_000, (2,)):
+        c, g = _c_and_g(mats)
         upper_violations += int(np.count_nonzero(g > mixed_state_ceiling(c) + 1e-9))
     ok = violations == 0 and upper_violations == 0
     assert report(
@@ -296,24 +316,38 @@ def test_criterion_06_lur_behaviour():
     )
 
 
+def _criterion_07_states(idx):
+    """from_pure(haar_pure(20260807, k)) where 5 divides k, else ginibre(20260807, k, k % 4 + 1).
+
+    Every chunk of five or more consecutive indices holds both kinds, so
+    neither stack is asked for an empty index array, which ``_streams`` rejects.
+    """
+    pure = idx % 5 == 0
+    out = np.empty((len(idx), 4, 4), dtype=complex)
+    out[pure] = _haar_stack(20260807, idx[pure])
+    out[~pure] = _ginibre_stack(20260807, idx[~pure], (idx[~pure] % 4 + 1).tolist())
+    return out
+
+
+def _local_unitaries(seed, idx):
+    """The stack of kron(u_a, u_b) with u_a, u_b = random_local_unitary(seed, k), k in idx."""
+    streams = _streams(seed, STREAM_UNITARY, idx)
+    pairs = [(_haar_unitary_2x2(rng), _haar_unitary_2x2(rng)) for rng in streams]
+    return np.stack([np.kron(u_a, u_b) for u_a, u_b in pairs])
+
+
 def test_criterion_07_invariance_suite():
     worst_g = worst_c = 0.0
-    for k in range(10_000):
-        if k % 5 == 0:
-            rho = from_pure(haar_pure(20260807, k))
-        else:
-            rho = ginibre(20260807, k, k % 4 + 1)
-        u_a, u_b = random_local_unitary(20260817, k)
-        rotated = apply_local_unitary(rho, u_a, u_b)
-        worst_g = max(worst_g, abs(g_of(rotated) - g_of(rho)))
-        worst_c = max(worst_c, abs(concurrence_mixed(rotated) - concurrence_mixed(rho)))
+    for idx, mats in _chunks(10_000, _criterion_07_states):
+        u = _local_unitaries(20260817, idx)
+        c, g = _c_and_g(mats)
+        c_rotated, g_rotated = _c_and_g(u @ mats @ u.conj().transpose(0, 2, 1))
+        worst_g = max(worst_g, float(np.max(np.abs(g_rotated - g))))
+        worst_c = max(worst_c, float(np.max(np.abs(c_rotated - c))))
     worst_pt = 0.0
-    for k in range(10_000):
-        rho = ginibre(20260827, k, k % 4 + 1)
-        g_pt = g_from_covariances(
-            correlation_data_from_moments(pauli_moments(partial_transpose(rho.mat, "B")))
-        )
-        worst_pt = max(worst_pt, abs(g_pt - g_of(rho)))
+    for _, mats in _ginibre_stacks(20260827, 10_000, (1, 2, 3, 4)):
+        g_pt = _g_of_stack(np.stack([partial_transpose(m, "B") for m in mats]))
+        worst_pt = max(worst_pt, float(np.max(np.abs(g_pt - _g_of_stack(_validated(mats))))))
     # the LUR witness pair: detection flips across the threshold, G does not move
     singlet = canonical("singlet")
     flipped = apply_local_unitary(singlet, SIGMA1, SIGMA0)
@@ -329,16 +363,15 @@ def test_criterion_07_invariance_suite():
 
 def test_criterion_08_detection_threshold():
     max_sep_g = 0.0
-    for k in range(10_000):
-        max_sep_g = max(max_sep_g, g_of(separable_mixture(20260828, k, k % 8 + 1)))
+    for _, mats in _separable_stacks(20260828, 10_000):
+        max_sep_g = max(max_sep_g, float(np.max(_g_of_stack(_validated(mats)))))
     implication_ok = True
     certified = 0
-    for k in range(10_000):
-        rho = ginibre(20260838, k, k % 3 + 2)
-        if g_of(rho) > 1.0 + 1e-9:
-            certified += 1
-            if concurrence_mixed(rho) <= 0.0:
-                implication_ok = False
+    for _, mats in _ginibre_stacks(20260838, 10_000, (2, 3, 4)):
+        c, g = _c_and_g(mats)
+        hits = g > 1.0 + 1e-9
+        certified += int(np.count_nonzero(hits))
+        implication_ok = implication_ok and bool(np.all(c[hits] > 0.0))
     ok = max_sep_g <= 1.0 + 1e-9 and implication_ok
     assert report(
         8,

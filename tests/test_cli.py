@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entcov import cli
+from entcov import __version__, cli, ensembles
 from entcov.jsonio import dumps, loads
 from entcov.sampler import record_to_dict, simulate_record
 from entcov.states import (
@@ -278,24 +278,56 @@ def test_ensemble_command_json_states_round_trip(tmp_path, capsys):
         )
 
 
-# sha256 of the CSV text; the three sweep commands share one (C, G, purity)
-# row path, and these pins keep its output byte-identical.
+# sha256 of the output text of each pinned sweep.  Every sweep command reads
+# the one chunk loop of ensembles, and these pins keep its output byte-identical.
 SWEEP_CSV_SHA256 = {
     "scan-bounds": "5c223ecc24ccaa14b8e90c8dd582e4fcfe1ca9440d817c79889366d234d69f2e",
     "purity-slice": "7fce297641c7e91bb21de1f372f8ca0b5ba037aae17356abf2167be50baac92b",
     "ensemble": "72046f20d97644112d4dc5b151ade55284bd00c65114693dd8378f5bab0aed49",
+    "scan-bounds-rank-1,3": "6d3d05bbc59ca092ad0cc11188701eb343efb2111a2e70d5c7c6e42be1071e1d",
+    "purity-slice-1.0": "0f6128cc32d97fe6b157a8c54b806afc10d812f198eef2ccc69bf3882b59be32",
+    "ensemble-haar_pure-csv": "cca39bce31708c8e94773260677105c551783e44896249e3255ed52cbe8ac31c",
+    "ensemble-haar_pure-json": "d1b11e8c1a615e160e0c931fa11b222b464ac76c2240d937f332f5c518351b82",
+    "ensemble-ginibre-csv": "a136abc45169fec431f965f78dab9793e240b4a3608053426be135fca213b3e0",
+    "ensemble-ginibre-json": "0a6ea332d57565795e11b9ef1e5a12a648d5b71fc495a52417ee4123733c368e",
+    "ensemble-fixed_purity-csv": "b40772f9b2d8b2256e41d26f15f644e231a0ac8aeb0a051fb711d6872ff041b3",
+    "ensemble-fixed_purity-json": "9267450bd84192f7c6c6d503d8868f5a872afbcd8cc8f947f6c3aa25be816419",
+    "ensemble-separable_mixture-csv": "c662cd54b38fd7f40f05ecac10667d2c4e81371286960a2dea7df054756625ee",
+    "ensemble-separable_mixture-json": "b8305d867789cfd3414fd4b55f7f4119c20dcce18bd86e5cdbeb8f698445c980",
+    "ensemble-rho_u_sweep-csv": "092cd868bf91d77abdd448e3445c8ff8c10d3f37cae803eec75052b309897b66",
+    "ensemble-rho_u_sweep-json": "a257b11c0d9970a138721a7498121f49e52305d1ff66c47ebbfae4fc90792647",
+}
+
+# The ensemble specs pinned in CSV and JSON, each at 172 states: the default
+# CHUNK + 44, so one full stack and one partial stack.
+PINNED_SPECS = {
+    "haar_pure": {"kind": "haar_pure", "count": 172, "seed": 4},
+    "ginibre": {"kind": "ginibre", "count": 172, "seed": 8, "rank": 3},
+    "fixed_purity": {"kind": "fixed_purity", "count": 172, "seed": 6,
+                     "purity_target": 0.46, "purity_window": 0.005},
+    "separable_mixture": {"kind": "separable_mixture", "count": 172, "seed": 7, "mixture_terms": 3},
+    "rho_u_sweep": {"kind": "rho_u_sweep", "count": 172, "seed": 0},
 }
 
 
 def pinned_argv(tmp_path, command):
-    """The invocation whose CSV text SWEEP_CSV_SHA256 pins."""
+    """The invocation whose output SWEEP_CSV_SHA256[command] pins."""
     if command == "scan-bounds":
         return ["scan-bounds", "--count", "64", "--seed", "12345"]
+    if command == "scan-bounds-rank-1,3":
+        return ["scan-bounds", "--count", "172", "--seed", "12345", "--rank", "1,3"]
     if command == "purity-slice":
         return ["purity-slice", "--purity", "0.46", "--count", "8", "--seed", "12345"]
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"kind": "ginibre", "count": 16, "seed": 7, "rank": 2}))
-    return ["ensemble", str(spec_path)]
+    if command == "purity-slice-1.0":
+        return ["purity-slice", "--purity", "1.0", "--count", "172", "--seed", "12345"]
+    if command == "ensemble":
+        spec, fmt = {"kind": "ginibre", "count": 16, "seed": 7, "rank": 2}, "csv"
+    else:
+        _, kind, fmt = command.split("-")
+        spec = PINNED_SPECS[kind]
+    spec_path = tmp_path / f"{command}.json"
+    spec_path.write_text(json.dumps(spec))
+    return ["ensemble", str(spec_path), "--format", fmt]
 
 
 @pytest.mark.parametrize("command", sorted(SWEEP_CSV_SHA256))
@@ -310,14 +342,14 @@ def test_sweep_output_does_not_depend_on_chunk(tmp_path, capsys, monkeypatch):
     spec_path.write_text(json.dumps({"kind": "fixed_purity", "count": 20, "seed": 3,
                                      "purity_target": 0.46, "purity_window": 0.005}))
     argvs = [pinned_argv(tmp_path, command) for command in sorted(SWEEP_CSV_SHA256)] + [
-        ["scan-bounds", "--count", str(cli.CHUNK + 44), "--seed", "5", "--rank", "1,3,4"],
+        ["scan-bounds", "--count", str(ensembles.CHUNK + 44), "--seed", "5", "--rank", "1,3,4"],
         ["ensemble", str(spec_path)],
         ["ensemble", str(spec_path), "--format", "json"],
-        ["ensemble", str(tmp_path / "spec.json"), "--format", "json"],
+        ["ensemble", str(tmp_path / "ensemble.json"), "--format", "json"],
     ]
-    default, outputs = cli.CHUNK, {}
+    default, outputs = ensembles.CHUNK, {}
     for chunk in (1, 7, default):
-        monkeypatch.setattr(cli, "CHUNK", chunk)
+        monkeypatch.setattr(ensembles, "CHUNK", chunk)
         outputs[chunk] = [run_cli(capsys, argv) for argv in argvs]
         for command, (code, out, _) in zip(sorted(SWEEP_CSV_SHA256), outputs[chunk]):
             assert code == 0
@@ -376,6 +408,15 @@ def test_ensemble_rejects_bad_spec(tmp_path, capsys):
     assert "rank" in err
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_console_entry_point():
     # Run the [project.scripts] target of this checkout the way the installed
     # wrapper does, so no install is needed and no other install is picked up.
@@ -387,13 +428,19 @@ def test_console_entry_point():
         f"import sys; from {module} import {func}; "
         f"sys.argv = ['entcov', '--version']; sys.exit({func}())"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env()
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "entcov" in proc.stdout
+
+
+def test_module_run_prints_the_version():
+    proc = subprocess.run(
+        [sys.executable, "-m", "entcov.cli", "--version"],
+        capture_output=True, text=True, env=src_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, f"entcov {__version__}\n")
 
 
 @pytest.mark.skipif(shutil.which("entcov") is None, reason="no entcov executable on PATH")

@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from entcov import cli, ensembles
+from entcov import ensembles
 from entcov._rng import (
     STREAM_FIXED_PURITY,
     STREAM_GINIBRE,
@@ -382,7 +383,7 @@ def oracle_matrix(spec, index, rank=None):
 
 
 # Counts above the default chunk and not divisible by any chunk tested.
-N_CHUNKED = cli.CHUNK + 44
+N_CHUNKED = ensembles.CHUNK + 44
 CHUNK_SPECS = [
     EnsembleSpec("haar_pure", N_CHUNKED, 4),
     *(EnsembleSpec("ginibre", N_CHUNKED, 5 + rank, rank=rank) for rank in (1, 2, 3, 4)),
@@ -393,22 +394,61 @@ CHUNK_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, cli.CHUNK])
+def chunked(count, stack, chunk, monkeypatch):
+    """The indices and matrices of the chunk loop at the given CHUNK, each concatenated."""
+    monkeypatch.setattr(ensembles, "CHUNK", chunk)
+    chunks = list(ensembles._chunks(count, stack))
+    assert [len(idx) for idx, _ in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+    indices = np.concatenate([idx for idx, _ in chunks])
+    mats = np.concatenate([mats for _, mats in chunks])
+    assert np.array_equal(indices, np.arange(count)) and len(mats) == count
+    return mats
+
+
+@pytest.mark.parametrize("chunk", [1, 7, ensembles.CHUNK])
 @pytest.mark.parametrize("spec", CHUNK_SPECS, ids=lambda spec: f"{spec.kind}-{spec.rank}")
-def test_chunked_matrices_equal_the_per_index_oracle(spec, chunk):
-    stacks = list(ensembles._matrices(spec, chunk))
-    assert [len(s) for s in stacks[:-1]] == [chunk] * (len(stacks) - 1)
-    mats = np.concatenate(stacks)
-    assert len(mats) == spec.count
+def test_chunked_matrices_equal_the_per_index_oracle(spec, chunk, monkeypatch):
+    mats = chunked(spec.count, functools.partial(ensembles._stack, spec), chunk, monkeypatch)
     for k, m in enumerate(mats):
         assert np.array_equal(m, oracle_matrix(spec, k)), k
 
 
-@pytest.mark.parametrize("chunk", [1, 7, cli.CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, ensembles.CHUNK])
 @pytest.mark.parametrize("ranks", [(1, 2, 3, 4), (1, 3, 4), (2,)])
-def test_scan_rank_cycle_equals_the_per_index_oracle(ranks, chunk):
+def test_scan_rank_cycle_equals_the_per_index_oracle(ranks, chunk, monkeypatch):
     spec = EnsembleSpec("ginibre", N_CHUNKED, 2026, rank=1)
-    mats = np.concatenate(list(ensembles._ginibre_chunks(2026, N_CHUNKED, ranks, chunk)))
-    assert len(mats) == N_CHUNKED
+    cycle = [ranks[k % len(ranks)] for k in range(N_CHUNKED)]
+
+    def stack(indices):
+        return ensembles._ginibre_stack(2026, indices, [cycle[k] for k in indices.tolist()])
+
+    mats = chunked(N_CHUNKED, stack, chunk, monkeypatch)
     for k, m in enumerate(mats):
-        assert np.array_equal(m, oracle_matrix(spec, k, ranks[k % len(ranks)])), k
+        assert np.array_equal(m, oracle_matrix(spec, k, cycle[k])), k
+
+
+def test_generate_draws_one_index_at_a_time(monkeypatch):
+    spec = EnsembleSpec("fixed_purity", 50, 3, purity_target=0.46, purity_window=0.005)
+    expected = fixed_purity(3, 0, 0.46, 0.005)
+    calls, one_matrix = [], ensembles._fixed_purity_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return one_matrix(*args)
+
+    monkeypatch.setattr(ensembles, "_fixed_purity_matrix", counting)
+    index, rho = next(generate(spec))
+    assert index == 0 and len(calls) == 1
+    assert np.array_equal(rho.mat, expected.mat)
+
+
+def test_generate_raises_at_the_failing_index(monkeypatch):
+    # At ORACLE_SEED indices 0..3 hit within 33 attempts and index 4 needs 48.
+    monkeypatch.setattr(ensembles, "MAX_REJECTION_ATTEMPTS", 33)
+    spec = EnsembleSpec("fixed_purity", 200, ORACLE_SEED, purity_target=0.46, purity_window=0.005)
+    yielded = []
+    with pytest.raises(RuntimeError, match=" in 33 attempts; the window is infeasible$"):
+        for index, rho in generate(spec):
+            yielded.append(index)
+            assert np.array_equal(rho.mat, fixed_purity(ORACLE_SEED, index, 0.46, 0.005).mat)
+    assert yielded == [0, 1, 2, 3]

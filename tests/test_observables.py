@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from entcov.ensembles import ginibre, haar_pure
+from entcov.ensembles import _chunks, _ginibre_stack, ginibre, haar_pure
 from entcov.linalg import PAULIS, SIGMA0, SIGMA1, SIGMA3, tensor
 from entcov.observables import (
     CorrelationData,
+    _covariances,
     correlation_data,
     correlation_data_from_moments,
     covariance,
@@ -12,7 +13,7 @@ from entcov.observables import (
     pauli_moments,
     variance,
 )
-from entcov.states import PureState, canonical, from_pure, purity, rho_u
+from entcov.states import PureState, _purity, _validated, canonical, from_pure, rho_u
 
 
 def test_expectation_singlet_perfect_anticorrelation():
@@ -84,16 +85,21 @@ def test_covariance_bound_over_random_states():
     # -(var_A + var_B) <= 2 C <= var_A + var_B for every axis pair.  The
     # local variances close to 1 - <sigma_i>^2 since sigma_i^2 = 1; the
     # closed form lets the sweep cover 1e5 states, and the direct variance()
-    # route is tied to it separately below.
-    for k in range(100_000):
-        rho = ginibre(31, k, k % 4 + 1)
-        cd = correlation_data(rho)
-        var_a = 1.0 - cd.blochA**2
-        var_b = 1.0 - cd.blochB**2
-        cap = var_a[:, None] + var_b[None, :]
-        assert np.all(2.0 * cd.cov <= cap + 1e-10)
-        assert np.all(2.0 * cd.cov >= -cap - 1e-10)
-        assert 0.25 <= purity(rho) <= 1.0
+    # route is tied to it separately below.  The states are ginibre(31, k,
+    # k % 4 + 1), generated and measured in stacks by the sweeps' chunk loop.
+    def stack(indices):
+        return _ginibre_stack(31, indices, (indices % 4 + 1).tolist())
+
+    for _, mats in _chunks(100_000, stack):
+        mats = _validated(mats)
+        t = pauli_moments(mats)
+        var_a = 1.0 - t[:, 1:, 0] ** 2
+        var_b = 1.0 - t[:, 0, 1:] ** 2
+        cap = var_a[:, :, None] + var_b[:, None, :]
+        cov = _covariances(t)
+        assert np.all(2.0 * cov <= cap + 1e-10)
+        assert np.all(2.0 * cov >= -cap - 1e-10)
+        assert np.all((0.25 <= _purity(mats)) & (_purity(mats) <= 1.0))
 
 
 def test_local_variance_closed_form_matches_variance_op():
