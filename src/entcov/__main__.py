@@ -1,0 +1,6 @@
+"""``python -m entcov``: the ``entcov`` command line."""
+
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

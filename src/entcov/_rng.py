@@ -5,9 +5,10 @@ counter-based bit generator keyed as numpy's
 ``SeedSequence(entropy=seed, spawn_key=(stream, hi, lo, ...))`` keys it, so
 the sample at one address never depends on which other addresses were
 generated, in what order, or on how many workers did the generating.
-``_keys`` derives the keys of many addresses in one vectorised pass and
-``_streams`` serves them through one re-keyed generator; ``rng_at`` and
-``derive_seed`` are the one-address case.
+``_keys`` derives the keys of many addresses in one vectorised pass,
+``_rekeyed`` serves given keys through one re-keyed generator and
+``_streams`` is the two in turn; ``rng_at`` and ``derive_seed`` are the
+one-address case.
 """
 
 from __future__ import annotations
@@ -132,9 +133,12 @@ def _keys(seed: int, stream: int, indices) -> np.ndarray:
     Row k equals ``np.random.SeedSequence(entropy=seed, spawn_key=(stream,
     hi_0, lo_0, hi_1, lo_1, ...)).generate_state(2, np.uint64)`` for the
     parts of indices[k], with hi/lo the 32-bit halves of each part.  seed
-    must be an integer >= 0; see ``_index_words`` for indices.
+    must be an integer >= 0; see ``_index_words`` for indices.  No index
+    gives a (0, 2) array.
     """
     seed = _integer("seed", seed, 0)
+    if len(indices) == 0:
+        return np.empty((0, 2), dtype=np.uint64)
     n, words = _index_words(indices)
     pool, const = _seeded_pool(seed, int(stream))
     if n == 1:  # numpy's own loop; Python ints beat arrays of one
@@ -182,15 +186,16 @@ def _generator(key: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_key_seed()(key)))
 
 
-def _streams(seed: int, stream: int, indices):
-    """Yield the generator of each address (seed, stream, *index) for index in indices, in order.
+def _rekeyed(keys: np.ndarray):
+    """Yield a generator keyed by each row of the (n, 2) Philox keys, in order.
 
-    One generator is re-keyed per address, so consume each before asking
-    for the next.  Re-keying restores the state a fresh Philox has: counter
-    0, the new key, an empty buffer and no spare 32-bit half, so the draws
-    equal ``rng_at``'s.
+    One generator is re-keyed per key, so consume each before asking for
+    the next.  Re-keying restores the state a fresh Philox has: counter 0,
+    the new key, an empty buffer and no spare 32-bit half, so the draws
+    equal those of a generator built on the key.
     """
-    keys = _keys(seed, stream, indices)
+    if len(keys) == 0:
+        return
     rng = _generator(keys[0])
     fresh = rng.bit_generator.state
     yield rng
@@ -198,6 +203,14 @@ def _streams(seed: int, stream: int, indices):
         fresh["state"]["key"] = key
         rng.bit_generator.state = fresh
         yield rng
+
+
+def _streams(seed: int, stream: int, indices):
+    """The generator of each address (seed, stream, *index) for index in indices, in order.
+
+    Their draws equal ``rng_at``'s; see ``_rekeyed`` for how to consume them.
+    """
+    return _rekeyed(_keys(seed, stream, indices))
 
 
 def rng_at(seed: int, stream: int, *index: int) -> np.random.Generator:

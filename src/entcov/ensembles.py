@@ -69,7 +69,8 @@ def haar_pure(seed: int, index: int) -> PureState:
 
 def _haar_stack(seed: int, indices) -> np.ndarray:
     """The (n, 4, 4) stack of Haar pure-state projectors of the indices."""
-    a = np.stack([_haar_amps(rng) for rng in _streams(seed, STREAM_HAAR, indices)])
+    amps = [_haar_amps(rng) for rng in _streams(seed, STREAM_HAAR, indices)]
+    a = np.array(amps, dtype=complex).reshape(-1, 4)  # (0, 4) for no index
     return a[:, :, None] * a.conj()[:, None, :]
 
 

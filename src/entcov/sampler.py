@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import STREAM_BOOTSTRAP, STREAM_SETTING, STREAM_TRIAL, _streams, derive_seed, rng_at
+from ._rng import (
+    STREAM_BOOTSTRAP,
+    STREAM_SETTING,
+    STREAM_TRIAL,
+    _keys,
+    _rekeyed,
+    derive_seed,
+    rng_at,
+)
 from .gmeasure import certifies, g_from_covariances
 from .jsonio import _integer, _json_floats, _json_int, _real
 from .observables import correlation_data, pauli_moments
@@ -28,6 +36,9 @@ OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _AB = np.array([a * b for a, b in OUTCOMES], dtype=float)
 _A = np.array([a for a, _ in OUTCOMES], dtype=float)
 _B = np.array([b for _, b in OUTCOMES], dtype=float)
+# The (4, 3) matrix [_AB, _A, _B] in integers: the three per-setting sums of
+# whole-number counts in one exact product, which stays off BLAS.
+_SUMS = np.stack([_AB, _A, _B], axis=1).astype(np.int64)
 # The nine settings (i, j) in row order, as 1-based stream index parts.
 _SETTINGS = np.array([(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
 
@@ -94,10 +105,15 @@ def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
     return probs / totals
 
 
-def _simulate(p: np.ndarray, shots: int, seed: int) -> MeasurementRecord:
-    """The record of ``shots`` draws per setting from the outcome table p."""
+def _simulate(p: np.ndarray, shots: int, seed: int, keys: np.ndarray) -> MeasurementRecord:
+    """The record of ``shots`` draws per setting from the outcome table p.
+
+    keys are the settings' stream keys ``_keys(seed, STREAM_SETTING,
+    _SETTINGS)``, which a caller simulating one seed at many shot counts
+    derives once.
+    """
     counts = np.zeros((3, 3, 4))
-    for setting, rng in zip(np.ndindex(3, 3), _streams(seed, STREAM_SETTING, _SETTINGS)):
+    for setting, rng in zip(np.ndindex(3, 3), _rekeyed(keys)):
         counts[setting] = rng.multinomial(shots, p[setting])
     return MeasurementRecord(shots_per_setting=shots, counts=counts, seed=seed)
 
@@ -106,16 +122,33 @@ def simulate_record(rho: DensityMatrix, shots: int, seed: int) -> MeasurementRec
     """Draw ``shots`` outcomes per setting; per-setting streams allow the nine
     settings to be simulated in parallel without changing the result."""
     shots = _integer("shots", shots, 1)
-    return _simulate(outcome_probabilities(rho), shots, seed)
+    p = outcome_probabilities(rho)
+    return _simulate(p, shots, seed, _keys(seed, STREAM_SETTING, _SETTINGS))
+
+
+def _covariances(s_ab, s_a, s_b, totals) -> np.ndarray:
+    """Plug-in covariance E[ab] - E[a] E[b] of each setting from its sums of ab, a and b."""
+    return s_ab / totals - (s_a / totals) * (s_b / totals)
 
 
 def _covariances_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Plug-in covariance of each setting from its own table and marginals."""
-    totals = counts.sum(axis=-1)
-    e_ab = counts @ _AB / totals
-    a_marg = counts @ _A / totals
-    b_marg = counts @ _B / totals
-    return e_ab - a_marg * b_marg
+    """Plug-in covariance of each setting from its own table and marginals.
+
+    Three matrix-vector sums: a record's counts may be fractional, and one
+    product would add them in another order, moving the last bit.
+    """
+    return _covariances(counts @ _AB, counts @ _A, counts @ _B, counts.sum(axis=-1))
+
+
+def _bootstrap_covariances(boot: np.ndarray) -> np.ndarray:
+    """The covariances of integer counts, their sums taken in one integer product.
+
+    The integer sums are exact, and so are the float sums of
+    ``_covariances_from_counts`` while each table's total, the record's
+    shots, stays below 2**53; the two then agree bit for bit.
+    """
+    sums = boot.reshape(-1, 4) @ _SUMS
+    return _covariances(*sums.T.reshape(3, *boot.shape[:-1]), boot.sum(axis=-1))
 
 
 def estimate_g(rec: MeasurementRecord) -> GEstimate:
@@ -132,7 +165,7 @@ def estimate_g(rec: MeasurementRecord) -> GEstimate:
     freqs = rec.counts / rec.counts.sum(axis=-1, keepdims=True)
     rng = rng_at(rec.seed, STREAM_BOOTSTRAP)
     boot = rng.multinomial(rec.shots_per_setting, freqs, size=(BOOTSTRAP_REPLICATES, 3, 3))
-    replicates = np.sum(_covariances_from_counts(boot) ** 2, axis=(1, 2))
+    replicates = np.sum(_bootstrap_covariances(boot) ** 2, axis=(1, 2))
     stderr = float(np.std(replicates, ddof=1))
     return GEstimate(
         g_hat=g_hat,
@@ -173,11 +206,12 @@ def shots_for_verdict(
 
     p = outcome_probabilities(rho)
     trial_seeds = [derive_seed(seed, STREAM_TRIAL, t) for t in range(trials)]
+    trial_keys = [_keys(t_seed, STREAM_SETTING, _SETTINGS) for t_seed in trial_seeds]
 
     def succeeds(shots: int) -> bool:
         hits = misses = 0
-        for t_seed in trial_seeds:
-            est = estimate_g(_simulate(p, shots, t_seed))
+        for t_seed, keys in zip(trial_seeds, trial_keys):
+            est = estimate_g(_simulate(p, shots, t_seed, keys))
             if est.g_hat - sigma * est.stderr > 1.0:
                 hits += 1
             else:

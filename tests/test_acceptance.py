@@ -317,11 +317,7 @@ def test_criterion_06_lur_behaviour():
 
 
 def _criterion_07_states(idx):
-    """from_pure(haar_pure(20260807, k)) where 5 divides k, else ginibre(20260807, k, k % 4 + 1).
-
-    Every chunk of five or more consecutive indices holds both kinds, so
-    neither stack is asked for an empty index array, which ``_streams`` rejects.
-    """
+    """from_pure(haar_pure(20260807, k)) where 5 divides k, else ginibre(20260807, k, k % 4 + 1)."""
     pure = idx % 5 == 0
     out = np.empty((len(idx), 4, 4), dtype=complex)
     out[pure] = _haar_stack(20260807, idx[pure])

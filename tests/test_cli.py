@@ -436,11 +436,12 @@ def test_console_entry_point():
 
 
 def test_module_run_prints_the_version():
-    proc = subprocess.run(
-        [sys.executable, "-m", "entcov.cli", "--version"],
-        capture_output=True, text=True, env=src_env(),
-    )
-    assert (proc.returncode, proc.stdout) == (0, f"entcov {__version__}\n")
+    for module in ("entcov", "entcov.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "--version"],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (0, f"entcov {__version__}\n"), module
 
 
 @pytest.mark.skipif(shutil.which("entcov") is None, reason="no entcov executable on PATH")

@@ -1,19 +1,24 @@
+import functools
+
 import numpy as np
 import pytest
 
+from entcov._rng import STREAM_HAAR, _streams
 from entcov.concurrence import (
     PureInvariants,
+    _concurrence,
     concurrence_mixed,
     concurrence_pure,
     g_pure_from_invariants,
     pure_invariants,
 )
-from entcov.ensembles import haar_pure, random_local_unitary
+from entcov.ensembles import _chunks, _haar_amps, _haar_stack, haar_pure, random_local_unitary
 from entcov.gmeasure import g_from_covariances
 from entcov.observables import correlation_data
 from entcov.states import (
     DensityMatrix,
     PureState,
+    _validated,
     apply_local_unitary,
     canonical,
     from_pure,
@@ -105,9 +110,12 @@ def test_concurrence_mixed_werner():
 
 
 def test_concurrence_mixed_agrees_with_pure():
-    for k in range(10_000):
-        p = haar_pure(31, k)
-        assert abs(concurrence_mixed(from_pure(p)) - concurrence_pure(p)) < 1e-9
+    # from_pure(haar_pure(31, k)) for k < 10^4, a chunk at a time; the
+    # stacked kernel gives concurrence_mixed's values bit for bit
+    for idx, mats in _chunks(10_000, functools.partial(_haar_stack, 31)):
+        mixed = _concurrence(_validated(mats))
+        for c, rng in zip(mixed, _streams(31, STREAM_HAAR, idx)):
+            assert abs(c - concurrence_pure(PureState(_haar_amps(rng)))) < 1e-9
 
 
 def test_concurrence_invariant_under_local_unitaries():

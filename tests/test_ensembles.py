@@ -10,6 +10,7 @@ from entcov._rng import (
     STREAM_GINIBRE,
     STREAM_HAAR,
     STREAM_SEPARABLE,
+    _streams,
     rng_at,
 )
 from entcov.concurrence import concurrence_mixed, concurrence_pure
@@ -27,7 +28,15 @@ from entcov.ensembles import (
 from entcov.gmeasure import g_from_covariances, l3
 from entcov.jsonio import dumps, loads
 from entcov.observables import correlation_data
-from entcov.states import DensityMatrix, apply_local_unitary, canonical, from_pure, purity, rho_u
+from entcov.states import (
+    DensityMatrix,
+    PureState,
+    apply_local_unitary,
+    canonical,
+    from_pure,
+    purity,
+    rho_u,
+)
 
 
 def test_haar_pure_determinism():
@@ -36,6 +45,12 @@ def test_haar_pure_determinism():
     assert np.array_equal(a.amps, b.amps)
     assert not np.array_equal(a.amps, haar_pure(42, 8).amps)
     assert not np.array_equal(a.amps, haar_pure(43, 7).amps)
+
+
+def test_stacks_of_no_index_are_empty():
+    no_index = np.arange(0)
+    for mats in (ensembles._haar_stack(1, no_index), ensembles._ginibre_stack(1, no_index, [])):
+        assert mats.shape == (0, 4, 4) and mats.dtype == complex
 
 
 def test_generation_order_does_not_matter():
@@ -58,8 +73,8 @@ def test_haar_mean_concurrence():
     # build time, asserted with a generous Monte Carlo margin.
     total = 0.0
     n = 100_000
-    for k in range(n):
-        total += concurrence_pure(haar_pure(314159, k))
+    for rng in _streams(314159, STREAM_HAAR, np.arange(n)):  # haar_pure(314159, k), k < n
+        total += concurrence_pure(PureState(ensembles._haar_amps(rng)))
     assert abs(total / n - 0.589) < 0.02
 
 

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entcov._rng import STREAM_GINIBRE, STREAM_TRIAL, _keys, _streams, derive_seed, rng_at
+from entcov._rng import (
+    STREAM_GINIBRE,
+    STREAM_TRIAL,
+    _keys,
+    _rekeyed,
+    _streams,
+    derive_seed,
+    rng_at,
+)
 from entcov.ensembles import (
     EnsembleSpec,
     fixed_purity,
@@ -165,3 +173,13 @@ def test_keys_apply_the_integer_rule_to_every_part(bad):
         _keys(1, STREAM_GINIBRE, bad)
     with pytest.raises(ValueError, match=message):
         _keys(1, STREAM_GINIBRE, np.array(bad, dtype=object))
+
+
+@pytest.mark.parametrize("empty", [np.arange(0), np.zeros((0, 2), dtype=np.uint64), []])
+def test_no_address_has_no_key_and_no_stream(empty):
+    keys = _keys(1, STREAM_GINIBRE, empty)
+    assert keys.shape == (0, 2) and keys.dtype == np.uint64
+    assert list(_rekeyed(keys)) == []
+    assert list(_streams(1, STREAM_GINIBRE, empty)) == []
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        _keys(-1, STREAM_GINIBRE, empty)

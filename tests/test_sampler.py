@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entcov import sampler
-from entcov._rng import STREAM_BOOTSTRAP, STREAM_TRIAL, derive_seed, rng_at
+from entcov._rng import STREAM_BOOTSTRAP, STREAM_SETTING, STREAM_TRIAL, _keys, derive_seed, rng_at
 from entcov.ensembles import ginibre, separable_mixture
 from entcov.gmeasure import g_from_covariances
 from entcov.jsonio import dumps, loads
@@ -123,6 +123,19 @@ def test_settings_draw_from_independent_streams():
             assert np.array_equal(rec.counts[i - 1, j - 1], direct)
 
 
+def test_keys_derived_once_draw_the_records_of_simulate_record():
+    # a search derives each trial's setting keys once and simulates with them
+    # at every shot count; each record equals the one simulate_record draws
+    for rho in (canonical("singlet"), rho_u(0.4), ginibre(17, 3, 2)):
+        p = outcome_probabilities(rho)
+        for seed in (0, 31, derive_seed(2026, STREAM_TRIAL, 5)):
+            keys = _keys(seed, STREAM_SETTING, sampler._SETTINGS)
+            for shots in (1, 7, 24, 799):
+                rec = sampler._simulate(p, shots, seed, keys)
+                direct = simulate_record(rho, shots, seed)
+                assert np.array_equal(rec.counts, direct.counts) and rec.seed == direct.seed
+
+
 def test_empirical_correlations_converge():
     # anticorrelated settings are exact (p(+,+) = p(-,-) = 0); null settings
     # fluctuate within the binomial scale sqrt((1 - t^2)/N)
@@ -173,11 +186,28 @@ def test_estimate_is_deterministic():
     assert a.g_hat == b.g_hat and a.stderr == b.stderr
 
 
-def looped_bootstrap_stderr(rec):
-    """The bootstrap as one multinomial call per replicate and setting, in r/i/j order."""
+def matvec_covariances(counts):
+    """Each setting's covariance from three matrix-vector products of its counts."""
     ab = np.array([x * y for x, y in OUTCOMES], dtype=float)
     a = np.array([x for x, _ in OUTCOMES], dtype=float)
     b = np.array([y for _, y in OUTCOMES], dtype=float)
+    n = counts.sum(axis=-1)
+    return counts @ ab / n - (counts @ a / n) * (counts @ b / n)
+
+
+def test_estimate_of_fractional_counts_sums_them_by_matvec():
+    # exact-frequency (and JSON) records may carry fractional counts, which
+    # one (4, 3) product would sum in another order and round differently
+    for k in range(20):
+        rec = exact_record(ginibre(606, k, k % 4 + 1), 7 + k, seed=k)
+        cov = matvec_covariances(rec.counts)
+        est = estimate_g(rec)
+        assert np.array_equal(est.cov_hat, cov)
+        assert est.g_hat == float(np.sum(cov**2))
+
+
+def looped_bootstrap_stderr(rec):
+    """The bootstrap as one multinomial call per replicate and setting, in r/i/j order."""
     freqs = rec.counts / rec.counts.sum(axis=2, keepdims=True)
     rng = rng_at(rec.seed, STREAM_BOOTSTRAP)
     replicates = np.empty(BOOTSTRAP_REPLICATES)
@@ -186,9 +216,7 @@ def looped_bootstrap_stderr(rec):
         for i in range(3):
             for j in range(3):
                 boot_counts[i, j] = rng.multinomial(rec.shots_per_setting, freqs[i, j])
-        n = boot_counts.sum(axis=2)
-        cov = boot_counts @ ab / n - (boot_counts @ a / n) * (boot_counts @ b / n)
-        replicates[r] = np.sum(cov**2)
+        replicates[r] = np.sum(matvec_covariances(boot_counts) ** 2)
     return float(np.std(replicates, ddof=1))
 
 
@@ -276,6 +304,18 @@ def test_unreachable_sigma_stops_each_vote_once_decided(monkeypatch):
     with pytest.raises(RuntimeError, match="^no shot count up to 4194304 certifies"):
         shots_for_verdict(canonical("singlet"), 1e9, 1, trials=10, required=8)
     assert calls == [2**k for k in range(23) for _ in range(3)]
+
+
+def test_search_derives_each_trials_setting_keys_once(monkeypatch):
+    streams = []
+
+    def counted(seed, stream, indices):
+        streams.append(stream)
+        return _keys(seed, stream, indices)
+
+    monkeypatch.setattr(sampler, "_keys", counted)
+    assert shots_for_verdict(canonical("singlet"), 3.0, 2026, trials=10, required=10) == 13
+    assert streams.count(STREAM_SETTING) == 10
 
 
 def test_record_json_round_trip():
