@@ -8,10 +8,12 @@ edge is a conjecture: it fails for some rank-2 and rank-3 states, so the test
 pins the violation counts and the worst case of its seeded sweep instead of
 asserting none.  A 50-digit mpmath recomputation of the counterexamples shows
 that they are real and not floating-point artifacts.  The companion test 04s
-checks restricted sweeps that are clean.  These sweeps, and those of criteria
-07 and 08, generate and measure their states in stacks, through the chunk loop
-and the kernels the CLI sweeps use.
+checks restricted sweeps that are clean.  These sweeps, those of criteria 07
+and 08 and the mixed slice of criterion 10 generate and measure their states
+in stacks, through the chunk loop and the kernels the CLI sweeps use.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -25,12 +27,14 @@ from entcov.concurrence import (
     pure_invariants,
 )
 from entcov.ensembles import (
+    EnsembleSpec,
     _chunks,
     _complex_normals,
     _ginibre_stack,
     _haar_stack,
     _haar_unitary_2x2,
     _separable_matrix,
+    _stack,
     ginibre,
     haar_pure,
     separable_mixture,
@@ -397,14 +401,13 @@ def test_criterion_09_pure_invariant_algebra():
 
 
 def test_criterion_10_area_not_a_line():
-    from entcov.ensembles import fixed_purity
-
+    spec = EnsembleSpec("fixed_purity", 5000, 20260810, purity_target=0.46, purity_window=0.005)
     cs, gs = [], []
-    for k in range(5000):
-        rho = fixed_purity(20260810, k, 0.46, 0.005)
-        cs.append(concurrence_mixed(rho))
-        gs.append(g_of(rho))
-    mixed_max = max(s for *_, s in bin_spreads(cs, gs))
+    for _, mats in _chunks(spec.count, functools.partial(_stack, spec)):
+        c, g = _c_and_g(mats)
+        cs.append(c)
+        gs.append(g)
+    mixed_max = max(s for *_, s in bin_spreads(np.concatenate(cs), np.concatenate(gs)))
 
     cs, gs = [], []
     for k in range(5000):

@@ -10,6 +10,7 @@ from entcov._rng import (
     STREAM_GINIBRE,
     STREAM_HAAR,
     STREAM_SEPARABLE,
+    _keys,
     _streams,
     rng_at,
 )
@@ -49,7 +50,14 @@ def test_haar_pure_determinism():
 
 def test_stacks_of_no_index_are_empty():
     no_index = np.arange(0)
-    for mats in (ensembles._haar_stack(1, no_index), ensembles._ginibre_stack(1, no_index, [])):
+    stacks = [
+        ensembles._haar_stack(1, no_index),
+        ensembles._ginibre_stack(1, no_index, []),
+        ensembles._fixed_purity_stack(1, no_index, 0.46, 0.005),
+    ]
+    stacks += [ensembles._stack(spec, no_index) for spec in CHUNK_SPECS]
+    assert {spec.kind for spec in CHUNK_SPECS} == set(ensembles.ENSEMBLE_KINDS)
+    for mats in stacks:
         assert mats.shape == (0, 4, 4) and mats.dtype == complex
 
 
@@ -167,18 +175,51 @@ def test_block_drawn_fixed_purity_matches_the_one_attempt_loop():
 @pytest.mark.parametrize("cap", [1, 31, 32, 33, 50])
 def test_block_drawn_fixed_purity_keeps_the_attempt_cap_exact(monkeypatch, cap):
     monkeypatch.setattr(ensembles, "MAX_REJECTION_ATTEMPTS", cap)
-    outcomes = set()
+    infeasible = f" in {cap} attempts; the window is infeasible$"
+    hits = {}
     for k in range(200):
         try:
             expected, _ = one_attempt_fixed_purity(ORACLE_SEED, k, 0.46, 0.005)
         except RuntimeError:
-            with pytest.raises(RuntimeError, match=f" in {cap} attempts; the window is infeasible$"):
+            with pytest.raises(RuntimeError, match=infeasible):
                 fixed_purity(ORACLE_SEED, k, 0.46, 0.005)
-            outcomes.add("raised")
         else:
             assert np.array_equal(fixed_purity(ORACLE_SEED, k, 0.46, 0.005).mat, expected.mat)
-            outcomes.add("hit")
-    assert outcomes == {"hit", "raised"}
+            hits[k] = expected.mat
+    assert 0 < len(hits) < 200
+    # Many indices per stack: every index the oracle fills, then all 200.
+    spec = EnsembleSpec("fixed_purity", 200, ORACLE_SEED, purity_target=0.46, purity_window=0.005)
+    filled = np.array(sorted(hits))
+    for k, m in zip(filled.tolist(), ensembles._stack(spec, filled)):
+        assert np.array_equal(m, hits[k]), k
+    with pytest.raises(RuntimeError, match=infeasible):
+        ensembles._stack(spec, np.arange(200))
+
+
+@pytest.mark.parametrize("seed", [ORACLE_SEED, 2026])
+def test_one_stack_of_fixed_purity_matches_the_one_attempt_loop(seed):
+    # N_CHUNKED indices in one call: full groups of first blocks and a part.
+    spec = EnsembleSpec("fixed_purity", N_CHUNKED, seed, purity_target=0.46, purity_window=0.005)
+    mats = ensembles._stack(spec, np.arange(N_CHUNKED))
+    for k, m in enumerate(mats):
+        assert np.array_equal(m, oracle_matrix(spec, k)), k
+
+
+def test_infeasible_window_continues_only_the_first_index(monkeypatch):
+    monkeypatch.setattr(ensembles, "MAX_REJECTION_ATTEMPTS", 500)
+    continued, one_matrix = [], ensembles._fixed_purity_matrix
+
+    def counting(rng, target, window, start):
+        continued.append((rng.bit_generator.state["state"]["key"].copy(), start))
+        return one_matrix(rng, target, window, start)
+
+    monkeypatch.setattr(ensembles, "_fixed_purity_matrix", counting)
+    spec = EnsembleSpec("fixed_purity", ensembles.CHUNK, 1, purity_target=1.0, purity_window=1e-12)
+    with pytest.raises(ensembles.InfeasibleWindowError, match=" in 500 attempts; the window is"):
+        list(ensembles._chunks(spec.count, functools.partial(ensembles._stack, spec)))
+    [(key, start)] = continued
+    assert np.array_equal(key, _keys(1, STREAM_FIXED_PURITY, [(0,)])[0])
+    assert start == ensembles.REJECTION_BLOCK
 
 
 def test_fixed_purity_rejects_bad_inputs():
@@ -445,15 +486,15 @@ def test_scan_rank_cycle_equals_the_per_index_oracle(ranks, chunk, monkeypatch):
 def test_generate_draws_one_index_at_a_time(monkeypatch):
     spec = EnsembleSpec("fixed_purity", 50, 3, purity_target=0.46, purity_window=0.005)
     expected = fixed_purity(3, 0, 0.46, 0.005)
-    calls, one_matrix = [], ensembles._fixed_purity_matrix
+    calls, kernel = [], ensembles._fixed_purity_stack
 
-    def counting(*args):
-        calls.append(args)
-        return one_matrix(*args)
+    def counting(seed, indices, *args):
+        calls.append(np.asarray(indices).tolist())
+        return kernel(seed, indices, *args)
 
-    monkeypatch.setattr(ensembles, "_fixed_purity_matrix", counting)
+    monkeypatch.setattr(ensembles, "_fixed_purity_stack", counting)
     index, rho = next(generate(spec))
-    assert index == 0 and len(calls) == 1
+    assert index == 0 and calls == [[0]]
     assert np.array_equal(rho.mat, expected.mat)
 
 

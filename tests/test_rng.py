@@ -112,7 +112,7 @@ def addresses(n_parts, max_size=12):
     return st.lists(st.tuples(*[PARTS] * n_parts), min_size=1, max_size=max_size)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, database=None)
 @given(seed=SEEDS, stream=st.integers(0, 7), n_parts=st.integers(0, 2), data=st.data())
 def test_keys_equal_numpys_seed_sequence(seed, stream, n_parts, data):
     indices = data.draw(addresses(n_parts))
@@ -134,7 +134,7 @@ def draw_all(rng):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, database=None)
 @given(seed=SEEDS, stream=st.integers(0, 7), n_parts=st.integers(0, 2), data=st.data())
 def test_rekeyed_generator_draws_what_rng_at_draws(seed, stream, n_parts, data):
     indices = data.draw(addresses(n_parts, max_size=6))
