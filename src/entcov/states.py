@@ -18,22 +18,43 @@ from .jsonio import _json_floats
 from .linalg import MATRIX_TOL, SIGMA0, tensor
 
 PURE_NORM_TOL = 1e-12
+_PSD_SHIFT = (1 - 1e-4) * MATRIX_TOL * np.eye(4)  # the Cholesky shift s*I of _validated
 
 
 def _validated(mats) -> np.ndarray:
     """An (N, 4, 4) stack as complex, every matrix checked as DensityMatrix checks one.
 
-    The checks, in order: finite entries, Hermitian, unit trace and PSD, the
-    last by one stacked eigvalsh.  A failing stack raises the message its
-    first failing matrix raises on its own.
+    The checks, in order: finite entries, Hermitian, unit trace and PSD.  A
+    failing stack raises the message its first failing matrix raises on its
+    own.  The PSD rule is min eigvalsh(h) >= -MATRIX_TOL for the Hermitian
+    part h; one stacked Cholesky of h + s*I, s = (1 - 1e-4) * MATRIX_TOL,
+    decides it, and eigvalsh runs only if that Cholesky fails or returns a
+    non-finite factor (h overflowed), to apply the rule itself.
+
+    A finite factor of h + s*I exists only if lambda_min(h) > -s - eps,
+    eps being the backward error, at most about n * gamma_(n+1) * ||h||
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10).
+    A matrix passing the trace check with lambda_min(h) >= -2 * MATRIX_TOL
+    has ||h|| <= 1 + 7 * MATRIX_TOL, so eps is a few 1e-15, below the gap
+    MATRIX_TOL - s = 1e-14 (a larger ||h|| at unit trace means a
+    lambda_min far below -MATRIX_TOL, which no factor survives).  So every
+    stack the Cholesky accepts, the eigvalsh rule accepts too; a matrix
+    failing an earlier check is reported by that check either way.
     """
     m = np.asarray(mats, dtype=complex)
     finite = np.isfinite(m).all(axis=(-2, -1))
     x = m if finite.all() else np.where(finite[:, None, None], m, 0.0)
     defect = linalg.herm_defect(x)
     tr = np.trace(x, axis1=-2, axis2=-1)
-    wmin = np.linalg.eigvalsh((x + linalg._dagger(x)) / 2)[:, 0]
-    bad = ~finite | (defect > MATRIX_TOL) | (np.abs(tr - 1.0) > MATRIX_TOL) | (wmin < -MATRIX_TOL)
+    h = (x + linalg._dagger(x)) / 2
+    bad = ~finite | (defect > MATRIX_TOL) | (np.abs(tr - 1.0) > MATRIX_TOL)
+    try:
+        psd = np.isfinite(np.linalg.cholesky(h + _PSD_SHIFT)).all()
+    except np.linalg.LinAlgError:
+        psd = False
+    if not psd:
+        wmin = np.linalg.eigvalsh(h)[:, 0]
+        bad |= wmin < -MATRIX_TOL
     if bad.any():
         k = int(np.argmax(bad))
         linalg.as_cmat(m[k])  # raises the message for non-finite entries

@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entcov.concurrence import _concurrence, concurrence_mixed
-from entcov.ensembles import ginibre, haar_pure, separable_mixture
+from entcov.ensembles import (
+    EnsembleSpec,
+    _ginibre_stack,
+    _stack,
+    ginibre,
+    haar_pure,
+    separable_mixture,
+)
 from entcov.gmeasure import _g_from_moments, g_from_covariances
 from entcov.linalg import MATRIX_TOL, SIGMA2, eig_hermitian, sqrt_psd, tensor
 from entcov.observables import PAIR_OBS, correlation_data, pauli_moments
@@ -160,3 +167,76 @@ def test_a_bad_matrix_raises_its_own_scalar_message(mats, data):
         scalar = message(kernel, single[k])
         with pytest.raises(ValueError, match=f"^{re.escape(scalar)}$"):
             kernel(single)
+
+
+def near_edge(rng, delta: float, rank: int) -> np.ndarray:
+    """A trace-1 Hermitian matrix of the given rank, min eigenvalue -MATRIX_TOL * (1 + delta)."""
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    w = np.zeros(4)
+    w[0] = -MATRIX_TOL * (1 + delta)
+    w[1:rank] = rng.random(rank - 1)
+    w[1:rank] *= (1 - w[0]) / w[1:rank].sum()
+    m = (q * w) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+def outcome(fn, m) -> str:
+    try:
+        fn(m)
+    except (ValueError, np.linalg.LinAlgError) as e:
+        return f"{type(e).__name__}: {e}"
+    return "accepted"
+
+
+def test_the_psd_decision_at_the_tolerance_edge_is_the_eigvalsh_rule():
+    rng = np.random.default_rng(20261019)
+    deltas = [sign * d for d in (1e-2, 1e-4, 1e-6, 1e-8) for sign in (1, -1)]
+    mats = np.stack([near_edge(rng, d, rank) for _ in range(4) for d in deltas for rank in (2, 3, 4)])
+    expected = [outcome(ref_validate, m) for m in mats]
+    assert 0 < expected.count("accepted") < len(mats)  # both sides of the edge are reached
+    for m, want in zip(mats, expected):
+        assert outcome(_validated, m[None]) == want
+        assert outcome(DensityMatrix, m) == want
+    first_bad = next(w for w in expected if w != "accepted")
+    assert outcome(_validated, mats) == first_bad
+    kept = [k for k, w in enumerate(expected) if w == "accepted"]
+    assert np.array_equal(_validated(mats[kept]), mats[kept])
+
+
+def test_an_overflowing_hermitian_part_goes_to_the_eigvalsh_rule():
+    # Hermitian, unit trace and finite, but m + m^dagger overflows; the first
+    # one's Cholesky may return NaN factors without raising (OpenBLAS does)
+    big = np.diag([0.25] * 4).astype(complex)
+    big[0, 1] = big[1, 0] = 1e308
+    split = np.diag([1.5e308, -1.5e308, 1.0, 0.0]).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in (big, split):
+            assert outcome(_validated, m[None]) == outcome(ref_validate, m)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_valid_stacks_are_validated_without_an_eigensolve(eigvalsh_calls):
+    mats = _ginibre_stack(20261019, np.arange(128), [1, 2, 3, 4] * 32)
+    assert np.array_equal(_validated(mats), mats)
+    spec = EnsembleSpec("fixed_purity", 32, 20261019, purity_target=0.46, purity_window=0.005)
+    assert _stack(spec, np.arange(32)).shape == (32, 4, 4)
+    assert eigvalsh_calls == []
+    bad = mats.copy()
+    bad[77] = corrupt(mats[77], "psd")
+    expected = message(ref_validate, bad[77])
+    eigvalsh_calls.clear()
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        _validated(bad)
+    assert eigvalsh_calls == [(128, 4, 4)]
