@@ -5,10 +5,10 @@ counter-based bit generator keyed as numpy's
 ``SeedSequence(entropy=seed, spawn_key=(stream, hi, lo, ...))`` keys it, so
 the sample at one address never depends on which other addresses were
 generated, in what order, or on how many workers did the generating.
-``_keys`` derives the keys of many addresses in one vectorised pass,
-``_rekeyed`` serves given keys through one re-keyed generator and
-``_streams`` is the two in turn; ``rng_at`` and ``derive_seed`` are the
-one-address case.
+``_keys`` keys one address by numpy's SeedSequence itself and derives the
+keys of many addresses in one vectorised pass of its hash, ``_rekeyed``
+serves given keys through one re-keyed generator and ``_streams`` is the
+two in turn; ``rng_at`` and ``derive_seed`` are the one-address case.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ STREAM_SETTING = 5
 STREAM_BOOTSTRAP = 6
 STREAM_TRIAL = 7
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# uint32 words, the entropy hash (INIT_A, MULT_A), the mixer and the output
-# hash (INIT_B, MULT_B).
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which ``_keys``
+# runs on uint32 columns: a pool of four uint32 words, the entropy hash
+# (INIT_A, MULT_A), the mixer and the output hash (INIT_B, MULT_B).
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -40,52 +40,18 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MAX_INDEX = 2**64 - 1
 
 
-def _hashmix(value, const: int, mult: int = _MULT_A):
-    """(hashed value, next hash constant), in Python ints masked to 32 bits."""
-    value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
-    return r ^ r >> 16
-
-
-def _absorb(pool: list, words, const: int) -> tuple[list, int]:
-    """Mix each word beyond the pool size into every pool word."""
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            hashed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], hashed)
-    return pool, const
-
-
 @functools.lru_cache(maxsize=256)
-def _seeded_pool(seed: int, stream: int) -> tuple[tuple, int]:
-    """The pool and hash constant once the seed and the stream id are absorbed.
+def _seed_sequence(seed: int, stream: int, *words: int) -> np.random.SeedSequence:
+    """numpy's ``SeedSequence(seed, spawn_key=(stream, *words))``, cached.
 
-    These words are shared by every address of a (seed, stream); only the
-    index words that follow differ, so one-address callers such as a loop of
-    ``rng_at`` calls hash them once.
+    With no words its pool is the one every address of a (seed, stream)
+    starts from, so a loop over indices or over ``rng_at`` calls builds it
+    once; a repeated single address is a cache hit too.  The pool is made
+    read-only, since every caller shares it.
     """
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    # With a spawn key, numpy pads the seed to the pool size with zeros.
-    words += [0] * (_POOL_SIZE - len(words)) + [stream]
-    pool, const = [], _INIT_A
-    for word in words[:_POOL_SIZE]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    pool, const = _absorb(pool, words[_POOL_SIZE:], const)
-    return tuple(pool), const
+    seq = np.random.SeedSequence(seed, spawn_key=(stream, *words))
+    seq.pool.setflags(write=False)
+    return seq
 
 
 def _index_words(indices) -> tuple[int, list]:
@@ -140,17 +106,16 @@ def _keys(seed: int, stream: int, indices) -> np.ndarray:
     if len(indices) == 0:
         return np.empty((0, 2), dtype=np.uint64)
     n, words = _index_words(indices)
-    pool, const = _seeded_pool(seed, int(stream))
-    if n == 1:  # numpy's own loop; Python ints beat arrays of one
-        pool, _ = _absorb(list(pool), words, const)
-        out, const = [], _INIT_B
-        for word in pool:
-            hashed, const = _hashmix(word, const, _MULT_B)
-            out.append(hashed)
-        return np.array([[out[0] | out[1] << 32, out[2] | out[3] << 32]], dtype=np.uint64)
-    # The same steps on uint32 columns, the four pool words at once: mixing
-    # a word into pool word d uses the d-th of the next hash constants.
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    if n == 1:
+        return _seed_sequence(seed, int(stream), *words).generate_state(2, np.uint64)[None]
+    # numpy's loop on uint32 columns, the four pool words at once, from the
+    # pool of (seed, stream): numpy pads the seed to at least the pool size,
+    # appends the stream id and hashes each word into every pool word, so
+    # the hash constant has advanced once per pool word per word.
+    pool = _seed_sequence(seed, int(stream)).pool[:, None]
+    seed_words = max(_POOL_SIZE, (seed.bit_length() + 31) // 32)
+    const = _INIT_A * pow(_MULT_A, _POOL_SIZE * (seed_words + 1), 2**32) & _MASK32
+    # Mixing a word into pool word d uses the d-th of the next hash constants.
     for word in words:
         consts = _consts(const, _MULT_A, _POOL_SIZE + 1)
         const = int(consts[-1, 0])

@@ -110,7 +110,9 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     worst = _first_failing(defect > MATRIX_TOL, defect)
     if worst is not None:
         raise ValueError(f"matrix is not Hermitian (defect {worst:.3e})")
-    w, v = np.linalg.eigh((m + _dagger(m)) / 2)
+    h = m * 0.5  # halved first, so the sum cannot overflow; numpy divides complex by 2 slowly
+    h += _dagger(h)
+    w, v = np.linalg.eigh(h)
     return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 

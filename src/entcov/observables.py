@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import _integer
-from .linalg import MATRIX_TOL, PAULIS, _first_failing, herm_defect, tensor
+from .linalg import MATRIX_TOL, PAULIS, _first_failing, _one_matrix, as_cmat, herm_defect, tensor
 from .states import DensityMatrix
 
 CONSISTENCY_TOL = 1e-12
@@ -62,7 +62,7 @@ class CorrelationData:
 
 def expectation(rho: DensityMatrix, obs) -> float:
     """<obs> = Tr(rho obs) for a Hermitian observable."""
-    obs = np.asarray(obs, dtype=complex)
+    obs = _one_matrix(obs, dims=(4,))
     defect = herm_defect(obs)
     if defect > MATRIX_TOL:
         raise ValueError(f"observable is not Hermitian (defect {defect:.3e})")
@@ -74,8 +74,8 @@ def expectation(rho: DensityMatrix, obs) -> float:
 
 def variance(rho: DensityMatrix, obs) -> float:
     """<obs^2> - <obs>^2, clamped at zero against rounding."""
+    obs = _one_matrix(obs, dims=(4,))
     mean = expectation(rho, obs)
-    obs = np.asarray(obs, dtype=complex)
     second = expectation(rho, obs @ obs)
     return max(second - mean * mean, 0.0)
 
@@ -98,7 +98,8 @@ def pauli_moments(mat: np.ndarray) -> np.ndarray:
     table of that matrix alone; a failing check reports the first failing
     matrix.
     """
-    defect = herm_defect(np.asarray(mat, dtype=complex))
+    mat = as_cmat(mat, dims=(4,))
+    defect = herm_defect(mat)
     worst = _first_failing(defect > MATRIX_TOL, defect)
     if worst is not None:
         raise ValueError(f"matrix is not Hermitian (defect {worst:.3e})")

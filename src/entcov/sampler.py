@@ -28,6 +28,7 @@ from ._rng import (
 )
 from .gmeasure import certifies, g_from_covariances
 from .jsonio import _integer, _json_floats, _json_int, _real
+from .linalg import MATRIX_TOL
 from .observables import correlation_data, pauli_moments
 from .states import DensityMatrix
 
@@ -100,7 +101,7 @@ def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
     probs = np.where(probs < 0, 0.0, probs)
     totals = probs.sum(axis=-1, keepdims=True)
     worst = np.max(np.abs(totals - 1.0))
-    if worst > 1e-12:
+    if worst > MATRIX_TOL:
         raise ValueError(f"a setting's probabilities miss a sum of 1 by {worst}")
     return probs / totals
 

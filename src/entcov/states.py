@@ -29,7 +29,7 @@ def _validated(mats) -> np.ndarray:
     own.  The PSD rule is min eigvalsh(h) >= -MATRIX_TOL for the Hermitian
     part h; one stacked Cholesky of h + s*I, s = (1 - 1e-4) * MATRIX_TOL,
     decides it, and eigvalsh runs only if that Cholesky fails or returns a
-    non-finite factor (h overflowed), to apply the rule itself.
+    non-finite factor (its entries overflowed), to apply the rule itself.
 
     A finite factor of h + s*I exists only if lambda_min(h) > -s - eps,
     eps being the backward error, at most about n * gamma_(n+1) * ||h||
@@ -46,7 +46,8 @@ def _validated(mats) -> np.ndarray:
     x = m if finite.all() else np.where(finite[:, None, None], m, 0.0)
     defect = linalg.herm_defect(x)
     tr = np.trace(x, axis1=-2, axis2=-1)
-    h = (x + linalg._dagger(x)) / 2
+    h = x * 0.5  # halved first, so the sum cannot overflow; numpy divides complex by 2 slowly
+    h += linalg._dagger(h)
     bad = ~finite | (defect > MATRIX_TOL) | (np.abs(tr - 1.0) > MATRIX_TOL)
     try:
         psd = np.isfinite(np.linalg.cholesky(h + _PSD_SHIFT)).all()
@@ -153,8 +154,8 @@ def canonical(name: str) -> DensityMatrix:
 
 def apply_local_unitary(rho: DensityMatrix, u_a, u_b) -> DensityMatrix:
     """Conjugate by uA (x) uB; both factors must be unitary within MATRIX_TOL."""
-    u_a = linalg.as_cmat(u_a, dims=(2,))
-    u_b = linalg.as_cmat(u_b, dims=(2,))
+    u_a = linalg._one_matrix(u_a, dims=(2,))
+    u_b = linalg._one_matrix(u_b, dims=(2,))
     for name, u in (("uA", u_a), ("uB", u_b)):
         defect = float(np.max(np.abs(u @ u.conj().T - SIGMA0)))
         if defect > MATRIX_TOL:

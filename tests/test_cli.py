@@ -104,10 +104,16 @@ def test_analyze_invalid_state_names_invariant(tmp_path, capsys):
     assert "trace" in err
 
 
-def test_analyze_missing_file(capsys):
+def test_analyze_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["analyze", "/nonexistent/state.json"])
     assert code == 2
     assert "cannot read" in err
+    state = write_state(tmp_path, "singlet.json", canonical("singlet"))
+    missing = tmp_path / "no-such-dir" / "out.json"
+    code, out, err = run_cli(capsys, ["analyze", state, "--output", str(missing)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {missing}: ")
+    assert not missing.parent.exists()
 
 
 def test_scan_bounds_output(tmp_path, capsys):

@@ -282,6 +282,9 @@ def test_ensemble_spec_validation():
         EnsembleSpec(kind="fixed_purity", count=10, seed=1, purity_target=0.1, purity_window=0.01)
     with pytest.raises(ValueError):
         EnsembleSpec(kind="separable_mixture", count=10, seed=1, mixture_terms=0)
+    for purity in ({}, {"purity_target": 0.46}, {"purity_window": 0.005}):
+        with pytest.raises(ValueError, match="^fixed_purity needs purity_target and purity_window$"):
+            EnsembleSpec("fixed_purity", 10, 1, **purity)
 
 
 def test_ensemble_spec_checks_purity_fields_of_every_kind():
@@ -318,6 +321,9 @@ def test_ensemble_spec_json_round_trip():
     assert back == spec
     with pytest.raises(ValueError):
         ensemble_spec_from_dict({"kind": "haar_pure"})
+    for data in ([], "haar_pure", None):
+        with pytest.raises(ValueError, match="^ensemble spec JSON must be an object$"):
+            ensemble_spec_from_dict(data)
 
 
 @pytest.mark.parametrize(

@@ -52,7 +52,7 @@ def ref_validate(m) -> None:
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > MATRIX_TOL:
         raise ValueError(f"trace must be 1, got {tr.real:.12g}{tr.imag:+.3e}j")
-    wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    wmin = float(np.linalg.eigvalsh(m / 2 + m.conj().T / 2)[0])
     if wmin < -MATRIX_TOL:
         raise ValueError(f"not positive semidefinite: min eigenvalue {wmin:.3e}")
 
@@ -204,14 +204,19 @@ def test_the_psd_decision_at_the_tolerance_edge_is_the_eigvalsh_rule():
 
 
 def test_an_overflowing_hermitian_part_goes_to_the_eigvalsh_rule():
-    # Hermitian, unit trace and finite, but m + m^dagger overflows; the first
-    # one's Cholesky may return NaN factors without raising (OpenBLAS does)
+    # Hermitian, unit trace and finite, with entries near 1e308, where
+    # m + m^dagger would overflow; the Cholesky of the first may return NaN
+    # factors without raising (OpenBLAS does)
     big = np.diag([0.25] * 4).astype(complex)
     big[0, 1] = big[1, 0] = 1e308
+    imaginary = np.diag([0.25] * 4).astype(complex)
+    imaginary[3, 2], imaginary[2, 3] = 1e308j, -1e308j
     split = np.diag([1.5e308, -1.5e308, 1.0, 0.0]).astype(complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in (big, split):
-            assert outcome(_validated, m[None]) == outcome(ref_validate, m)
+    for m, wmin in ((big, "-1.000e+308"), (imaginary, "-1.000e+308"), (split, "-1.500e+308")):
+        expected = f"ValueError: not positive semidefinite: min eigenvalue {wmin}"
+        assert outcome(_validated, m[None]) == outcome(ref_validate, m) == expected
+        with pytest.raises(ValueError, match=re.escape(expected.removeprefix("ValueError: "))):
+            DensityMatrix(m)
 
 
 @pytest.fixture

@@ -164,3 +164,11 @@ def test_rejects_nonfinite_entries():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         partial_trace(bad, "A")
+
+
+@pytest.mark.parametrize("sub", ["C", "a", None])
+def test_partial_operations_reject_a_bad_subsystem(sub):
+    with pytest.raises(ValueError, match="^keep must be 'A' or 'B'"):
+        partial_trace(np.eye(4), sub)
+    with pytest.raises(ValueError, match="^sub must be 'A' or 'B'"):
+        partial_transpose(np.eye(4), sub)

@@ -40,6 +40,38 @@ def test_expectation_rejects_non_hermitian():
         expectation(canonical("singlet"), np.triu(np.ones((4, 4))))
 
 
+def _eye_with(value) -> np.ndarray:
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = value
+    return m
+
+
+BAD_4X4 = [
+    pytest.param(_eye_with(np.nan), "^matrix entries must be finite$", id="nan"),
+    pytest.param(_eye_with(np.inf), "^matrix entries must be finite$", id="inf"),
+    pytest.param(np.eye(2), r"^expected matrix dimension in \(4,\), got 2$", id="2x2"),
+]
+STACK = np.stack([np.eye(4)] * 2)
+
+
+@pytest.mark.parametrize(
+    "obs, message",
+    BAD_4X4 + [pytest.param(STACK, r"^expected a square matrix, got shape \(2, 4, 4\)$", id="stack")],
+)
+def test_expectation_and_variance_check_the_observable_as_linalg_does(obs, message):
+    for fn in (expectation, variance):
+        with pytest.raises(ValueError, match=message):
+            fn(canonical("singlet"), obs)
+
+
+@pytest.mark.parametrize(
+    "mat, message", BAD_4X4 + [pytest.param(np.ones(4), "^expected a square matrix", id="vector")]
+)
+def test_pauli_moments_checks_its_argument_as_linalg_does(mat, message):
+    with pytest.raises(ValueError, match=message):
+        pauli_moments(mat)
+
+
 def test_variance_eigenstate_is_zero():
     rho = canonical("product00")
     assert variance(rho, tensor(SIGMA3, SIGMA0)) == 0.0
@@ -175,3 +207,7 @@ def test_correlation_data_validates_consistency():
             blochB=np.zeros(3),
             corrT=np.zeros((3, 3)),
         )
+    with pytest.raises(ValueError, match="^cov and corrT must be 3x3$"):
+        CorrelationData(cov=np.zeros((3, 3)), blochA=np.zeros(3), blochB=np.zeros(3), corrT=np.zeros(3))
+    with pytest.raises(ValueError, match="^Bloch vectors must have 3 components$"):
+        CorrelationData(cov=np.zeros((3, 3)), blochA=np.zeros(3), blochB=np.zeros(4), corrT=np.zeros((3, 3)))

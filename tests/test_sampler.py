@@ -337,6 +337,9 @@ def test_record_json_rejects_malformed():
     bad = {"shots": 10, "seed": 1, "counts": {"11": [10, 0, 0, 0]}}
     with pytest.raises(ValueError):
         record_from_dict(bad)
+    bad = dict(rec, counts=dict(rec["counts"], **{"23": [10, 0, 0]}))
+    with pytest.raises(ValueError, match=r'^counts\["23"\] must have 4 entries$'):
+        record_from_dict(bad)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entcov.ensembles import haar_pure, random_local_unitary
-from entcov.jsonio import dumps, loads
+from entcov.jsonio import dumps, format_float, loads
 from entcov.linalg import SIGMA0, SIGMA1
 from entcov.states import (
     DensityMatrix,
@@ -42,6 +42,10 @@ def test_pure_states_have_unit_purity():
 def test_pure_state_rejects_unnormalized():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match=r"^expected 4 amplitudes, got shape \(2, 2\)$"):
+        PureState(np.eye(2))
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        PureState(np.array([np.nan, 1.0, 0.0, 0.0]))
 
 
 def test_purity_maximally_mixed():
@@ -106,6 +110,23 @@ def test_apply_local_unitary_rejects_non_unitary():
         apply_local_unitary(canonical("singlet"), 2 * SIGMA0, SIGMA0)
 
 
+@pytest.mark.parametrize(
+    "u, message",
+    [
+        pytest.param(
+            np.stack([SIGMA0, SIGMA0]), r"^expected a square matrix, got shape \(2, 2, 2\)$", id="stack"
+        ),
+        pytest.param(np.eye(4), r"^expected matrix dimension in \(2,\), got 4$", id="4x4"),
+        pytest.param(np.full((2, 2), np.nan), "^matrix entries must be finite$", id="nan"),
+    ],
+)
+def test_apply_local_unitary_takes_one_2x2_matrix_per_factor(u, message):
+    with pytest.raises(ValueError, match=message):
+        apply_local_unitary(canonical("singlet"), u, SIGMA0)
+    with pytest.raises(ValueError, match=message):
+        apply_local_unitary(canonical("singlet"), SIGMA0, u)
+
+
 def test_apply_local_unitary_flip_gives_phi_minus():
     flipped = apply_local_unitary(canonical("singlet"), SIGMA1, SIGMA0)
     # equal to (|00> - |11>)/sqrt(2) up to a global phase, so equal as matrices
@@ -147,6 +168,21 @@ def test_pure_state_json_round_trip():
     assert np.array_equal(back.amps, p.amps)
     with pytest.raises(ValueError):
         pure_state_from_dict({"amps": [[1.0, 0.0]]})
+    for data in ({"amps": pure_state_to_dict(p)["amps"], "norm": 1}, [], {}):
+        with pytest.raises(ValueError, match='^pure state JSON must have exactly the field "amps"$'):
+            pure_state_from_dict(data)
+
+
+def test_dumps_writes_only_what_json_holds():
+    assert dumps({"a": [], "b": {}}) == '{\n  "a": [],\n  "b": {}\n}'
+    assert (dumps([]), dumps({})) == ("[]", "{}")
+    for x in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^cannot serialize non-finite float"):
+            format_float(x)
+        with pytest.raises(ValueError, match="^cannot serialize non-finite float"):
+            dumps([1.0, x])
+    with pytest.raises(TypeError, match="^cannot serialize complex$"):
+        dumps({"z": 1j})
 
 
 @pytest.mark.parametrize("value", [True, "0.5", None])
@@ -177,6 +213,7 @@ def test_one_matrix_tolerance_holds_through_the_analysis():
     from entcov.gmeasure import g_hilbert_schmidt
     from entcov.linalg import MATRIX_TOL, herm_defect
     from entcov.observables import correlation_data
+    from entcov.sampler import outcome_probabilities, shots_for_verdict, simulate_record
 
     m = _off_by(0.9 * MATRIX_TOL)
     assert 0.8 * MATRIX_TOL < herm_defect(m) <= MATRIX_TOL
@@ -187,3 +224,13 @@ def test_one_matrix_tolerance_holds_through_the_analysis():
     assert abs(g_hilbert_schmidt(rho) - 1.0) < 1e-9
     with pytest.raises(ValueError, match="^not Hermitian"):
         DensityMatrix(_off_by(1.1 * MATRIX_TOL))
+
+    # A trace off by half the tolerance constructs, so it passes the
+    # sampler's per-setting sum check too.
+    for name in ("maximally_mixed", "singlet"):
+        m = canonical(name).mat.copy()
+        m[0, 0] += 0.5 * MATRIX_TOL
+        rho = DensityMatrix(m)
+        assert np.abs(outcome_probabilities(rho).sum(axis=-1) - 1.0).max() < 1e-15
+        assert simulate_record(rho, 10, 1).counts.sum() == 90
+    assert shots_for_verdict(rho, 1.0, 1, trials=1, required=1) >= 1
