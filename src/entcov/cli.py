@@ -44,7 +44,13 @@ from .gmeasure import (
 )
 from .jsonio import _integer, dumps, format_float
 from .observables import correlation_data, pauli_moments
-from .sampler import estimate_g, estimate_to_dict, record_from_dict, simulate_record
+from .sampler import (
+    MAX_RECORD_SHOTS,
+    estimate_g,
+    estimate_to_dict,
+    record_from_dict,
+    simulate_record,
+)
 from .states import (
     DensityMatrix,
     _purity,
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="simulate the 9-setting protocol at finite shots")
     p.add_argument("state_file")
-    p.add_argument("--shots", type=_int_option("shots", 1), default=10000)
+    p.add_argument("--shots", type=_int_option("shots", 1, MAX_RECORD_SHOTS), default=10000)
     p.add_argument("--seed", type=_int_option("seed", 0), default=DEFAULT_SEED)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_sample)

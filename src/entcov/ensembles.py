@@ -23,11 +23,13 @@ from ._rng import (
     STREAM_HAAR,
     STREAM_SEPARABLE,
     STREAM_UNITARY,
+    _keys,
+    _rekeyed,
     _streams,
     rng_at,
 )
 from .jsonio import _integer, _json_floats, _json_int, _real
-from .linalg import _dagger
+from .linalg import _dagger, _trace
 from .states import DensityMatrix, PureState, _purity, _validated, rho_u
 
 MAX_REJECTION_ATTEMPTS = 10**6
@@ -77,7 +79,7 @@ def _haar_stack(seed: int, indices) -> np.ndarray:
 def _induced(z: np.ndarray) -> np.ndarray:
     """z z^dagger / Tr(z z^dagger) of a complex 4 x r matrix, or of each of a stack."""
     m = z @ _dagger(z)
-    m /= np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
+    m /= _trace(m.real)[..., None, None]
     return m
 
 
@@ -141,9 +143,11 @@ def _fixed_purity_matrix(
     )
 
 
-def _fixed_purity_stack(seed: int, indices, target: float, window: float) -> np.ndarray:
-    """The (n, 4, 4) fixed_purity matrices of the indices, as _fixed_purity_matrix draws each.
+def _fixed_purity_stack(keys: np.ndarray, target: float, window: float) -> np.ndarray:
+    """The (n, 4, 4) fixed_purity matrices of n indices, as _fixed_purity_matrix draws each.
 
+    keys are the indices' (n, 2) stream keys ``_keys(seed,
+    STREAM_FIXED_PURITY, indices)``, which a sweep derives once per chunk.
     Every index draws its first block of attempts from its own stream, and
     all first blocks are formed, scored and validated (up to each index's
     hit) as one stack.  An index with no hit there continues alone from its
@@ -153,9 +157,9 @@ def _fixed_purity_stack(seed: int, indices, target: float, window: float) -> np.
     """
     block = min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS)
     x = np.empty((block, 2, 4, 4))
-    z = np.empty((len(indices), block, 4, 4), dtype=complex)
+    z = np.empty((len(keys), block, 4, 4), dtype=complex)
     saved = []
-    for k, rng in enumerate(_streams(seed, STREAM_FIXED_PURITY, indices)):
+    for k, rng in enumerate(_rekeyed(keys)):
         rng.standard_normal(out=x)
         saved.append(rng.bit_generator.state)
         z[k].real = x[:, 0]  # filled part by part, as _complex_normals fills
@@ -167,7 +171,7 @@ def _fixed_purity_stack(seed: int, indices, target: float, window: float) -> np.
     missed = ~hit.any(axis=1)
     last = np.where(missed, block - 1, first)
     _validated(mats[np.arange(block) <= last[:, None]])
-    out = mats[np.arange(len(indices)), first]
+    out = mats[np.arange(len(keys)), first]
     for k in np.flatnonzero(missed).tolist():
         rng.bit_generator.state = saved[k]
         out[k] = _fixed_purity_matrix(rng, target, window, block)
@@ -183,7 +187,8 @@ def fixed_purity(seed: int, index: int, target: float, window: float) -> Density
     rank-4 sampling essentially never hits).
     """
     target, window = _check_purity(target, window)
-    return DensityMatrix(_fixed_purity_stack(seed, [(index,)], target, window)[0])
+    keys = _keys(seed, STREAM_FIXED_PURITY, [(index,)])
+    return DensityMatrix(_fixed_purity_stack(keys, target, window)[0])
 
 
 def _separable_matrix(rng: np.random.Generator, terms: int) -> np.ndarray:
@@ -278,12 +283,14 @@ def _stack(spec: EnsembleSpec, indices) -> np.ndarray:
     if spec.kind == "ginibre":
         return _ginibre_stack(spec.seed, indices, [spec.rank] * len(indices))
     if spec.kind == "fixed_purity":
-        # First blocks are scored 16 indices at a time: groups of 32, or a whole
-        # chunk, were no faster and raised the slice benchmark's peak memory
-        # about two and six times as much as 16 does (+0.9 MiB).
+        # The keys are derived once per chunk.  First blocks are scored 16
+        # indices at a time: groups of 32, or a whole chunk, were no faster and
+        # raised the slice benchmark's peak memory about two and six times as
+        # much as 16 does (+0.9 MiB).
+        keys = _keys(spec.seed, STREAM_FIXED_PURITY, indices)
         group, target, window = 16, spec.purity_target, spec.purity_window
-        parts = [indices[k : k + group] for k in range(0, len(indices), group)]
-        return np.concatenate([_fixed_purity_stack(spec.seed, g, target, window) for g in parts])
+        parts = [keys[k : k + group] for k in range(0, len(keys), group)]
+        return np.concatenate([_fixed_purity_stack(g, target, window) for g in parts])
     if spec.kind == "separable_mixture":
         streams = _streams(spec.seed, STREAM_SEPARABLE, indices)
         return np.stack([_separable_matrix(rng, spec.mixture_terms) for rng in streams])

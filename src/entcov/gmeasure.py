@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace
+from .linalg import _trace, partial_trace
 from .observables import CorrelationData, _covariances, correlation_data, pauli_moments
 from .states import DensityMatrix
 
@@ -96,7 +96,7 @@ def g_hilbert_schmidt(rho: DensityMatrix) -> float:
     rho_a = partial_trace(rho.mat, "A")
     rho_b = partial_trace(rho.mat, "B")
     diff = rho.mat - np.kron(rho_a, rho_b)
-    return float(_clamp_g(4.0 * float(np.real(np.trace(diff @ diff)))))
+    return float(_clamp_g(4.0 * float(_trace((diff @ diff).real))))
 
 
 def l3(rho: DensityMatrix) -> float:
@@ -111,7 +111,11 @@ def l3(rho: DensityMatrix) -> float:
     order i = 3, 1, 2.  t00 = Tr(rho) rather than a literal 1 keeps the
     singlet's L3 an exact 0.
     """
-    t = pauli_moments(rho.mat)
+    return _l3_from_moments(pauli_moments(rho.mat))
+
+
+def _l3_from_moments(t: np.ndarray) -> float:
+    """L3 of the one state whose 4x4 Pauli moment table is t, as ``l3`` computes it."""
     return float(
         sum(max(2.0 * (t[0, 0] + t[i, i]) - (t[i, 0] + t[0, i]) ** 2, 0.0) for i in (3, 1, 2))
     )

@@ -55,6 +55,21 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _trace(m: np.ndarray):
+    """Trace of a 4x4 matrix or of every matrix of a stack, bit for bit numpy's complex trace.
+
+    numpy's complex add-reduce sums four entries as (d0 + d1) + (d2 + d3),
+    added to a start of +0.0 (so a sum of negative zeros is +0.0); this is
+    that order in elementwise adds, which stay fast where numpy's reduction
+    runs about 6x slower straight after a complex ``@``.  Applied to the
+    real part of a matrix it gives the real part of the complex trace;
+    numpy's real trace and np.einsum("...ii") sum in other orders.
+    """
+    d = m.diagonal(0, -2, -1)
+    t = d[..., ::2] + d[..., 1::2]
+    return t[..., 0] + t[..., 1] + 0.0
+
+
 def herm_defect(m: np.ndarray):
     """Max entrywise deviation from Hermiticity: a float, or one per matrix of a stack."""
     return np.abs(m - _dagger(m)).max(axis=(-2, -1))

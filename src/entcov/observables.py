@@ -13,7 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import _integer
-from .linalg import MATRIX_TOL, PAULIS, _first_failing, _one_matrix, as_cmat, herm_defect, tensor
+from .linalg import (
+    MATRIX_TOL,
+    PAULIS,
+    _first_failing,
+    _one_matrix,
+    _trace,
+    as_cmat,
+    herm_defect,
+    tensor,
+)
 from .states import DensityMatrix
 
 CONSISTENCY_TOL = 1e-12
@@ -66,7 +75,7 @@ def expectation(rho: DensityMatrix, obs) -> float:
     defect = herm_defect(obs)
     if defect > MATRIX_TOL:
         raise ValueError(f"observable is not Hermitian (defect {defect:.3e})")
-    val = complex(np.trace(rho.mat @ obs))
+    val = complex(_trace(rho.mat @ obs))
     if abs(val.imag) > MATRIX_TOL:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real

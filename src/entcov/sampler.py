@@ -46,6 +46,9 @@ _SETTINGS = np.array([(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
 COUNT_SUM_TOL = 1e-6
 BOOTSTRAP_REPLICATES = 200
 MAX_SHOTS = 2**22
+# The most shots per setting of a record: float counts that sum to at most
+# 2**53 are whole numbers whose every partial sum is exact.
+MAX_RECORD_SHOTS = 2**53
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,8 @@ class MeasurementRecord:
 
     counts has shape (3, 3, 4): axes i, j (0-based Pauli axes minus one) and
     the fixed outcome order above.  Exact-frequency synthetic records may
-    carry non-integer counts; every table still sums to shots_per_setting.
+    carry non-integer counts; every table still sums to shots_per_setting,
+    at most MAX_RECORD_SHOTS.
     """
 
     shots_per_setting: int
@@ -62,8 +66,8 @@ class MeasurementRecord:
     seed: int
 
     def __post_init__(self):
-        for name, minimum in (("shots_per_setting", 1), ("seed", 0)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
+        for name, bounds in (("shots_per_setting", (1, MAX_RECORD_SHOTS)), ("seed", (0,))):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), *bounds))
         c = np.asarray(self.counts, dtype=float)
         if c.shape != (3, 3, 4):
             raise ValueError(f"counts must have shape (3, 3, 4), got {c.shape}")
@@ -122,7 +126,7 @@ def _simulate(p: np.ndarray, shots: int, seed: int, keys: np.ndarray) -> Measure
 def simulate_record(rho: DensityMatrix, shots: int, seed: int) -> MeasurementRecord:
     """Draw ``shots`` outcomes per setting; per-setting streams allow the nine
     settings to be simulated in parallel without changing the result."""
-    shots = _integer("shots", shots, 1)
+    shots = _integer("shots", shots, 1, MAX_RECORD_SHOTS)
     p = outcome_probabilities(rho)
     return _simulate(p, shots, seed, _keys(seed, STREAM_SETTING, _SETTINGS))
 
@@ -146,7 +150,8 @@ def _bootstrap_covariances(boot: np.ndarray) -> np.ndarray:
 
     The integer sums are exact, and so are the float sums of
     ``_covariances_from_counts`` while each table's total, the record's
-    shots, stays below 2**53; the two then agree bit for bit.
+    shots, is at most MAX_RECORD_SHOTS = 2**53, which MeasurementRecord
+    enforces; the two then agree bit for bit.
     """
     sums = boot.reshape(-1, 4) @ _SUMS
     return _covariances(*sums.T.reshape(3, *boot.shape[:-1]), boot.sum(axis=-1))

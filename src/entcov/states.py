@@ -45,7 +45,7 @@ def _validated(mats) -> np.ndarray:
     finite = np.isfinite(m).all(axis=(-2, -1))
     x = m if finite.all() else np.where(finite[:, None, None], m, 0.0)
     defect = linalg.herm_defect(x)
-    tr = np.trace(x, axis1=-2, axis2=-1)
+    tr = linalg._trace(x)
     h = x * 0.5  # halved first, so the sum cannot overflow; numpy divides complex by 2 slowly
     h += linalg._dagger(h)
     bad = ~finite | (defect > MATRIX_TOL) | (np.abs(tr - 1.0) > MATRIX_TOL)
@@ -107,7 +107,7 @@ def from_pure(p: PureState) -> DensityMatrix:
 
 def _purity(m: np.ndarray):
     """Tr(m^2) of a 4x4 matrix or of each matrix of a stack, clamped into [1/4, 1]."""
-    return np.minimum(np.maximum(np.real(np.trace(m @ m, axis1=-2, axis2=-1)), 0.25), 1.0)
+    return np.minimum(np.maximum(linalg._trace((m @ m).real), 0.25), 1.0)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -87,6 +87,20 @@ def test_analyze_csv_format(tmp_path, capsys):
     assert "entangled_certified" in row
 
 
+def test_analyze_record_file_beyond_the_shot_bound(tmp_path, capsys):
+    shots = 2**60
+    counts = {f"{i}{j}": [shots, 0, 0, 0] for i in "123" for j in "123"}
+    data = {"shots": shots, "seed": 1, "counts": counts}
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["analyze", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: shots_per_setting must be an integer >= 1 and <= 9007199254740992, "
+        f"got {shots}\n"
+    )
+
+
 def test_analyze_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
@@ -219,16 +233,23 @@ def test_negative_seed_is_an_input_error(capsys, argv):
     assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
+AT_MOST_2_53 = "must be an integer >= 1 and <= 9007199254740992"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["scan-bounds", "--count", "0"], "count must be an integer >= 1, got 0"),
         (["scan-bounds", "--count", "2.5"], "count must be an integer >= 1, got '2.5'"),
         (["purity-slice", "--purity", "0.46", "--count", "true"], "count must be an integer >= 1"),
-        (["sample", "state.json", "--shots", "0"], "shots must be an integer >= 1, got 0"),
+        (["sample", "state.json", "--shots", "0"], f"shots {AT_MOST_2_53}, got 0"),
         (["sample", "state.json", "--seed", "1.0"], "seed must be an integer >= 0, got '1.0'"),
         (["scan-bounds", "--rank", "2,5"], "rank must be an integer >= 1 and <= 4, got 5"),
         (["scan-bounds", "--rank", ","], "rank list is empty"),
+        (
+            ["sample", "state.json", "--shots", "9223372036854775808"],
+            f"shots {AT_MOST_2_53}, got 9223372036854775808",
+        ),
     ],
 )
 def test_bad_integer_option_is_an_input_error(capsys, argv, message):

@@ -53,7 +53,7 @@ def test_stacks_of_no_index_are_empty():
     stacks = [
         ensembles._haar_stack(1, no_index),
         ensembles._ginibre_stack(1, no_index, []),
-        ensembles._fixed_purity_stack(1, no_index, 0.46, 0.005),
+        ensembles._fixed_purity_stack(_keys(1, STREAM_FIXED_PURITY, no_index), 0.46, 0.005),
     ]
     stacks += [ensembles._stack(spec, no_index) for spec in CHUNK_SPECS]
     assert {spec.kind for spec in CHUNK_SPECS} == set(ensembles.ENSEMBLE_KINDS)
@@ -494,14 +494,28 @@ def test_generate_draws_one_index_at_a_time(monkeypatch):
     expected = fixed_purity(3, 0, 0.46, 0.005)
     calls, kernel = [], ensembles._fixed_purity_stack
 
-    def counting(seed, indices, *args):
-        calls.append(np.asarray(indices).tolist())
-        return kernel(seed, indices, *args)
+    def counting(keys, *args):
+        calls.append(keys.tolist())
+        return kernel(keys, *args)
 
     monkeypatch.setattr(ensembles, "_fixed_purity_stack", counting)
     index, rho = next(generate(spec))
-    assert index == 0 and calls == [[0]]
+    assert index == 0 and calls == [_keys(3, STREAM_FIXED_PURITY, [(0,)]).tolist()]
     assert np.array_equal(rho.mat, expected.mat)
+
+
+def test_a_sweep_derives_the_fixed_purity_keys_once_per_chunk(monkeypatch):
+    spec = EnsembleSpec("fixed_purity", 300, 3, purity_target=0.46, purity_window=0.005)
+    streams, keys = [], ensembles._keys
+
+    def counting(seed, stream, indices):
+        streams.append(stream)
+        return keys(seed, stream, indices)
+
+    monkeypatch.setattr(ensembles, "_keys", counting)
+    chunks = list(ensembles._chunks(spec.count, functools.partial(ensembles._stack, spec)))
+    assert [len(idx) for idx, _ in chunks] == [128, 128, 44]
+    assert streams == [STREAM_FIXED_PURITY] * 3
 
 
 def test_generate_raises_at_the_failing_index(monkeypatch):

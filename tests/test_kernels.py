@@ -7,6 +7,7 @@ size and mix of states, and so must the public scalar functions, which
 are now the kernels' one-matrix case.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -24,7 +25,7 @@ from entcov.ensembles import (
     separable_mixture,
 )
 from entcov.gmeasure import _g_from_moments, g_from_covariances
-from entcov.linalg import MATRIX_TOL, SIGMA2, eig_hermitian, sqrt_psd, tensor
+from entcov.linalg import MATRIX_TOL, SIGMA2, _trace, eig_hermitian, sqrt_psd, tensor
 from entcov.observables import PAIR_OBS, correlation_data, pauli_moments
 from entcov.states import (
     DensityMatrix,
@@ -245,3 +246,63 @@ def test_valid_stacks_are_validated_without_an_eigensolve(eigvalsh_calls):
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         _validated(bad)
     assert eigvalsh_calls == [(128, 4, 4)]
+
+
+def same_bits(a, b) -> bool:
+    """Equal in every bit of the real and imaginary parts, so that +0.0 and -0.0 differ."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return False
+    a_re, a_im, b_re, b_im = (
+        np.ascontiguousarray(part).view(np.uint64) for part in (a.real, a.imag, b.real, b.imag)
+    )
+    return np.array_equal(a_re, b_re) and np.array_equal(a_im, b_im)
+
+
+def assert_numpys_trace(m):
+    """_trace equals numpy's trace of a complex stack, and its real part on the real parts.
+
+    numpy sums a real trace in another order, so the reference of a real
+    matrix is the real part of numpy's trace of it as a complex matrix, the
+    value that _trace(m.real) replaced in _induced and _purity.
+    """
+    m = np.asarray(m)
+    expected = np.trace(m.astype(complex), axis1=-2, axis2=-1)
+    if np.iscomplexobj(m):
+        assert same_bits(_trace(m), expected)
+    assert same_bits(_trace(m.real), expected.real)
+
+
+def test_the_trace_kernel_is_numpys_complex_trace_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    assert_numpys_trace(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    assert_numpys_trace(rng.standard_normal((4, 4)))
+    assert_numpys_trace(_ginibre_stack(20261019, np.arange(128), [1, 2, 3, 4] * 32))
+    for rank in (1, 2, 3, 4):
+        z = rng.standard_normal((64, 4, rank)) + 1j * rng.standard_normal((64, 4, rank))
+        assert_numpys_trace(z @ z.conj().swapaxes(-1, -2))
+    assert_numpys_trace(np.empty((0, 4, 4), dtype=complex))
+    assert _trace(np.empty((0, 4, 4), dtype=complex)).shape == (0,)
+
+
+def test_the_trace_kernel_right_after_a_complex_product():
+    rng = np.random.default_rng(20261020)
+    z = rng.standard_normal((16, 32, 4, 4)) + 1j * rng.standard_normal((16, 32, 4, 4))
+    m = z @ z.conj().swapaxes(-1, -2)
+    assert same_bits(_trace(m), np.trace(m, axis1=-2, axis2=-1))
+    m = z @ z
+    assert same_bits(_trace(m.real), np.trace(m, axis1=-2, axis2=-1).real)
+
+
+def test_the_trace_kernel_keeps_the_sign_of_zero():
+    zeros = []
+    for re_signs, im_signs in itertools.product(itertools.product((0.0, -0.0), repeat=4), repeat=2):
+        m = np.ones((4, 4), dtype=complex)
+        m.real[np.diag_indices(4)] = re_signs
+        m.imag[np.diag_indices(4)] = im_signs
+        zeros.append(m)
+    mats = np.stack(zeros)
+    assert_numpys_trace(mats)
+    for m in mats:
+        assert_numpys_trace(m)
+    assert same_bits(_trace(mats[-1]), 0j)  # numpy's sum of -0.0s is +0.0

@@ -10,6 +10,7 @@ from entcov.linalg import PAULIS, SIGMA0
 from entcov.observables import correlation_data
 from entcov.sampler import (
     BOOTSTRAP_REPLICATES,
+    MAX_RECORD_SHOTS,
     OUTCOMES,
     MeasurementRecord,
     estimate_g,
@@ -370,11 +371,35 @@ def test_record_from_dict_rejects_non_numeric_counts(value):
 
 @pytest.mark.parametrize(
     "shots, message",
-    [(2.5, "got 2.5"), (True, "got True"), (5.0, "got 5.0"), (0, "got 0")],
+    [
+        (2.5, "got 2.5"),
+        (True, "got True"),
+        (5.0, "got 5.0"),
+        (0, "got 0"),
+        (2**53 + 1, "got 9007199254740993"),
+        (2**60 + 12345, "got 1152921504606859321"),
+    ],
 )
-def test_simulate_record_rejects_bad_shots(shots, message):
-    with pytest.raises(ValueError, match=f"^shots must be an integer >= 1, {message}$"):
-        simulate_record(canonical("singlet"), shots, 1)
+def test_simulate_record_rejects_bad_shots(shots, message, monkeypatch):
+    monkeypatch.setattr(sampler, "_simulate", None)  # the shots are checked before any draw
+    expected = f"^shots must be an integer >= 1 and <= 9007199254740992, {message}$"
+    with pytest.raises(ValueError, match=expected):
+        simulate_record(rho_u(0.4), shots, 3)
+
+
+def test_a_record_at_the_shot_bound_sums_exactly():
+    assert MAX_RECORD_SHOTS == 2**53
+    rec = simulate_record(rho_u(0.4), MAX_RECORD_SHOTS, 3)
+    assert rec.shots_per_setting == MAX_RECORD_SHOTS
+    assert np.all(rec.counts.sum(axis=2) == MAX_RECORD_SHOTS)
+    assert estimate_g(rec).shots_per_setting == MAX_RECORD_SHOTS
+    counts = np.tile([2.0**53, 2.0, 0.0, 0.0], (3, 3, 1))
+    with pytest.raises(
+        ValueError,
+        match="^shots_per_setting must be an integer >= 1 and <= 9007199254740992, "
+        "got 9007199254740994$",
+    ):
+        MeasurementRecord(shots_per_setting=2**53 + 2, counts=counts, seed=0)
 
 
 @pytest.mark.parametrize(
