@@ -143,6 +143,8 @@ def _int_option(name: str, *bounds: int):
 def cmd_analyze(args) -> int:
     rho = _load(args.state_file, _state_or_record)
     if not isinstance(rho, DensityMatrix):  # a measurement record
+        if args.format == "csv":
+            raise CliInputError("CSV output is for state files; a record's G estimate is JSON only")
         _emit(args.output, dumps(estimate_to_dict(estimate_g(rho))))
         return 0
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 # The one rounding tolerance of every matrix check: Hermiticity, unit trace,
-# positivity, unitarity and the imaginary residue of an expectation value.
+# positivity and unitarity.  Each rule is decided once, on the matrix it
+# constrains; values derived from a matrix that passed are not checked again.
 MATRIX_TOL = 1e-10
 
 SIGMA0 = np.eye(2, dtype=complex)
@@ -80,6 +81,26 @@ def _first_failing(bad, values):
     return np.asarray(values)[bad].flat[0] if bad.any() else None
 
 
+def _check_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """m, after raising ``<what> is not Hermitian (defect ...)`` for its first
+    matrix off Hermiticity by more than MATRIX_TOL, if any."""
+    defect = herm_defect(m)
+    worst = _first_failing(defect > MATRIX_TOL, defect)
+    if worst is not None:
+        raise ValueError(f"{what} is not Hermitian (defect {worst:.3e})")
+    return m
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dagger) / 2 of a matrix or stack, finite for every finite m.
+
+    Halved first, so the sum cannot overflow; numpy divides complex by 2 slowly.
+    """
+    h = m * 0.5
+    h += _dagger(h)
+    return h
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two 2x2 matrices, A as the slow factor.
 
@@ -120,14 +141,7 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     Returns (w, v) with real w and v[..., :, k] the eigenvector belonging to
     w[..., k], so that v @ diag(w) @ v^dagger reconstructs the input.
     """
-    m = as_cmat(m)
-    defect = herm_defect(m)
-    worst = _first_failing(defect > MATRIX_TOL, defect)
-    if worst is not None:
-        raise ValueError(f"matrix is not Hermitian (defect {worst:.3e})")
-    h = m * 0.5  # halved first, so the sum cannot overflow; numpy divides complex by 2 slowly
-    h += _dagger(h)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(_hermitian_part(_check_hermitian(as_cmat(m))))
     return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 

@@ -13,16 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import _integer
-from .linalg import (
-    MATRIX_TOL,
-    PAULIS,
-    _first_failing,
-    _one_matrix,
-    _trace,
-    as_cmat,
-    herm_defect,
-    tensor,
-)
+from .linalg import PAULIS, _check_hermitian, _one_matrix, _trace, as_cmat, tensor
 from .states import DensityMatrix
 
 CONSISTENCY_TOL = 1e-12
@@ -71,14 +62,8 @@ class CorrelationData:
 
 def expectation(rho: DensityMatrix, obs) -> float:
     """<obs> = Tr(rho obs) for a Hermitian observable."""
-    obs = _one_matrix(obs, dims=(4,))
-    defect = herm_defect(obs)
-    if defect > MATRIX_TOL:
-        raise ValueError(f"observable is not Hermitian (defect {defect:.3e})")
-    val = complex(_trace(rho.mat @ obs))
-    if abs(val.imag) > MATRIX_TOL:
-        raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
-    return val.real
+    obs = _check_hermitian(_one_matrix(obs, dims=(4,)), "observable")
+    return float(_trace(rho.mat @ obs).real)
 
 
 def variance(rho: DensityMatrix, obs) -> float:
@@ -107,17 +92,8 @@ def pauli_moments(mat: np.ndarray) -> np.ndarray:
     table of that matrix alone; a failing check reports the first failing
     matrix.
     """
-    mat = as_cmat(mat, dims=(4,))
-    defect = herm_defect(mat)
-    worst = _first_failing(defect > MATRIX_TOL, defect)
-    if worst is not None:
-        raise ValueError(f"matrix is not Hermitian (defect {worst:.3e})")
-    t = np.einsum("mnij,...ji->...mn", PAIR_OBS, mat)
-    residue = np.max(np.abs(t.imag), axis=(-2, -1))
-    worst = _first_failing(residue > MATRIX_TOL, residue)
-    if worst is not None:
-        raise ValueError(f"Pauli moments have imaginary residue {worst:.3e}")
-    return np.real(t)
+    mat = _check_hermitian(as_cmat(mat, dims=(4,)))
+    return np.real(np.einsum("mnij,...ji->...mn", PAIR_OBS, mat))
 
 
 def _covariances(t: np.ndarray) -> np.ndarray:

@@ -26,35 +26,37 @@ def _validated(mats) -> np.ndarray:
 
     The checks, in order: finite entries, Hermitian, unit trace and PSD.  A
     failing stack raises the message its first failing matrix raises on its
-    own.  The PSD rule is min eigvalsh(h) >= -MATRIX_TOL for the Hermitian
-    part h; one stacked Cholesky of h + s*I, s = (1 - 1e-4) * MATRIX_TOL,
-    decides it, and eigvalsh runs only if that Cholesky fails or returns a
-    non-finite factor (its entries overflowed), to apply the rule itself.
+    own.  The PSD rule is min eigh(h) >= -MATRIX_TOL for the Hermitian part
+    h, with the eigensolver ``linalg.sqrt_psd`` applies later to the same
+    h, so a state accepted here is never refused there.  One stacked
+    Cholesky of h + s*I, s = (1 - 1e-4) * MATRIX_TOL, decides it, and eigh
+    runs only if that Cholesky fails or returns a non-finite factor (its
+    entries overflowed), to apply the rule itself.
 
     A finite factor of h + s*I exists only if lambda_min(h) > -s - eps,
     eps being the backward error, at most about n * gamma_(n+1) * ||h||
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10).
     A matrix passing the trace check with lambda_min(h) >= -2 * MATRIX_TOL
     has ||h|| <= 1 + 7 * MATRIX_TOL, so eps is a few 1e-15, below the gap
-    MATRIX_TOL - s = 1e-14 (a larger ||h|| at unit trace means a
-    lambda_min far below -MATRIX_TOL, which no factor survives).  So every
-    stack the Cholesky accepts, the eigvalsh rule accepts too; a matrix
-    failing an earlier check is reported by that check either way.
+    MATRIX_TOL - s = 1e-14, as is eigh's own error (a larger ||h|| at unit
+    trace means a lambda_min far below -MATRIX_TOL, which no factor
+    survives).  So every stack the Cholesky accepts, the eigh rule accepts
+    too; a matrix failing an earlier check is reported by that check either
+    way.
     """
     m = np.asarray(mats, dtype=complex)
     finite = np.isfinite(m).all(axis=(-2, -1))
     x = m if finite.all() else np.where(finite[:, None, None], m, 0.0)
     defect = linalg.herm_defect(x)
     tr = linalg._trace(x)
-    h = x * 0.5  # halved first, so the sum cannot overflow; numpy divides complex by 2 slowly
-    h += linalg._dagger(h)
+    h = linalg._hermitian_part(x)
     bad = ~finite | (defect > MATRIX_TOL) | (np.abs(tr - 1.0) > MATRIX_TOL)
     try:
         psd = np.isfinite(np.linalg.cholesky(h + _PSD_SHIFT)).all()
     except np.linalg.LinAlgError:
         psd = False
     if not psd:
-        wmin = np.linalg.eigvalsh(h)[:, 0]
+        wmin = np.linalg.eigh(h)[0][:, 0]
         bad |= wmin < -MATRIX_TOL
     if bad.any():
         k = int(np.argmax(bad))

@@ -87,6 +87,17 @@ def test_analyze_csv_format(tmp_path, capsys):
     assert "entangled_certified" in row
 
 
+def test_analyze_record_file_refuses_csv(tmp_path, capsys):
+    path = tmp_path / "record.json"
+    path.write_text(dumps(record_to_dict(simulate_record(canonical("singlet"), 100, 7))))
+    output = tmp_path / "estimate.csv"
+    for extra in ([], ["--output", str(output)]):
+        code, out, err = run_cli(capsys, ["analyze", str(path), "--format", "csv", *extra])
+        assert (code, out) == (2, "")
+        assert err == "error: CSV output is for state files; a record's G estimate is JSON only\n"
+    assert not output.exists()
+
+
 def test_analyze_record_file_beyond_the_shot_bound(tmp_path, capsys):
     shots = 2**60
     counts = {f"{i}{j}": [shots, 0, 0, 0] for i in "123" for j in "123"}

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from entcov.ensembles import haar_pure, random_local_unitary
+from entcov.ensembles import ginibre, haar_pure, random_local_unitary
 from entcov.jsonio import dumps, format_float, loads
-from entcov.linalg import SIGMA0, SIGMA1
+from entcov.linalg import MATRIX_TOL, SIGMA0, SIGMA1
 from entcov.states import (
     DensityMatrix,
     PureState,
@@ -225,8 +225,8 @@ def test_one_matrix_tolerance_holds_through_the_analysis():
     with pytest.raises(ValueError, match="^not Hermitian"):
         DensityMatrix(_off_by(1.1 * MATRIX_TOL))
 
-    # A trace off by half the tolerance constructs, so it passes the
-    # sampler's per-setting sum check too.
+    # A trace off by half the tolerance constructs, and each setting's
+    # outcome probabilities still sum to 1.
     for name in ("maximally_mixed", "singlet"):
         m = canonical(name).mat.copy()
         m[0, 0] += 0.5 * MATRIX_TOL
@@ -234,3 +234,69 @@ def test_one_matrix_tolerance_holds_through_the_analysis():
         assert np.abs(outcome_probabilities(rho).sum(axis=-1) - 1.0).max() < 1e-15
         assert simulate_record(rho, 10, 1).counts.sum() == 90
     assert shots_for_verdict(rho, 1.0, 1, trials=1, required=1) >= 1
+
+
+def _psd_edge(rng, n: int):
+    """Trace-1 matrices q diag(w) q^dagger of a random unitary q, min eigenvalue
+    -MATRIX_TOL * (1 +- 3e-6), where the PSD rule decides."""
+    for _ in range(n):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        w = rng.random(4)
+        w[0] = -MATRIX_TOL * (1 + rng.uniform(-3e-6, 3e-6))
+        w[1:] *= (1 - w[0]) / w[1:].sum()
+        m = (q * w) @ q.conj().T
+        yield (m + m.conj().T) / 2
+
+
+def _trace_edge(rng, n: int):
+    """Diagonal matrices of trace 1 +- U * MATRIX_TOL with one eigenvalue -U * MATRIX_TOL."""
+    for _ in range(n):
+        w = rng.random(4)
+        w[0] = -rng.random() * MATRIX_TOL
+        w[1:] *= (1 + rng.uniform(-1, 1) * MATRIX_TOL - w[0]) / w[1:].sum()
+        yield np.diag(rng.permutation(w)).astype(complex)
+
+
+def _hermitian_edge(rng, n: int):
+    """Rank-4 Ginibre states plus i c S, S a random symmetric sign matrix, so that
+    the Hermiticity defect 2c lies in (0.2, 1) * MATRIX_TOL."""
+    for k in range(n):
+        s = np.triu(rng.choice([-1.0, 1.0], (4, 4)))
+        s += np.triu(s, 1).T
+        yield ginibre(7, k, 4).mat + 0.5j * rng.uniform(0.2, 1) * MATRIX_TOL * s
+
+
+def test_every_constructed_state_passes_the_analysis():
+    """A matrix DensityMatrix accepts passes every later check, at each edge of its rules."""
+    from entcov.concurrence import concurrence_mixed
+    from entcov.gmeasure import analyze, l3
+    from entcov.observables import covariance
+    from entcov.sampler import estimate_g, outcome_probabilities, simulate_record
+
+    rng = np.random.default_rng(20261019)
+    named = canonical("maximally_mixed").mat + 0.49e-10j * np.diag([1, -1, -1, 1])
+    families = {
+        "psd": list(_psd_edge(rng, 300)),
+        "trace": list(_trace_edge(rng, 200)),
+        "hermitian": list(_hermitian_edge(rng, 200)),
+        "named": [named],
+    }
+    for family, mats in families.items():
+        accepted = 0
+        for m in mats:
+            try:
+                rho = DensityMatrix(m)
+            except ValueError:
+                continue
+            accepted += 1
+            concurrence_mixed(rho)
+            analyze(rho)
+            l3(rho)
+            outcome_probabilities(rho)
+            estimate_g(simulate_record(rho, 10, 1))
+            for i in (1, 2, 3):
+                for j in (1, 2, 3):
+                    covariance(rho, i, j)
+        assert accepted > 0, family
+        if family == "psd":
+            assert accepted < len(mats)  # both sides of the edge are reached
