@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -179,20 +180,19 @@ def _sweep(count: int, stack):
 
 
 def cmd_scan_bounds(args) -> int:
-    ranks = [args.rank[i % len(args.rank)] for i in range(args.count)]  # index i has rank ranks[i]
-
-    def stack(indices):
-        return _ginibre_stack(args.seed, indices, [ranks[i] for i in indices.tolist()])
-
-    rows = [
-        ("sample", c, g, p, ranks[i], int(bounds_violated(c, g)))
-        for i, c, g, p in _sweep(args.count, stack)
-    ]
-    for kind, curve in (("lower_bound", pure_state_floor), ("upper_bound", mixed_state_ceiling)):
-        for c in np.linspace(0.0, 1.0, BOUND_CURVE_POINTS):
-            c = float(c)
-            rows.append((kind, c, curve(c), None, None, 0))
-    _emit(args.output, _csv(CSV_SCAN_HEADER, rows))
+    stack = functools.partial(_ginibre_stack, args.seed, ranks=args.rank)
+    # Rows stream into the CSV text, so no row outlives its line.  The samples
+    # come in index order, so their ranks are the cycle's in turn.
+    samples = (
+        ("sample", c, g, p, rank, int(bounds_violated(c, g)))
+        for rank, (_, c, g, p) in zip(itertools.cycle(args.rank), _sweep(args.count, stack))
+    )
+    curves = (
+        (kind, c, curve(c), None, None, 0)
+        for kind, curve in (("lower_bound", pure_state_floor), ("upper_bound", mixed_state_ceiling))
+        for c in np.linspace(0.0, 1.0, BOUND_CURVE_POINTS).tolist()
+    )
+    _emit(args.output, _csv(CSV_SCAN_HEADER, itertools.chain(samples, curves)))
     return 0
 
 

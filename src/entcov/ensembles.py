@@ -13,7 +13,7 @@ chunk as one (n, 4, 4) stack (``_chunks``, ``_stack``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ._rng import (
     _streams,
     rng_at,
 )
-from .jsonio import _integer, _json_floats, _json_int, _real
+from .jsonio import _integer, _real
 from .linalg import _dagger, _trace
 from .states import DensityMatrix, PureState, _purity, _validated, rho_u
 
@@ -84,16 +84,18 @@ def _induced(z: np.ndarray) -> np.ndarray:
 
 
 def _ginibre_stack(seed: int, indices, ranks) -> np.ndarray:
-    """The (n, 4, 4) stack of Ginibre states of the indices, index k of rank ranks[k].
+    """The (n, 4, 4) stack of Ginibre states of the indices, index k of rank ranks[k % len(ranks)].
 
-    Each index draws its 4 x rank normals from its own stream as ``ginibre``
-    does; each rank group is then formed as one stack.
+    k is the index value, not its position among the indices.  Each index
+    draws its 4 x rank normals from its own stream as ``ginibre`` does; each
+    rank present is then formed as one stack.
     """
+    rank_of = [ranks[k % len(ranks)] for k in indices.tolist()]
     streams = _streams(seed, STREAM_GINIBRE, indices)
-    draws = [_complex_normals(rng, (4, rank)) for rng, rank in zip(streams, ranks)]
+    draws = [_complex_normals(rng, (4, rank)) for rng, rank in zip(streams, rank_of)]
     out = np.empty((len(draws), 4, 4), dtype=complex)
-    for rank in set(ranks):
-        group = [k for k, r in enumerate(ranks) if r == rank]
+    for rank in set(rank_of):
+        group = [k for k, r in enumerate(rank_of) if r == rank]
         out[group] = _induced(np.stack([draws[k] for k in group]))
     return out
 
@@ -281,7 +283,7 @@ def _stack(spec: EnsembleSpec, indices) -> np.ndarray:
     if spec.kind == "haar_pure":
         return _haar_stack(spec.seed, indices)
     if spec.kind == "ginibre":
-        return _ginibre_stack(spec.seed, indices, [spec.rank] * len(indices))
+        return _ginibre_stack(spec.seed, indices, (spec.rank,))
     if spec.kind == "fixed_purity":
         # The keys are derived once per chunk.  First blocks are scored 16
         # indices at a time: groups of 32, or a whole chunk, were no faster and
@@ -305,33 +307,19 @@ def generate(spec: EnsembleSpec):
 
 
 def ensemble_spec_to_dict(spec: EnsembleSpec) -> dict:
-    out = {"kind": spec.kind, "count": spec.count, "seed": spec.seed}
-    for field in ("rank", "purity_target", "purity_window", "mixture_terms"):
-        value = getattr(spec, field)
-        if value is not None:
-            out[field] = value
-    return out
+    return {name: value for name, value in asdict(spec).items() if value is not None}
 
 
 def ensemble_spec_from_dict(data: dict) -> EnsembleSpec:
+    """The spec of a parsed JSON object, where an integral float such as 4.0 is an int."""
     if not isinstance(data, dict):
         raise ValueError("ensemble spec JSON must be an object")
-    required = {"kind", "count", "seed"}
-    allowed = required | {"rank", "purity_target", "purity_window", "mixture_terms"}
-    if not required <= set(data) or not set(data) <= allowed:
+    required = {f.name for f in fields(EnsembleSpec) if f.default is MISSING}
+    if not required <= set(data) or not set(data) <= {f.name for f in fields(EnsembleSpec)}:
         raise ValueError(f"ensemble spec fields must include {sorted(required)}")
-    purity = {}
-    for name in ("purity_target", "purity_window"):
-        value = data.get(name)
-        if value is not None:
-            value = _json_floats(name, value)
-            if value.ndim:
-                raise ValueError(f"{name} must be a number, got {data[name]!r}")
-            value = float(value)
-        purity[name] = value
-    ints = {
-        name: _json_int(name, data[name], *bounds)
-        for name, bounds in _INT_FIELDS.items()
-        if name in required or data.get(name) is not None
+    integral = {
+        name: int(value)
+        for name, value in data.items()
+        if name in _INT_FIELDS and isinstance(value, float) and value.is_integer()
     }
-    return EnsembleSpec(kind=str(data["kind"]), **ints, **purity)
+    return EnsembleSpec(**{**data, **integral})

@@ -49,6 +49,9 @@ class CorrelationData:
             raise ValueError("cov and corrT must be 3x3")
         if bloch_a.shape != (3,) or bloch_b.shape != (3,):
             raise ValueError("Bloch vectors must have 3 components")
+        for name, arr in (("cov", cov), ("blochA", bloch_a), ("blochB", bloch_b), ("corrT", corr)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must have finite entries")
         defect = np.max(np.abs(cov - (corr - np.outer(bloch_a, bloch_b))))
         if defect > CONSISTENCY_TOL:
             raise ValueError(f"cov != corrT - blochA blochB^T (defect {defect:.3e})")

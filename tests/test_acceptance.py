@@ -114,12 +114,8 @@ def _band_violation(c, g):
 
 
 def _ginibre_stacks(seed, count, ranks):
-    """(indices, stack) of ginibre(seed, k, ranks[k % len(ranks)]) for k < count, chunk-wise."""
-
-    def stack(idx):
-        return _ginibre_stack(seed, idx, [ranks[k % len(ranks)] for k in idx.tolist()])
-
-    return _chunks(count, stack)
+    """(indices, stack) of the Ginibre states of indices k < count cycling ranks, chunk-wise."""
+    return _chunks(count, functools.partial(_ginibre_stack, seed, ranks=ranks))
 
 
 def _separable_stacks(seed, count):
@@ -323,11 +319,11 @@ def test_criterion_06_lur_behaviour():
 
 
 def _criterion_07_states(idx):
-    """from_pure(haar_pure(20260807, k)) where 5 divides k, else ginibre(20260807, k, k % 4 + 1)."""
+    """from_pure(haar_pure(20260807, k)) where 5 divides k, else Ginibre, ranks cycling 1-4."""
     pure = idx % 5 == 0
     out = np.empty((len(idx), 4, 4), dtype=complex)
     out[pure] = _haar_stack(20260807, idx[pure])
-    out[~pure] = _ginibre_stack(20260807, idx[~pure], (idx[~pure] % 4 + 1).tolist())
+    out[~pure] = _ginibre_stack(20260807, idx[~pure], (1, 2, 3, 4))
     return out
 
 

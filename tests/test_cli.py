@@ -435,7 +435,7 @@ def test_ensemble_rejects_non_numeric_purity(tmp_path, capsys, value):
     ))
     code, _, err = run_cli(capsys, ["ensemble", str(spec_path)])
     assert code == 2
-    assert "purity_target must hold only numbers" in err
+    assert "purity_target must be a real number" in err
 
 
 def test_ensemble_rejects_bad_spec(tmp_path, capsys):

@@ -52,7 +52,7 @@ def test_stacks_of_no_index_are_empty():
     no_index = np.arange(0)
     stacks = [
         ensembles._haar_stack(1, no_index),
-        ensembles._ginibre_stack(1, no_index, []),
+        ensembles._ginibre_stack(1, no_index, (1,)),
         ensembles._fixed_purity_stack(_keys(1, STREAM_FIXED_PURITY, no_index), 0.46, 0.005),
     ]
     stacks += [ensembles._stack(spec, no_index) for spec in CHUNK_SPECS]
@@ -479,14 +479,19 @@ def test_chunked_matrices_equal_the_per_index_oracle(spec, chunk, monkeypatch):
 @pytest.mark.parametrize("ranks", [(1, 2, 3, 4), (1, 3, 4), (2,)])
 def test_scan_rank_cycle_equals_the_per_index_oracle(ranks, chunk, monkeypatch):
     spec = EnsembleSpec("ginibre", N_CHUNKED, 2026, rank=1)
-    cycle = [ranks[k % len(ranks)] for k in range(N_CHUNKED)]
-
-    def stack(indices):
-        return ensembles._ginibre_stack(2026, indices, [cycle[k] for k in indices.tolist()])
-
+    stack = functools.partial(ensembles._ginibre_stack, 2026, ranks=ranks)
     mats = chunked(N_CHUNKED, stack, chunk, monkeypatch)
     for k, m in enumerate(mats):
-        assert np.array_equal(m, oracle_matrix(spec, k, cycle[k])), k
+        assert np.array_equal(m, oracle_matrix(spec, k, ranks[k % len(ranks)])), k
+
+
+def test_the_rank_cycle_follows_the_index_value():
+    # Unsorted, non-contiguous indices; one stack, and one index at a time as at CHUNK 1.
+    cycle, indices = (1, 3, 4), np.array([131, 5, 7, 130])
+    expected = [ginibre(2026, k, cycle[k % 3]).mat for k in indices.tolist()]
+    assert np.array_equal(ensembles._ginibre_stack(2026, indices, cycle), expected)
+    for k, m in zip(indices, expected):
+        assert np.array_equal(ensembles._ginibre_stack(2026, np.array([k]), cycle)[0], m), k
 
 
 def test_generate_draws_one_index_at_a_time(monkeypatch):

@@ -235,7 +235,7 @@ def eigh_calls(monkeypatch):
 
 
 def test_valid_stacks_are_validated_without_an_eigensolve(eigh_calls):
-    mats = _ginibre_stack(20261019, np.arange(128), [1, 2, 3, 4] * 32)
+    mats = _ginibre_stack(20261019, np.arange(128), (1, 2, 3, 4))
     assert np.array_equal(_validated(mats), mats)
     spec = EnsembleSpec("fixed_purity", 32, 20261019, purity_target=0.46, purity_window=0.005)
     assert _stack(spec, np.arange(32)).shape == (32, 4, 4)
@@ -278,7 +278,7 @@ def test_the_trace_kernel_is_numpys_complex_trace_bit_for_bit():
     rng = np.random.default_rng(20261019)
     assert_numpys_trace(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     assert_numpys_trace(rng.standard_normal((4, 4)))
-    assert_numpys_trace(_ginibre_stack(20261019, np.arange(128), [1, 2, 3, 4] * 32))
+    assert_numpys_trace(_ginibre_stack(20261019, np.arange(128), (1, 2, 3, 4)))
     for rank in (1, 2, 3, 4):
         z = rng.standard_normal((64, 4, rank)) + 1j * rng.standard_normal((64, 4, rank))
         assert_numpys_trace(z @ z.conj().swapaxes(-1, -2))

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -117,12 +119,10 @@ def test_covariance_bound_over_random_states():
     # -(var_A + var_B) <= 2 C <= var_A + var_B for every axis pair.  The
     # local variances close to 1 - <sigma_i>^2 since sigma_i^2 = 1; the
     # closed form lets the sweep cover 1e5 states, and the direct variance()
-    # route is tied to it separately below.  The states are ginibre(31, k,
-    # k % 4 + 1), generated and measured in stacks by the sweeps' chunk loop.
-    def stack(indices):
-        return _ginibre_stack(31, indices, (indices % 4 + 1).tolist())
-
-    for _, mats in _chunks(100_000, stack):
+    # route is tied to it separately below.  The states are ginibre(31, k, rank)
+    # with the ranks cycling 1-4, generated and measured in stacks by the
+    # sweeps' chunk loop.
+    for _, mats in _chunks(100_000, functools.partial(_ginibre_stack, 31, ranks=(1, 2, 3, 4))):
         mats = _validated(mats)
         t = pauli_moments(mats)
         var_a = 1.0 - t[:, 1:, 0] ** 2
@@ -211,3 +211,13 @@ def test_correlation_data_validates_consistency():
         CorrelationData(cov=np.zeros((3, 3)), blochA=np.zeros(3), blochB=np.zeros(3), corrT=np.zeros(3))
     with pytest.raises(ValueError, match="^Bloch vectors must have 3 components$"):
         CorrelationData(cov=np.zeros((3, 3)), blochA=np.zeros(3), blochB=np.zeros(4), corrT=np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["cov", "blochA", "blochB", "corrT"])
+def test_correlation_data_rejects_non_finite_entries(field, bad):
+    fields = {"cov": np.zeros((3, 3)), "blochA": np.zeros(3), "blochB": np.zeros(3),
+              "corrT": np.zeros((3, 3))}
+    fields[field].flat[1] = bad
+    with pytest.raises(ValueError, match=f"^{field} must have finite entries$"):
+        CorrelationData(**fields)
