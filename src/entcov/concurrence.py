@@ -66,10 +66,19 @@ def g_pure_from_invariants(inv: PureInvariants) -> float:
     return (ia**2 + 8 * ib) - 2 * ia * gap + gap**2
 
 
+def _concurrence_pure(amps: np.ndarray):
+    """2 |a00 a11 - a01 a10| of 4 amplitudes or of each row of an (..., 4) stack, in real
+    parts and np.hypot: numpy's array complex product and abs differ from its scalar ones."""
+    a = amps.transpose(-1, *range(amps.ndim - 1))  # amplitudes first; np.moveaxis is slower
+    (r0, r1, r2, r3), (i0, i1, i2, i3) = a.real, a.imag
+    x = (r0 * r3 - i0 * i3) - (r1 * r2 - i1 * i2)
+    y = (r0 * i3 + i0 * r3) - (r1 * i2 + i1 * r2)
+    return 2.0 * np.hypot(x, y)
+
+
 def concurrence_pure(p: PureState) -> float:
     """C = 2 |a00 a11 - a01 a10| for a normalized pure state."""
-    a = p.amps
-    return 2.0 * abs(a[0] * a[3] - a[1] * a[2])
+    return float(_concurrence_pure(p.amps))
 
 
 # trace(rho rho_tilde) <= 1, so eigenvalues of the spin-flip spectrum below

@@ -28,9 +28,9 @@ from ._rng import (
     _streams,
     rng_at,
 )
-from .jsonio import _integer, _real
+from .jsonio import _integer, _json_integral, _real
 from .linalg import _dagger, _trace
-from .states import DensityMatrix, PureState, _purity, _validated, rho_u
+from .states import DensityMatrix, PureState, _projectors, _purity, _validated, rho_u
 
 MAX_REJECTION_ATTEMPTS = 10**6
 # fixed_purity draws its attempts this many at a time (the last block is cut to the cap).
@@ -69,11 +69,15 @@ def haar_pure(seed: int, index: int) -> PureState:
     return PureState(_haar_amps(rng_at(seed, STREAM_HAAR, index)))
 
 
+def _haar_amp_stack(seed: int, indices) -> np.ndarray:
+    """The (n, 4) amplitudes of haar_pure(seed, k) for k in the indices."""
+    amps = [_haar_amps(rng) for rng in _streams(seed, STREAM_HAAR, indices)]
+    return np.array(amps, dtype=complex).reshape(-1, 4)  # (0, 4) for no index
+
+
 def _haar_stack(seed: int, indices) -> np.ndarray:
     """The (n, 4, 4) stack of Haar pure-state projectors of the indices."""
-    amps = [_haar_amps(rng) for rng in _streams(seed, STREAM_HAAR, indices)]
-    a = np.array(amps, dtype=complex).reshape(-1, 4)  # (0, 4) for no index
-    return a[:, :, None] * a.conj()[:, None, :]
+    return _projectors(_haar_amp_stack(seed, indices))
 
 
 def _induced(z: np.ndarray) -> np.ndarray:
@@ -268,8 +272,8 @@ class EnsembleSpec:
 def _chunks(count: int, stack):
     """Yield (indices, stack(indices)) for the indices 0..count-1, CHUNK at a time.
 
-    stack maps an integer index array to the raw (n, 4, 4) matrices of those
-    indices; the matrices do not depend on CHUNK.
+    stack maps an integer index array to the raw (n, 4, 4) matrices, or the
+    (n, 4) pure-state amplitudes, of those indices; they do not depend on CHUNK.
     """
     for start in range(0, count, CHUNK):
         indices = np.arange(start, min(start + CHUNK, count))
@@ -317,9 +321,5 @@ def ensemble_spec_from_dict(data: dict) -> EnsembleSpec:
     required = {f.name for f in fields(EnsembleSpec) if f.default is MISSING}
     if not required <= set(data) or not set(data) <= {f.name for f in fields(EnsembleSpec)}:
         raise ValueError(f"ensemble spec fields must include {sorted(required)}")
-    integral = {
-        name: int(value)
-        for name, value in data.items()
-        if name in _INT_FIELDS and isinstance(value, float) and value.is_integer()
-    }
-    return EnsembleSpec(**{**data, **integral})
+    ints = {name: _json_integral(data[name]) for name in _INT_FIELDS if name in data}
+    return EnsembleSpec(**{**data, **ints})

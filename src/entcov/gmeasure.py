@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _trace, partial_trace
+from .linalg import _trace, partial_trace, tensor
 from .observables import CorrelationData, _covariances, correlation_data, pauli_moments
 from .states import DensityMatrix
 
@@ -91,12 +91,15 @@ def g_from_covariances(cd: CorrelationData) -> float:
     return float(_g(cd.cov))
 
 
+def _g_hs(m: np.ndarray):
+    """4 Tr{(m - mA (x) mB)^2} of a 4x4 matrix or of each matrix of a stack, clamped as G."""
+    d = m - tensor(partial_trace(m, "A"), partial_trace(m, "B"))
+    return _clamp_g(4.0 * _trace((d @ d).real))
+
+
 def g_hilbert_schmidt(rho: DensityMatrix) -> float:
     """G as 4 Tr{(rho - rhoA (x) rhoB)^2}; equals the covariance form."""
-    rho_a = partial_trace(rho.mat, "A")
-    rho_b = partial_trace(rho.mat, "B")
-    diff = rho.mat - np.kron(rho_a, rho_b)
-    return float(_clamp_g(4.0 * float(_trace((diff @ diff).real))))
+    return float(_g_hs(rho.mat))
 
 
 def l3(rho: DensityMatrix) -> float:

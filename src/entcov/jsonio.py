@@ -36,14 +36,20 @@ def _real(name: str, value) -> float:
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range; its digits are not repeated
+        raise ValueError(f"{name} is too large for a float") from None
+
+
+def _json_integral(value):
+    """value, except that an integral float such as 4.0 is an int: the rule of integer fields."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def _json_int(name: str, value, *bounds) -> int:
-    """An integer JSON field under the integer rule; an integral float such as 4.0 is an int."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    return _integer(name, value, *bounds)
+    """An integer JSON field under the integer rule, after ``_json_integral``."""
+    return _integer(name, _json_integral(value), *bounds)
 
 
 def _json_floats(name: str, value) -> np.ndarray:
@@ -60,7 +66,10 @@ def _json_floats(name: str, value) -> np.ndarray:
             raise ValueError(f"{name} must hold only numbers, got {item!r}")
 
     check(value)
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:  # an int beyond the float range; its digits are not repeated
+        raise ValueError(f"{name} holds a number too large for a float") from None
 
 
 def format_float(x: float) -> str:

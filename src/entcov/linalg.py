@@ -4,11 +4,11 @@ Index convention, used everywhere in this package: subsystem A is the
 slow (leftmost) tensor factor, so a 4x4 row index r splits as
 r = 2*iA + iB.
 
-``as_cmat``, ``herm_defect``, ``eig_hermitian`` and ``sqrt_psd`` also take
-a stack of shape (..., n, n) and work matrix by matrix; a single matrix is
-the stack's one-matrix case and gets bit-identical results.  Each check
-runs over the whole stack in turn and reports its first failing matrix
-(in C order), so a stack with one bad matrix fails as that matrix would.
+Every operation here also takes a stack of shape (..., n, n) and works
+matrix by matrix (``tensor`` pairs two stacks); a single matrix is the
+stack's one-matrix case and gets bit-identical results.  Each check runs
+over the whole stack in turn and reports its first failing matrix (in C
+order), so a stack with one bad matrix fails as that matrix would.
 """
 
 from __future__ import annotations
@@ -102,37 +102,37 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices, A as the slow factor.
+    """Kronecker product of two 2x2 matrices, or of each pair of two stacks, A as the slow factor.
 
-    Element ((2i+k), (2j+l)) equals a[i, j] * b[k, l].
+    Element ((2i+k), (2j+l)) equals a[..., i, j] * b[..., k, l].
     """
-    a = _one_matrix(a, dims=(2,))
-    b = _one_matrix(b, dims=(2,))
-    return np.kron(a, b)
+    a, b = as_cmat(a, dims=(2,)), as_cmat(b, dims=(2,))
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], 4, 4)
 
 
 def partial_trace(m, keep: str) -> np.ndarray:
-    """Reduced 2x2 matrix of subsystem ``keep`` ("A" or "B") of a 4x4 matrix."""
-    m = _one_matrix(m, dims=(4,))
-    r = m.reshape(2, 2, 2, 2)
+    """Reduced 2x2 matrix of subsystem ``keep`` ("A" or "B") of a 4x4 matrix or each of a stack."""
+    m = as_cmat(m, dims=(4,))
+    r = m.reshape(*m.shape[:-2], 2, 2, 2, 2)
     if keep == "A":
-        return np.einsum("ikjk->ij", r)
+        return np.einsum("...ikjk->...ij", r)
     if keep == "B":
-        return np.einsum("ikil->kl", r)
+        return np.einsum("...ikil->...kl", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def partial_transpose(m, sub: str) -> np.ndarray:
-    """Transpose the indices of one subsystem ("A" or "B") of a 4x4 matrix."""
-    m = _one_matrix(m, dims=(4,))
-    r = m.reshape(2, 2, 2, 2)
+    """Transpose the indices of one subsystem ("A" or "B") of a 4x4 matrix or of each of a stack."""
+    m = as_cmat(m, dims=(4,))
+    r = m.reshape(*m.shape[:-2], 2, 2, 2, 2)
     if sub == "A":
-        out = r.transpose(2, 1, 0, 3)
+        out = r.swapaxes(-4, -2)
     elif sub == "B":
-        out = r.transpose(0, 3, 2, 1)
+        out = r.swapaxes(-3, -1)
     else:
         raise ValueError(f"sub must be 'A' or 'B', got {sub!r}")
-    return out.reshape(4, 4).copy()
+    return out.reshape(m.shape)  # a copy: the swapped axes cannot be merged in place
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:

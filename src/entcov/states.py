@@ -102,9 +102,14 @@ class PureState:
         object.__setattr__(self, "amps", a)
 
 
+def _projectors(amps: np.ndarray) -> np.ndarray:
+    """|a><a| of 4 amplitudes a, or of each row of an (..., 4) stack, not validated."""
+    return amps[..., :, None] * amps.conj()[..., None, :]
+
+
 def from_pure(p: PureState) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| of a pure state."""
-    return DensityMatrix(np.outer(p.amps, p.amps.conj()))
+    return DensityMatrix(_projectors(p.amps))
 
 
 def _purity(m: np.ndarray):

@@ -8,9 +8,10 @@ edge is a conjecture: it fails for some rank-2 and rank-3 states, so the test
 pins the violation counts and the worst case of its seeded sweep instead of
 asserting none.  A 50-digit mpmath recomputation of the counterexamples shows
 that they are real and not floating-point artifacts.  The companion test 04s
-checks restricted sweeps that are clean.  These sweeps, those of criteria 07
-and 08 and the mixed slice of criterion 10 generate and measure their states
-in stacks, through the chunk loop and the kernels the CLI sweeps use.
+checks restricted sweeps that are clean.  These sweeps and those of criteria
+01, 02 and 07-10 generate and measure their states in stacks, through the
+chunk loop and the kernels the CLI sweeps use; only criterion 09's pure-state
+invariants are formed one state at a time.
 """
 
 import functools
@@ -21,8 +22,8 @@ import pytest
 from entcov.cli import bin_spreads
 from entcov.concurrence import (
     _concurrence,
+    _concurrence_pure,
     concurrence_mixed,
-    concurrence_pure,
     g_pure_from_invariants,
     pure_invariants,
 )
@@ -31,15 +32,16 @@ from entcov.ensembles import (
     _chunks,
     _complex_normals,
     _ginibre_stack,
+    _haar_amp_stack,
     _haar_stack,
     _haar_unitary_2x2,
     _separable_matrix,
     _stack,
     ginibre,
-    haar_pure,
 )
 from entcov.gmeasure import (
     _g_from_moments,
+    _g_hs,
     _l3_from_moments,
     concurrence_interval,
     g_from_covariances,
@@ -51,7 +53,15 @@ from entcov.gmeasure import (
 from entcov.linalg import PAULIS, SIGMA0, SIGMA1, partial_transpose
 from entcov.observables import correlation_data, pauli_moments
 from entcov.sampler import MeasurementRecord, estimate_g, outcome_probabilities, simulate_record
-from entcov.states import _validated, apply_local_unitary, canonical, from_pure, purity, rho_u
+from entcov.states import (
+    PureState,
+    _projectors,
+    _purity,
+    _validated,
+    apply_local_unitary,
+    canonical,
+    rho_u,
+)
 from entcov._rng import (
     STREAM_GINIBRE,
     STREAM_SEPARABLE,
@@ -73,22 +83,27 @@ def g_of(rho):
     return g_from_covariances(correlation_data(rho))
 
 
+def _haar_chunks(seed, count):
+    """(amplitudes, from_pure projectors) of haar_pure(seed, k) for k < count, chunk-wise."""
+    for _, amps in _chunks(count, functools.partial(_haar_amp_stack, seed)):
+        yield amps, _validated(_projectors(amps))
+
+
 def test_criterion_01_pure_master_relation():
     worst = 0.0
-    for k in range(10_000):
-        p = haar_pure(20260801, k)
-        c = concurrence_pure(p)
-        g = g_of(from_pure(p))
-        worst = max(worst, abs(g - c * c * (2.0 + c * c)))
+    for amps, mats in _haar_chunks(20260801, 10_000):
+        c, g = _concurrence_pure(amps), _g_of_stack(mats)
+        worst = max(worst, float(np.max(np.abs(g - c * c * (2.0 + c * c)))))
     ok = worst <= 1e-9
     assert report(1, ok, f"pure-state relation G = C^2(2+C^2), max |dev| = {worst:.3e} (tol 1e-9)")
 
 
 def test_criterion_02_form_equivalence():
     worst = 0.0
-    for k in range(10_000):
-        rho = ginibre(20260802, k, k % 4 + 1)
-        worst = max(worst, abs(g_of(rho) - g_hilbert_schmidt(rho)))
+    # ginibre(20260802, k, k % 4 + 1) for k < 10^4, a chunk at a time
+    for _, mats in _ginibre_stacks(20260802, 10_000, (1, 2, 3, 4)):
+        mats = _validated(mats)
+        worst = max(worst, float(np.max(np.abs(_g_of_stack(mats) - _g_hs(mats)))))
     ok = worst <= 1e-10
     assert report(2, ok, f"covariance vs Hilbert-Schmidt form, max |dev| = {worst:.3e} (tol 1e-10)")
 
@@ -344,7 +359,7 @@ def test_criterion_07_invariance_suite():
         worst_c = max(worst_c, float(np.max(np.abs(c_rotated - c))))
     worst_pt = 0.0
     for _, mats in _ginibre_stacks(20260827, 10_000, (1, 2, 3, 4)):
-        g_pt = _g_of_stack(np.stack([partial_transpose(m, "B") for m in mats]))
+        g_pt = _g_of_stack(partial_transpose(mats, "B"))
         worst_pt = max(worst_pt, float(np.max(np.abs(g_pt - _g_of_stack(_validated(mats))))))
     # the LUR witness pair: detection flips across the threshold, G does not move
     singlet = canonical("singlet")
@@ -381,13 +396,16 @@ def test_criterion_08_detection_threshold():
 
 def test_criterion_09_pure_invariant_algebra():
     worst_alpha = worst_beta = worst_c2 = worst_g = 0.0
-    for k in range(10_000):
-        p = haar_pure(20260809, k)
-        inv = pure_invariants(p)
-        worst_alpha = max(worst_alpha, abs(inv.i_alpha - 1.0))
-        worst_beta = max(worst_beta, abs(inv.i_beta - (inv.i1**2 - inv.i2) / 2.0))
-        worst_c2 = max(worst_c2, abs(4.0 * inv.i_beta - concurrence_pure(p) ** 2))
-        worst_g = max(worst_g, abs(g_pure_from_invariants(inv) - g_of(from_pure(p))))
+    for amps, mats in _haar_chunks(20260809, 10_000):
+        cs, gs = _concurrence_pure(amps), _g_of_stack(mats)
+        # pure_invariants stays per state: its complex einsum and scalar abs
+        # have not been shown to give the same bits on stacks.
+        for a, c, g in zip(amps, cs, gs):
+            inv = pure_invariants(PureState(a))
+            worst_alpha = max(worst_alpha, abs(inv.i_alpha - 1.0))
+            worst_beta = max(worst_beta, abs(inv.i_beta - (inv.i1**2 - inv.i2) / 2.0))
+            worst_c2 = max(worst_c2, abs(4.0 * inv.i_beta - c**2))
+            worst_g = max(worst_g, abs(g_pure_from_invariants(inv) - g))
     ok = worst_alpha <= 1e-10 and worst_beta <= 1e-12 and worst_c2 <= 1e-10 and worst_g <= 1e-10
     assert report(
         9,
@@ -408,13 +426,11 @@ def test_criterion_10_area_not_a_line():
     mixed_max = max(s for *_, s in bin_spreads(np.concatenate(cs), np.concatenate(gs)))
 
     cs, gs = [], []
-    for k in range(5000):
-        p = haar_pure(20260820, k)
-        rho = from_pure(p)
-        assert abs(purity(rho) - 1.0) <= 1e-6
-        cs.append(concurrence_pure(p))
-        gs.append(g_of(rho))
-    pure_max = max(s for *_, s in bin_spreads(cs, gs))
+    for amps, mats in _haar_chunks(20260820, 5000):
+        assert np.all(np.abs(_purity(mats) - 1.0) <= 1e-6)
+        cs.append(_concurrence_pure(amps))
+        gs.append(_g_of_stack(mats))
+    pure_max = max(s for *_, s in bin_spreads(np.concatenate(cs), np.concatenate(gs)))
 
     ok = mixed_max > 0.05 and pure_max <= 1e-6
     assert report(

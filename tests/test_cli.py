@@ -446,6 +446,31 @@ def test_ensemble_rejects_bad_spec(tmp_path, capsys):
     assert "rank" in err
 
 
+HUGE = 10**400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("where", ["spec purity_window", "record count", "state re entry"])
+def test_a_huge_json_integer_is_an_input_error(tmp_path, capsys, where):
+    if where == "spec purity_window":
+        command, field = "ensemble", "purity_window"
+        data = {"kind": "fixed_purity", "count": 1, "seed": 1,
+                "purity_target": 0.46, "purity_window": HUGE}
+    elif where == "record count":
+        command, field = "analyze", 'counts["12"]'
+        data = record_to_dict(simulate_record(canonical("singlet"), 10, 1))
+        data["counts"]["12"][0] = HUGE
+    else:
+        command, field = "analyze", '"re"'
+        data = density_matrix_to_dict(canonical("singlet"))
+        data["re"][0][0] = HUGE
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert (code, out) == (2, "")
+    assert f"{field} " in err and "too large for a float" in err
+    assert "0" * 100 not in err
+
+
 def src_env():
     """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)

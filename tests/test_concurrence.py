@@ -3,21 +3,22 @@ import functools
 import numpy as np
 import pytest
 
-from entcov._rng import STREAM_HAAR, _streams
 from entcov.concurrence import (
     PureInvariants,
     _concurrence,
+    _concurrence_pure,
     concurrence_mixed,
     concurrence_pure,
     g_pure_from_invariants,
     pure_invariants,
 )
-from entcov.ensembles import _chunks, _haar_amps, _haar_stack, haar_pure, random_local_unitary
-from entcov.gmeasure import g_from_covariances
-from entcov.observables import correlation_data
+from entcov.ensembles import _chunks, _haar_amp_stack, haar_pure, random_local_unitary
+from entcov.gmeasure import _g_from_moments, g_from_covariances
+from entcov.observables import correlation_data, pauli_moments
 from entcov.states import (
     DensityMatrix,
     PureState,
+    _projectors,
     _validated,
     apply_local_unitary,
     canonical,
@@ -110,12 +111,12 @@ def test_concurrence_mixed_werner():
 
 
 def test_concurrence_mixed_agrees_with_pure():
-    # from_pure(haar_pure(31, k)) for k < 10^4, a chunk at a time; the
-    # stacked kernel gives concurrence_mixed's values bit for bit
-    for idx, mats in _chunks(10_000, functools.partial(_haar_stack, 31)):
-        mixed = _concurrence(_validated(mats))
-        for c, rng in zip(mixed, _streams(31, STREAM_HAAR, idx)):
-            assert abs(c - concurrence_pure(PureState(_haar_amps(rng)))) < 1e-9
+    # haar_pure(31, k) and its from_pure for k < 10^4, a chunk at a time; the
+    # stacked kernels give concurrence_mixed's and concurrence_pure's values
+    # bit for bit
+    for _, amps in _chunks(10_000, functools.partial(_haar_amp_stack, 31)):
+        mixed = _concurrence(_validated(_projectors(amps)))
+        assert np.all(np.abs(mixed - _concurrence_pure(amps)) < 1e-9)
 
 
 def test_concurrence_invariant_under_local_unitaries():
@@ -128,13 +129,11 @@ def test_concurrence_invariant_under_local_unitaries():
 
 
 def test_pure_master_relation_sample():
-    for k in range(1000):
-        p = haar_pure(43, k)
-        c = concurrence_pure(p)
-        g = g_from_covariances(correlation_data(from_pure(p)))
-        assert abs(g - c * c * (2.0 + c * c)) < 1e-9
+    # haar_pure(43, k) for k < 1000, a chunk at a time
+    for _, amps in _chunks(1000, functools.partial(_haar_amp_stack, 43)):
+        c = _concurrence_pure(amps)
+        g = _g_from_moments(pauli_moments(_validated(_projectors(amps))))
+        assert np.all(np.abs(g - c * c * (2.0 + c * c)) < 1e-9)
         # for pure states G > 0 iff C > 0
-        if c > 1e-4:
-            assert g > 1e-9
-        if g > 1e-9:
-            assert c > 0.0
+        assert np.all(g[c > 1e-4] > 1e-9)
+        assert np.all(c[g > 1e-9] > 0.0)

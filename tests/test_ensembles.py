@@ -11,10 +11,9 @@ from entcov._rng import (
     STREAM_HAAR,
     STREAM_SEPARABLE,
     _keys,
-    _streams,
     rng_at,
 )
-from entcov.concurrence import concurrence_mixed, concurrence_pure
+from entcov.concurrence import _concurrence_pure, concurrence_mixed
 from entcov.ensembles import (
     EnsembleSpec,
     ensemble_spec_from_dict,
@@ -26,15 +25,15 @@ from entcov.ensembles import (
     random_local_unitary,
     separable_mixture,
 )
-from entcov.gmeasure import g_from_covariances, l3
+from entcov.gmeasure import _g_from_moments, g_from_covariances, l3
 from entcov.jsonio import dumps, loads
-from entcov.observables import correlation_data
+from entcov.observables import correlation_data, pauli_moments
 from entcov.states import (
     DensityMatrix,
-    PureState,
+    _projectors,
+    _validated,
     apply_local_unitary,
     canonical,
-    from_pure,
     purity,
     rho_u,
 )
@@ -69,11 +68,11 @@ def test_generation_order_does_not_matter():
 
 
 def test_haar_pure_master_relation():
-    for k in range(500):
-        p = haar_pure(101, k)
-        c = concurrence_pure(p)
-        g = g_from_covariances(correlation_data(from_pure(p)))
-        assert abs(g - c * c * (2.0 + c * c)) < 1e-9
+    # haar_pure(101, k) for k < 500, a chunk at a time
+    for _, amps in ensembles._chunks(500, functools.partial(ensembles._haar_amp_stack, 101)):
+        c = _concurrence_pure(amps)
+        g = _g_from_moments(pauli_moments(_validated(_projectors(amps))))
+        assert np.all(np.abs(g - c * c * (2.0 + c * c)) < 1e-9)
 
 
 def test_haar_mean_concurrence():
@@ -81,8 +80,9 @@ def test_haar_mean_concurrence():
     # build time, asserted with a generous Monte Carlo margin.
     total = 0.0
     n = 100_000
-    for rng in _streams(314159, STREAM_HAAR, np.arange(n)):  # haar_pure(314159, k), k < n
-        total += concurrence_pure(PureState(ensembles._haar_amps(rng)))
+    # haar_pure(314159, k) for k < n, a chunk at a time
+    for _, amps in ensembles._chunks(n, functools.partial(ensembles._haar_amp_stack, 314159)):
+        total += float(np.sum(_concurrence_pure(amps)))
     assert abs(total / n - 0.589) < 0.02
 
 

@@ -15,20 +15,54 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entcov.concurrence import _concurrence, concurrence_mixed
+from entcov.concurrence import (
+    _YY,
+    _concurrence,
+    _concurrence_pure,
+    concurrence_mixed,
+    concurrence_pure,
+    g_pure_from_invariants,
+    pure_invariants,
+)
 from entcov.ensembles import (
     EnsembleSpec,
     _ginibre_stack,
+    _haar_amp_stack,
     _stack,
     ginibre,
     haar_pure,
     separable_mixture,
 )
-from entcov.gmeasure import _g_from_moments, g_from_covariances
-from entcov.linalg import MATRIX_TOL, SIGMA2, _trace, eig_hermitian, sqrt_psd, tensor
-from entcov.observables import PAIR_OBS, correlation_data, pauli_moments
+from entcov.gmeasure import (
+    _clamp_g,
+    _g_from_moments,
+    _g_hs,
+    g_from_covariances,
+    g_hilbert_schmidt,
+    l3,
+)
+from entcov.linalg import (
+    MATRIX_TOL,
+    PAULIS,
+    SIGMA2,
+    _trace,
+    eig_hermitian,
+    partial_trace,
+    partial_transpose,
+    sqrt_psd,
+    tensor,
+)
+from entcov.observables import (
+    PAIR_OBS,
+    correlation_data,
+    covariance,
+    expectation,
+    pauli_moments,
+    variance,
+)
 from entcov.states import (
     DensityMatrix,
+    PureState,
     _purity,
     _validated,
     canonical,
@@ -37,7 +71,7 @@ from entcov.states import (
     rho_u,
 )
 
-YY = tensor(SIGMA2, SIGMA2)
+YY = np.kron(SIGMA2, SIGMA2)
 NAMED = ("singlet", "phi_plus", "phi_minus", "psi_plus", "product00", "maximally_mixed",
          "classically_correlated")
 
@@ -307,3 +341,126 @@ def test_the_trace_kernel_keeps_the_sign_of_zero():
     for m in mats:
         assert_numpys_trace(m)
     assert same_bits(_trace(mats[-1]), 0j)  # numpy's sum of -0.0s is +0.0
+
+
+def ref_partial_trace(m, keep: str) -> np.ndarray:
+    r = m.reshape(2, 2, 2, 2)
+    return np.einsum("ikjk->ij", r) if keep == "A" else np.einsum("ikil->kl", r)
+
+
+def ref_partial_transpose(m, sub: str) -> np.ndarray:
+    r = m.reshape(2, 2, 2, 2)
+    return (r.transpose(2, 1, 0, 3) if sub == "A" else r.transpose(0, 3, 2, 1)).reshape(4, 4)
+
+
+def ref_g_hs(m) -> float:
+    d = m - np.kron(ref_partial_trace(m, "A"), ref_partial_trace(m, "B"))
+    return float(_clamp_g(4.0 * float(_trace((d @ d).real))))
+
+
+def ref_concurrence_pure(a) -> float:
+    return 2.0 * abs(a[0] * a[3] - a[1] * a[2])
+
+
+def complex_normals(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_stack_is_per_matrix(stack, per_matrix, batch_ndim=1):
+    """stack equals np.stack of per_matrix over every index of its leading batch_ndim axes."""
+    for k in np.ndindex(stack.shape[:batch_ndim]):
+        assert same_bits(stack[k], per_matrix(k)), k
+
+
+@pytest.mark.parametrize("shape", [(500,), (3, 7), (0,), (1,)])
+def test_the_partial_operations_on_a_stack_are_the_one_matrix_calls(shape):
+    rng = np.random.default_rng(20261021)
+    mats = complex_normals(rng, (*shape, 4, 4))
+    for sub in ("A", "B"):
+        for op, ref, n in ((partial_trace, ref_partial_trace, 2),
+                           (partial_transpose, ref_partial_transpose, 4)):
+            out = op(mats, sub)
+            assert out.shape == (*shape, n, n)
+            assert_stack_is_per_matrix(out, lambda k: op(mats[k], sub), len(shape))
+            assert_stack_is_per_matrix(out, lambda k: ref(mats[k], sub), len(shape))
+    a, b = complex_normals(rng, (*shape, 2, 2)), complex_normals(rng, (*shape, 2, 2))
+    out = tensor(a, b)
+    assert out.shape == (*shape, 4, 4)
+    assert_stack_is_per_matrix(out, lambda k: tensor(a[k], b[k]), len(shape))
+    assert_stack_is_per_matrix(out, lambda k: np.kron(a[k], b[k]), len(shape))
+
+
+def test_tensor_of_the_pauli_pairs_is_the_kronecker_product():
+    pairs = list(itertools.product(range(4), repeat=2))
+    a = np.stack([PAULIS[i] for i, _ in pairs])
+    b = np.stack([PAULIS[j] for _, j in pairs])
+    out = tensor(a, b)
+    for k, (i, j) in enumerate(pairs):
+        assert same_bits(out[k], np.kron(PAULIS[i], PAULIS[j]))
+        assert same_bits(tensor(PAULIS[i], PAULIS[j]), np.kron(PAULIS[i], PAULIS[j]))
+    # the tables built from tensor at import keep their bytes
+    table = np.stack([np.stack([np.kron(p, q) for q in PAULIS]) for p in PAULIS])
+    assert PAIR_OBS.tobytes() == table.tobytes()
+    assert _YY.tobytes() == YY.tobytes()
+
+
+def test_the_hilbert_schmidt_kernel_on_a_stack_is_the_one_matrix_call():
+    mats = _ginibre_stack(20261021, np.arange(2000), (1, 2, 3, 4))
+    g = _g_hs(mats)
+    assert g.shape == (2000,)
+    for k, m in enumerate(mats):
+        assert same_bits(g[k], ref_g_hs(m))
+        assert same_bits(g[k], g_hilbert_schmidt(DensityMatrix(m)))
+
+
+def test_the_pure_concurrence_kernel_on_a_stack_is_the_one_matrix_call():
+    amps = _haar_amp_stack(20261021, np.arange(5000))
+    c = _concurrence_pure(amps)
+    assert c.shape == (5000,)
+    for k, a in enumerate(amps):
+        assert same_bits(c[k], ref_concurrence_pure(a))
+        assert same_bits(c[k], concurrence_pure(PureState(a)))
+    assert same_bits(_concurrence_pure(amps.reshape(50, 100, 4)), c.reshape(50, 100))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_a_non_finite_matrix_in_a_stack_raises_the_one_matrix_message(bad):
+    rng = np.random.default_rng(20261022)
+    mats = complex_normals(rng, (9, 4, 4))
+    halves = complex_normals(rng, (9, 2, 2))
+    mats[5, 1, 2] = halves[5, 0, 1] = bad
+    calls = [
+        (lambda m: partial_trace(m, "A"), mats),
+        (lambda m: partial_trace(m, "B"), mats),
+        (lambda m: partial_transpose(m, "A"), mats),
+        (lambda m: partial_transpose(m, "B"), mats),
+        (lambda m: tensor(m, halves[0]), halves),
+        (lambda m: tensor(halves[0], m), halves),
+        (_g_hs, mats),
+    ]
+    for op, stack in calls:
+        expected = message(op, stack[5])
+        assert expected == "matrix entries must be finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            op(stack)
+
+
+SCALAR_MEASURES = {
+    "concurrence_pure": lambda p, rho: concurrence_pure(p),
+    "concurrence_mixed": lambda p, rho: concurrence_mixed(rho),
+    "purity": lambda p, rho: purity(rho),
+    "g_hilbert_schmidt": lambda p, rho: g_hilbert_schmidt(rho),
+    "g_from_covariances": lambda p, rho: g_from_covariances(correlation_data(rho)),
+    "l3": lambda p, rho: l3(rho),
+    "expectation": lambda p, rho: expectation(rho, PAIR_OBS[3, 3]),
+    "variance": lambda p, rho: variance(rho, PAIR_OBS[1, 2]),
+    "covariance": lambda p, rho: covariance(rho, 2, 3),
+    "g_pure_from_invariants": lambda p, rho: g_pure_from_invariants(pure_invariants(p)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_MEASURES))
+def test_every_public_scalar_measure_returns_a_python_float(name):
+    p = haar_pure(20261021, 3)
+    for rho in (from_pure(p), ginibre(20261021, 3, 2), canonical("singlet")):
+        assert type(SCALAR_MEASURES[name](p, rho)) is float
