@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .concurrence import _concurrence, concurrence_mixed
 from .ensembles import (
+    _INT_FIELDS,
     _RANKS,
     EnsembleSpec,
     InfeasibleWindowError,
@@ -80,7 +81,7 @@ def _load(path: str, parse):
             data = json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, text that is not UTF-8, an overlong integer
         raise CliInputError(f"parse error in {path}: {exc}") from exc
     try:
         return parse(data)
@@ -274,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # --count and --seed follow the integer rule of the ensemble spec's fields.
+    count, seed = (_int_option(name, *_INT_FIELDS[name]) for name in ("count", "seed"))
 
     p = sub.add_parser("analyze", help="exact G report for a state file")
     p.add_argument("state_file", help="density-matrix, pure-state or record JSON file")
@@ -282,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan-bounds", help="CSV of (C, G) samples plus bound curves")
-    p.add_argument("--count", type=_int_option("count", 1), default=1000)
-    p.add_argument("--seed", type=_int_option("seed", 0), default=DEFAULT_SEED)
+    p.add_argument("--count", type=count, default=1000)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.add_argument(
         "--rank", type=_rank_list, default="1,2,3,4", help="comma list of Ginibre ranks to cycle"
     )
@@ -293,15 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("purity-slice", help="CSV of a fixed-purity ensemble")
     p.add_argument("--purity", type=float, required=True)
     p.add_argument("--window", type=float, default=0.005)
-    p.add_argument("--count", type=_int_option("count", 1), default=5000)
-    p.add_argument("--seed", type=_int_option("seed", 0), default=DEFAULT_SEED)
+    p.add_argument("--count", type=count, default=5000)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_purity_slice)
 
     p = sub.add_parser("sample", help="simulate the 9-setting protocol at finite shots")
     p.add_argument("state_file")
     p.add_argument("--shots", type=_int_option("shots", 1, MAX_RECORD_SHOTS), default=10000)
-    p.add_argument("--seed", type=_int_option("seed", 0), default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_sample)
 

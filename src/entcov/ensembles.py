@@ -23,6 +23,7 @@ from ._rng import (
     STREAM_HAAR,
     STREAM_SEPARABLE,
     STREAM_UNITARY,
+    _MAX_INDEX,
     _keys,
     _rekeyed,
     _streams,
@@ -30,7 +31,7 @@ from ._rng import (
 )
 from .jsonio import _integer, _json_integral, _real
 from .linalg import _dagger, _trace
-from .states import DensityMatrix, PureState, _projectors, _purity, _validated, rho_u
+from .states import DensityMatrix, PureState, _projectors, _purity, rho_u
 
 MAX_REJECTION_ATTEMPTS = 10**6
 # fixed_purity draws its attempts this many at a time (the last block is cut to the cap).
@@ -41,9 +42,10 @@ CHUNK = 128
 
 ENSEMBLE_KINDS = ("haar_pure", "ginibre", "fixed_purity", "separable_mixture", "rho_u_sweep")
 
-# Bounds (minimum[, maximum]) of a Ginibre rank and of every integer field of EnsembleSpec.
+# Bounds (minimum[, maximum]) of a Ginibre rank and of every integer field of
+# EnsembleSpec.  A count is at most the number of indices a stream can address.
 _RANKS = (1, 4)
-_INT_FIELDS = {"count": (1,), "seed": (0,), "rank": _RANKS, "mixture_terms": (1,)}
+_INT_FIELDS = {"count": (1, _MAX_INDEX + 1), "seed": (0,), "rank": _RANKS, "mixture_terms": (1,)}
 
 
 class InfeasibleWindowError(RuntimeError):
@@ -139,10 +141,8 @@ def _fixed_purity_matrix(
         x = rng.standard_normal((min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS - at), 2, 4, 4))
         mats = _induced(x[:, 0] + 1j * x[:, 1])
         hits = np.flatnonzero(np.abs(_purity(mats) - target) <= window)
-        last = hits[0] if hits.size else len(mats) - 1
-        _validated(mats[: last + 1])
         if hits.size:
-            return mats[last].copy()  # not a view that keeps the whole block alive
+            return mats[hits[0]].copy()  # not a view that keeps the whole block alive
     raise InfeasibleWindowError(
         f"no rank-4 sample hit purity {target} +- {window} in {MAX_REJECTION_ATTEMPTS} "
         "attempts; the window is infeasible"
@@ -155,11 +155,13 @@ def _fixed_purity_stack(keys: np.ndarray, target: float, window: float) -> np.nd
     keys are the indices' (n, 2) stream keys ``_keys(seed,
     STREAM_FIXED_PURITY, indices)``, which a sweep derives once per chunk.
     Every index draws its first block of attempts from its own stream, and
-    all first blocks are formed, scored and validated (up to each index's
-    hit) as one stack.  An index with no hit there continues alone from its
-    saved stream state, so the attempt cap holds per index and an
-    infeasible window raises at the first index that misses, after its own
-    MAX_REJECTION_ATTEMPTS attempts.
+    all first blocks are formed and scored as one stack.  An index with no
+    hit there continues alone from its saved stream state, so the attempt
+    cap holds per index and an infeasible window raises at the first index
+    that misses, after its own MAX_REJECTION_ATTEMPTS attempts.  Attempts
+    are scored, not validated: each is a state by construction, and each
+    returned matrix is validated once by its emitter (``DensityMatrix``, or
+    a sweep's stacked ``states._validated``).
     """
     block = min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS)
     x = np.empty((block, 2, 4, 4))
@@ -175,8 +177,6 @@ def _fixed_purity_stack(keys: np.ndarray, target: float, window: float) -> np.nd
     hit = np.abs(_purity(mats) - target) <= window
     first = hit.argmax(axis=1)  # an index's first hit, or 0 if it has none
     missed = ~hit.any(axis=1)
-    last = np.where(missed, block - 1, first)
-    _validated(mats[np.arange(block) <= last[:, None]])
     out = mats[np.arange(len(keys)), first]
     for k in np.flatnonzero(missed).tolist():
         rng.bit_generator.state = saved[k]
@@ -187,7 +187,8 @@ def _fixed_purity_stack(keys: np.ndarray, target: float, window: float) -> np.nd
 def fixed_purity(seed: int, index: int, target: float, window: float) -> DensityMatrix:
     """Rank-4 Ginibre state rejection-sampled into purity [target-window, target+window].
 
-    Every attempt up to and including the accepted one is validated.
+    Attempts are only scored; the accepted state is validated once, as the
+    returned DensityMatrix.
     Raises InfeasibleWindowError, a RuntimeError, once MAX_REJECTION_ATTEMPTS
     rejections signal an infeasible window (e.g. a near-pure target, which
     rank-4 sampling essentially never hits).
@@ -239,10 +240,11 @@ class EnsembleSpec:
     kind selects the generator; rank applies to ginibre, purity_target and
     purity_window to fixed_purity, mixture_terms to separable_mixture.  A
     rho_u_sweep walks gamma uniformly over [0, 1/2] at theta = 0.  Every
-    given field is checked, whatever the kind: by the integer rule count and
-    mixture_terms >= 1, seed >= 0, rank in 1..4 (numpy integers are stored as
-    int); purity_target in [0.25, 1] and purity_window positive and finite,
-    both real numbers and never booleans (numpy floats are stored as float).
+    given field is checked, whatever the kind: by the integer rule count in
+    1..2**64 (the indices a stream can address), mixture_terms >= 1,
+    seed >= 0, rank in 1..4 (numpy integers are stored as int);
+    purity_target in [0.25, 1] and purity_window positive and finite, both
+    real numbers and never booleans (numpy floats are stored as float).
     """
 
     kind: str

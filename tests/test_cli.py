@@ -114,10 +114,14 @@ def test_analyze_record_file_beyond_the_shot_bound(tmp_path, capsys):
 
 def test_analyze_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{ not json")
-    code, _, err = run_cli(capsys, ["analyze", str(path)])
-    assert code == 2
-    assert "parse error" in err
+    not_utf8 = b'{"kind": "haar_pure", "count": 1, "seed": 1, "note": "\xff"}'
+    overlong = b'{"re": ' + b"1" * 5000 + b"}"  # beyond Python's 4300-digit int limit
+    for content in (b"{ not json", not_utf8, overlong):
+        path.write_bytes(content)
+        for command in ("analyze", "ensemble"):
+            code, out, err = run_cli(capsys, [command, str(path)])
+            assert (code, out) == (2, ""), (command, content[:20])
+            assert err.startswith(f"error: parse error in {path}: ")
 
 
 def test_analyze_invalid_state_names_invariant(tmp_path, capsys):
@@ -245,13 +249,14 @@ def test_negative_seed_is_an_input_error(capsys, argv):
 
 
 AT_MOST_2_53 = "must be an integer >= 1 and <= 9007199254740992"
+COUNT_RULE = "count must be an integer >= 1 and <= 18446744073709551616"  # 2**64 indices
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["scan-bounds", "--count", "0"], "count must be an integer >= 1, got 0"),
-        (["scan-bounds", "--count", "2.5"], "count must be an integer >= 1, got '2.5'"),
+        (["scan-bounds", "--count", "0"], f"{COUNT_RULE}, got 0"),
+        (["scan-bounds", "--count", "2.5"], f"{COUNT_RULE}, got '2.5'"),
         (["purity-slice", "--purity", "0.46", "--count", "true"], "count must be an integer >= 1"),
         (["sample", "state.json", "--shots", "0"], f"shots {AT_MOST_2_53}, got 0"),
         (["sample", "state.json", "--seed", "1.0"], "seed must be an integer >= 0, got '1.0'"),
@@ -261,6 +266,7 @@ AT_MOST_2_53 = "must be an integer >= 1 and <= 9007199254740992"
             ["sample", "state.json", "--shots", "9223372036854775808"],
             f"shots {AT_MOST_2_53}, got 9223372036854775808",
         ),
+        (["scan-bounds", "--count", str(10**400)], f"{COUNT_RULE}, got 1000"),
     ],
 )
 def test_bad_integer_option_is_an_input_error(capsys, argv, message):
@@ -406,6 +412,56 @@ def test_ensemble_infeasible_window(tmp_path, capsys, monkeypatch):
     assert "infeasible" in err
 
 
+def test_a_fixed_purity_slice_factors_only_the_states_it_emits(capsys, monkeypatch):
+    # Rejected attempts are scored, never validated: the one Cholesky of each
+    # emitted state is the sweep's own validation of its chunk.
+    factored, cholesky = [], np.linalg.cholesky
+
+    def counting(a):
+        factored.append(int(np.prod(np.shape(a)[:-2])))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    code, out, _ = run_cli(
+        capsys, ["purity-slice", "--purity", "0.46", "--count", "128", "--seed", "2026"]
+    )
+    assert code == 0 and len(out.splitlines()) == 1 + 128
+    assert sum(factored) == 128
+
+
+@pytest.mark.parametrize(
+    "emitter", ["fixed_purity", "generate", "purity-slice", "ensemble-csv", "ensemble-json"]
+)
+def test_every_fixed_purity_emitter_validates_its_states(tmp_path, capsys, monkeypatch, emitter):
+    kernel = ensembles._fixed_purity_stack
+
+    def non_hermitian_first(keys, *args):
+        mats = kernel(keys, *args)
+        mats[0, 0, 1] += 1e-3
+        return mats
+
+    monkeypatch.setattr(ensembles, "_fixed_purity_stack", non_hermitian_first)
+    spec = {"kind": "fixed_purity", "count": 3, "seed": 6,
+            "purity_target": 0.46, "purity_window": 0.005}
+    if emitter in ("fixed_purity", "generate"):
+        with pytest.raises(ValueError, match="^not Hermitian: defect "):
+            if emitter == "fixed_purity":
+                ensembles.fixed_purity(6, 0, 0.46, 0.005)
+            else:
+                next(ensembles.generate(ensembles.ensemble_spec_from_dict(spec)))
+        assert capsys.readouterr().out == ""
+        return
+    if emitter == "purity-slice":
+        argv = ["purity-slice", "--purity", "0.46", "--count", "3", "--seed", "6"]
+    else:
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["ensemble", str(spec_path), "--format", emitter.split("-")[1]]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("runtime error: not Hermitian: defect ")
+
+
 def test_analyze_record_with_null_count(tmp_path, capsys):
     data = record_to_dict(simulate_record(canonical("singlet"), 10, 1))
     data["counts"]["12"] = [None, 0, 0, 0]
@@ -440,10 +496,16 @@ def test_ensemble_rejects_non_numeric_purity(tmp_path, capsys, value):
 
 def test_ensemble_rejects_bad_spec(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"kind": "ginibre", "count": 3, "seed": 1}))
-    code, _, err = run_cli(capsys, ["ensemble", str(spec_path)])
-    assert code == 2
-    assert "rank" in err
+    for spec, message in [
+        ({"kind": "ginibre", "count": 3, "seed": 1}, "rank"),
+        # A count beyond the 2**64 indices a stream can address.
+        ({"kind": "haar_pure", "count": 10**400, "seed": 1}, f"{COUNT_RULE}, got 1000"),
+        ({"kind": "haar_pure", "count": 2**64 + 1, "seed": 1}, f"{COUNT_RULE}, got 1844"),
+    ]:
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, ["ensemble", str(spec_path)])
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 HUGE = 10**400  # a JSON integer beyond the float range
