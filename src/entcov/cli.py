@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -32,6 +31,7 @@ from .ensembles import (
     InfeasibleWindowError,
     _chunks,
     _ginibre_stack,
+    _rank_cycle,
     _stack,
     ensemble_spec_from_dict,
 )
@@ -101,29 +101,22 @@ def _state_or_record(data):
     return _state(data)
 
 
-def _emit(path: str, text: str) -> None:
-    """Write text, newline-terminated, to the file at path or to stdout for "-"."""
-    text = text if text.endswith("\n") else text + "\n"
+def _emit(path: str, *pieces: str) -> None:
+    """Write each piece of text, newline-terminated, to the file at path or to stdout for "-".
+
+    The pieces are written one after another: joining them, or adding a
+    newline to one, would copy the whole text.
+    """
+    parts = (part for piece in pieces for part in (piece, "\n"))
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     try:
         fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise CliInputError(f"cannot write {path}: {exc}") from exc
     with fh:
-        fh.write(text)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format_float(value)
-    return "" if value is None else str(value)
-
-
-def _csv(header: str, rows) -> str:
-    """The header line, then one comma-joined line per row."""
-    return "\n".join([header, *(",".join(_fmt(v) for v in row) for row in rows)])
+        fh.writelines(parts)
 
 
 def _int_option(name: str, *bounds: int):
@@ -153,7 +146,8 @@ def cmd_analyze(args) -> int:
     out = greport_to_dict(analyze(rho))
     out["concurrence"] = concurrence_mixed(rho)
     if args.format == "csv":
-        _emit(args.output, _csv(",".join(out), [out.values()]))
+        row = (v if isinstance(v, str) else format_float(v) for v in out.values())
+        _emit(args.output, ",".join(out), ",".join(row))
     else:
         _emit(args.output, dumps(out))
     return 0
@@ -169,31 +163,31 @@ def _rank_list(text: str) -> list[int]:
 
 
 def _sweep(count: int, stack):
-    """Yield (index, concurrence, G, purity) for the indices 0..count-1, in order.
+    """Yield the (indices, concurrence, G, purity) arrays of each chunk of 0..count-1, in order.
 
     stack gives the raw matrices of each chunk of indices (see
     ``ensembles._chunks``); each stack is validated once and measured as a whole.
     """
     for indices, mats in _chunks(count, stack):
         mats = _validated(mats)
-        columns = (_concurrence(mats), _g_from_moments(pauli_moments(mats)), _purity(mats))
-        yield from zip(indices.tolist(), *(column.tolist() for column in columns))
+        yield indices, _concurrence(mats), _g_from_moments(pauli_moments(mats)), _purity(mats)
 
 
 def cmd_scan_bounds(args) -> int:
     stack = functools.partial(_ginibre_stack, args.seed, ranks=args.rank)
-    # Rows stream into the CSV text, so no row outlives its line.  The samples
-    # come in index order, so their ranks are the cycle's in turn.
-    samples = (
-        ("sample", c, g, p, rank, int(bounds_violated(c, g)))
-        for rank, (_, c, g, p) in zip(itertools.cycle(args.rank), _sweep(args.count, stack))
-    )
-    curves = (
-        (kind, c, curve(c), None, None, 0)
-        for kind, curve in (("lower_bound", pure_state_floor), ("upper_bound", mixed_state_ceiling))
-        for c in np.linspace(0.0, 1.0, BOUND_CURVE_POINTS).tolist()
-    )
-    _emit(args.output, _csv(CSV_SCAN_HEADER, itertools.chain(samples, curves)))
+    # Each chunk's rows are joined into one piece of the CSV text as soon as
+    # it is measured, from its columns in text form.
+    pieces = [CSV_SCAN_HEADER]
+    for indices, c, g, p in _sweep(args.count, stack):
+        rank = _rank_cycle(indices, args.rank).tolist()
+        violates = bounds_violated(c, g).astype(int).tolist()
+        rows = zip(*map(format_float, (c, g, p)), rank, violates)
+        pieces.append("\n".join([f"sample,{ct},{gt},{pt},{r},{v}" for ct, gt, pt, r, v in rows]))
+    c = np.linspace(0.0, 1.0, BOUND_CURVE_POINTS)
+    for kind, curve in (("lower_bound", pure_state_floor), ("upper_bound", mixed_state_ceiling)):
+        rows = zip(format_float(c), format_float(curve(c)))
+        pieces.append("\n".join([f"{kind},{ct},{gt},,,0" for ct, gt in rows]))
+    _emit(args.output, *pieces)
     return 0
 
 
@@ -231,15 +225,19 @@ def cmd_purity_slice(args) -> int:
         )
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    rows = [(c, g, p) for _, c, g, p in _sweep(spec.count, functools.partial(_stack, spec))]
-    _emit(args.output, _csv("concurrence,g,purity", rows))
+    pieces, cs, gs = ["concurrence,g,purity"], [], []
+    for _, c, g, p in _sweep(spec.count, functools.partial(_stack, spec)):
+        pieces.append("\n".join(map(",".join, zip(*map(format_float, (c, g, p))))))
+        cs.append(c)
+        gs.append(g)
+    _emit(args.output, *pieces)
 
     print(
         "# per-bin spread of G above the pure-state curve C^2(2+C^2), bin width "
         f"{BIN_WIDTH}",
         file=sys.stderr,
     )
-    for lo, hi, n, spread in bin_spreads([r[0] for r in rows], [r[1] for r in rows]):
+    for lo, hi, n, spread in bin_spreads(np.concatenate(cs), np.concatenate(gs)):
         print(f"bin [{lo:.2f},{hi:.2f}) n={n} g_spread={format_float(spread)}", file=sys.stderr)
     return 0
 
@@ -263,8 +261,11 @@ def cmd_ensemble(args) -> int:
         ]
         _emit(args.output, dumps(states))
     else:
-        rows = ((i, spec.kind, c, g, p) for i, c, g, p in _sweep(spec.count, stack))
-        _emit(args.output, _csv("index,kind,concurrence,g,purity", rows))
+        pieces = ["index,kind,concurrence,g,purity"]
+        for indices, c, g, p in _sweep(spec.count, stack):
+            rows = zip(indices.tolist(), *map(format_float, (c, g, p)))
+            pieces.append("\n".join([f"{i},{spec.kind},{ct},{gt},{pt}" for i, ct, gt, pt in rows]))
+        _emit(args.output, *pieces)
     return 0
 
 

@@ -12,6 +12,7 @@ chunk as one (n, 4, 4) stack (``_chunks``, ``_stack``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -89,20 +90,34 @@ def _induced(z: np.ndarray) -> np.ndarray:
     return m
 
 
+def _rank_cycle(indices, ranks) -> np.ndarray:
+    """The rank ranks[k % len(ranks)] of each index k of an integer array."""
+    return np.asarray(ranks)[indices % len(ranks)]
+
+
 def _ginibre_stack(seed: int, indices, ranks) -> np.ndarray:
     """The (n, 4, 4) stack of Ginibre states of the indices, index k of rank ranks[k % len(ranks)].
 
-    k is the index value, not its position among the indices.  Each index
-    draws its 4 x rank normals from its own stream as ``ginibre`` does; each
-    rank present is then formed as one stack.
+    k is the index value, not its position among the indices.  The indices
+    are grouped by rank first; each index draws its (2, 4, rank) normals from
+    its own stream, as ``ginibre`` does, into its row of its rank's buffer,
+    and each rank present is then filled in as one complex stack, part by
+    part as ``_complex_normals`` fills, and formed as one stack.
     """
-    rank_of = [ranks[k % len(ranks)] for k in indices.tolist()]
-    streams = _streams(seed, STREAM_GINIBRE, indices)
-    draws = [_complex_normals(rng, (4, rank)) for rng, rank in zip(streams, rank_of)]
-    out = np.empty((len(draws), 4, 4), dtype=complex)
-    for rank in set(rank_of):
-        group = [k for k, r in enumerate(rank_of) if r == rank]
-        out[group] = _induced(np.stack([draws[k] for k in group]))
+    rank_of = _rank_cycle(indices, ranks)
+    present = sorted(set(rank_of.tolist()))
+    groups = [np.flatnonzero(rank_of == rank) for rank in present]
+    draws = [np.empty((len(group), 2, 4, rank)) for rank, group in zip(present, groups)]
+    # The streams are independent, so they may be visited in rank order.
+    streams = _streams(seed, STREAM_GINIBRE, indices[np.argsort(rank_of, kind="stable")])
+    for rng, row in zip(streams, itertools.chain.from_iterable(draws)):
+        rng.standard_normal(out=row)  # the draw of standard_normal((2, 4, rank))
+    out = np.empty((len(indices), 4, 4), dtype=complex)
+    for rank, group, x in zip(present, groups, draws):
+        z = np.empty((len(group), 4, rank), dtype=complex)
+        z.real = x[:, 0]
+        z.imag = x[:, 1]
+        out[group] = _induced(z)
     return out
 
 

@@ -182,6 +182,9 @@ def mixed_state_ceiling(c: float) -> float:
     return 1.0 + 2.0 * c * c
 
 
-def bounds_violated(c: float, g: float) -> bool:
-    """True when (c, g) falls outside the mixed-state band beyond CERT_MARGIN."""
-    return g < pure_state_floor(c) - CERT_MARGIN or g > mixed_state_ceiling(c) + CERT_MARGIN
+def bounds_violated(c, g) -> bool | np.ndarray:
+    """True when (c, g) falls outside the mixed-state band beyond CERT_MARGIN.
+
+    On arrays c and g, a boolean array of the pairs.
+    """
+    return (g < pure_state_floor(c) - CERT_MARGIN) | (g > mixed_state_ceiling(c) + CERT_MARGIN)

@@ -25,8 +25,34 @@ def _integer(name: str, value, minimum: int, maximum: float = math.inf) -> int:
         value = int(value)
     if type(value) is not int or not minimum <= value <= maximum:  # bool is not int here
         upper = f" and <= {maximum}" if maximum < math.inf else ""
-        raise ValueError(f"{name} must be an integer >= {minimum}{upper}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {minimum}{upper}, got {_shown(value)}")
     return value
+
+
+# A rejected value whose repr is longer than this is shown by its start and length.
+_SHOWN_CHARS = 40
+
+
+def _shown(value) -> str:
+    """repr(value), or for a long one its first characters and its digit or character count.
+
+    An int's digits are counted without converting it to text, which
+    Python refuses beyond 4300 digits.
+    """
+    if type(value) is int:
+        size = abs(value)
+        digits = max(1, int(size.bit_length() * math.log10(2)))  # within one of the count
+        while size >= 10**digits:
+            digits += 1
+        while digits > 1 and size < 10 ** (digits - 1):
+            digits -= 1
+        if digits <= _SHOWN_CHARS:
+            return repr(value)
+        return f"{'-' * (value < 0)}{size // 10 ** (digits - 12)}... ({digits} digits)"
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:12]}... ({len(text)} characters)"
 
 
 def _real(name: str, value) -> float:
@@ -72,7 +98,19 @@ def _json_floats(name: str, value) -> np.ndarray:
         raise ValueError(f"{name} holds a number too large for a float") from None
 
 
-def format_float(x: float) -> str:
+def format_float(x) -> str | list[str]:
+    """x in 17 significant digits, -0.0 as "0"; a float array gives one string per value.
+
+    A non-finite value raises ValueError; in an array, the first one does,
+    with the scalar's message.
+    """
+    if isinstance(x, np.ndarray):
+        finite = np.isfinite(x)
+        if not finite.all():
+            format_float(float(x[~finite].flat[0]))  # raises the scalar's message
+        # -0.0 + 0.0 is +0.0 and every other value is unchanged, so each
+        # string is the scalar's: "0" for either zero.
+        return [format(v, ".17g") for v in (x + 0.0).ravel().tolist()]
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot serialize non-finite float {x}")
     if x == 0.0:  # canonicalize -0.0 so the text round-trips

@@ -267,6 +267,11 @@ COUNT_RULE = "count must be an integer >= 1 and <= 18446744073709551616"  # 2**6
             f"shots {AT_MOST_2_53}, got 9223372036854775808",
         ),
         (["scan-bounds", "--count", str(10**400)], f"{COUNT_RULE}, got 1000"),
+        # Beyond Python's 4300-digit int limit the option stays text.
+        (
+            ["scan-bounds", "--count", "9" * 5000],
+            f"{COUNT_RULE}, got '99999999999... (5002 characters)",
+        ),
     ],
 )
 def test_bad_integer_option_is_an_input_error(capsys, argv, message):
@@ -506,6 +511,23 @@ def test_ensemble_rejects_bad_spec(tmp_path, capsys):
         code, out, err = run_cli(capsys, ["ensemble", str(spec_path)])
         assert (code, out) == (2, "")
         assert message in err
+
+
+def test_a_huge_count_is_reported_by_its_digit_count(tmp_path, capsys, monkeypatch):
+    # The rejected value's digits are not repeated: the start and the count only.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan-bounds", "--count", str(10**400)])
+    assert exc.value.code == 2
+    option_err = capsys.readouterr().err
+    Path("spec.json").write_text(f'{{"kind": "haar_pure", "count": {"9" * 4000}, "seed": 1}}')
+    code, out, spec_err = run_cli(capsys, ["ensemble", "spec.json"])
+    assert (code, out) == (2, "")
+    for err, shown in ((option_err, "100000000000... (401 digits)"),
+                       (spec_err, "999999999999... (4000 digits)")):
+        line = err.splitlines()[-1]
+        assert line.endswith(f"{COUNT_RULE}, got {shown}")
+        assert len(line.encode()) < 200
 
 
 HUGE = 10**400  # a JSON integer beyond the float range

@@ -34,13 +34,18 @@ from entcov.ensembles import (
     separable_mixture,
 )
 from entcov.gmeasure import (
+    CERT_MARGIN,
     _clamp_g,
     _g_from_moments,
     _g_hs,
+    bounds_violated,
     g_from_covariances,
     g_hilbert_schmidt,
     l3,
+    mixed_state_ceiling,
+    pure_state_floor,
 )
+from entcov.jsonio import format_float
 from entcov.linalg import (
     MATRIX_TOL,
     PAULIS,
@@ -464,3 +469,46 @@ def test_every_public_scalar_measure_returns_a_python_float(name):
     p = haar_pure(20261021, 3)
     for rho in (from_pure(p), ginibre(20261021, 3, 2), canonical("singlet")):
         assert type(SCALAR_MEASURES[name](p, rho)) is float
+
+
+# Values whose text is easy to get wrong: both zeros, subnormals, the ends of
+# the float range, values that need all 17 digits, and 17-digit ties: an odd
+# 16-digit integer over 4 is exactly 18 significant digits ending in 5.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -1e-310,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.1 + 0.2, 1 / 3, 2 / 3, 1.0000000000000002, 0.99999999999999989, 123456789012345678.0,
+    9007199254740991 / 4, 9007199254740989 / 4, -9007199254740987 / 4, 1e-5, 1e17, 2.5, -7.0,
+]
+
+
+def test_format_float_on_an_array_is_the_scalar_rule_value_by_value():
+    rng = np.random.default_rng(20261019)
+    spread = rng.standard_normal(200) * 10.0 ** rng.integers(-320, 300, 200)
+    values = np.concatenate([EDGE_FLOATS, spread])
+    assert format_float(values) == [format_float(x) for x in values.tolist()]
+    assert format_float(values[:2]) == ["0", "0"]
+    assert format_float(np.empty(0)) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_format_float_on_an_array_raises_the_scalar_message_of_the_first_non_finite(bad):
+    values = np.array([1.5, -0.0, bad, np.inf if np.isnan(bad) else np.nan, 2.0])
+    with pytest.raises(ValueError) as scalar:
+        format_float(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+        format_float(values)
+
+
+def test_bounds_violated_on_arrays_is_the_scalar_rule_pair_by_pair():
+    # One ulp either side of each band edge, where the decision flips.
+    c = np.linspace(0.0, 1.0, 101)
+    low, high = pure_state_floor(c) - CERT_MARGIN, mixed_state_ceiling(c) + CERT_MARGIN
+    down, up = -np.inf, np.inf
+    cases = [(np.nextafter(low, down), True), (low, False), (np.nextafter(low, up), False),
+             (np.nextafter(high, down), False), (high, False), (np.nextafter(high, up), True)]
+    for g, outside in cases:
+        flags = bounds_violated(c, g)
+        assert flags.dtype == bool
+        assert flags.tolist() == [bounds_violated(x, y) for x, y in zip(c.tolist(), g.tolist())]
+        assert flags.tolist() == [outside] * len(c)
