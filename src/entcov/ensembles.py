@@ -3,11 +3,13 @@
 Pure states are drawn from the Haar measure, mixed states from the Ginibre
 construction X X^dag / Tr(X X^dag) (the Hilbert-Schmidt induced measure),
 with the rank of X as a knob to explore the region near both concurrence
-bounds.  Every generator is a pure function of (seed, index, params);
-indices can be evaluated in parallel and in any order with byte-identical
-results.  Each index draws from its own stream; sweeps draw CHUNK indices
-at a time through one re-keyed generator (``_rng._streams``) and form each
-chunk as one (n, 4, 4) stack (``_chunks``, ``_stack``).
+bounds, separable states as mixtures of random product states.  Every
+generator is a pure function of (seed, index, params), so indices can be
+evaluated in parallel and in any order with byte-identical results.  Each
+index draws from its own stream; sweeps draw CHUNK indices at a time through
+one re-keyed generator (``_rng._streams``) into one (n, 4, 4) stack
+(``_chunks``, ``_stack``), whose fixed-purity and separable kernels also
+form the one-index ``fixed_purity`` and ``separable_mixture``.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from ._rng import (
     rng_at,
 )
 from .jsonio import _integer, _json_integral, _real
-from .linalg import _dagger, _trace
-from .states import DensityMatrix, PureState, _projectors, _purity, rho_u
+from .linalg import _dagger, _trace, tensor
+from .states import DensityMatrix, PureState, _projectors, _purity, _rho_u_stack
 
 MAX_REJECTION_ATTEMPTS = 10**6
 # fixed_purity draws its attempts this many at a time (the last block is cut to the cap).
@@ -76,11 +78,6 @@ def _haar_amp_stack(seed: int, indices) -> np.ndarray:
     """The (n, 4) amplitudes of haar_pure(seed, k) for k in the indices."""
     amps = [_haar_amps(rng) for rng in _streams(seed, STREAM_HAAR, indices)]
     return np.array(amps, dtype=complex).reshape(-1, 4)  # (0, 4) for no index
-
-
-def _haar_stack(seed: int, indices) -> np.ndarray:
-    """The (n, 4, 4) stack of Haar pure-state projectors of the indices."""
-    return _projectors(_haar_amp_stack(seed, indices))
 
 
 def _induced(z: np.ndarray) -> np.ndarray:
@@ -213,23 +210,38 @@ def fixed_purity(seed: int, index: int, target: float, window: float) -> Density
     return DensityMatrix(_fixed_purity_stack(keys, target, window)[0])
 
 
-def _separable_matrix(rng: np.random.Generator, terms: int) -> np.ndarray:
-    weights = rng.standard_exponential(terms)
-    weights /= weights.sum()
-    m = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        a = _complex_normals(rng, (2,))
-        a /= np.linalg.norm(a)
-        b = _complex_normals(rng, (2,))
-        b /= np.linalg.norm(b)
-        m += w * np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
-    return m
+def _separable_stack(seed: int, indices, terms: int) -> np.ndarray:
+    """The (n, 4, 4) mixtures of ``terms`` random product states of the indices.
+
+    Each index draws from its own stream, straight into its rows: its weights,
+    then each term's (2, 2) normals of A and then of B, as ``_complex_normals``
+    draws.  The rest is formed as stacks, the norms as np.linalg.norm's dot
+    products, and the weighted products are added in term order.
+    """
+    group = max(1, 2**13 // terms)  # product states formed at once; 2**13 take about 4 MiB
+    if len(indices) > group:
+        parts = [indices[k : k + group] for k in range(0, len(indices), group)]
+        return np.concatenate([_separable_stack(seed, part, terms) for part in parts])
+    w, x = np.empty((len(indices), terms)), np.empty((len(indices), terms, 2, 2, 2))
+    for rng, w_row, x_row in zip(_streams(seed, STREAM_SEPARABLE, indices), w, x):
+        rng.standard_exponential(out=w_row)
+        rng.standard_normal(out=x_row)
+    w /= w.sum(axis=-1, keepdims=True)
+    z = np.empty((len(indices), terms, 2, 1, 2), dtype=complex)  # a row vector per factor
+    z.real, z.imag = x[..., :1, :], x[..., 1:, :]
+    norm = np.sqrt(z.real @ z.real.swapaxes(-1, -2) + z.imag @ z.imag.swapaxes(-1, -2))
+    p = _projectors((z / norm)[..., 0, :])
+    products = tensor(p[:, :, 0], p[:, :, 1])
+    out = np.zeros_like(products[:, 0])
+    for j in range(terms):
+        out += w[:, j, None, None] * products[:, j]
+    return out
 
 
 def separable_mixture(seed: int, index: int, terms: int) -> DensityMatrix:
     """Convex mixture of ``terms`` random product states with flat Dirichlet weights."""
     terms = _integer("terms", terms, 1)
-    return DensityMatrix(_separable_matrix(rng_at(seed, STREAM_SEPARABLE, index), terms))
+    return DensityMatrix(_separable_stack(seed, [(index,)], terms)[0])
 
 
 def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
@@ -302,7 +314,7 @@ def _stack(spec: EnsembleSpec, indices) -> np.ndarray:
     if len(indices) == 0:
         return np.empty((0, 4, 4), dtype=complex)
     if spec.kind == "haar_pure":
-        return _haar_stack(spec.seed, indices)
+        return _projectors(_haar_amp_stack(spec.seed, indices))
     if spec.kind == "ginibre":
         return _ginibre_stack(spec.seed, indices, (spec.rank,))
     if spec.kind == "fixed_purity":
@@ -315,10 +327,8 @@ def _stack(spec: EnsembleSpec, indices) -> np.ndarray:
         parts = [keys[k : k + group] for k in range(0, len(keys), group)]
         return np.concatenate([_fixed_purity_stack(g, target, window) for g in parts])
     if spec.kind == "separable_mixture":
-        streams = _streams(spec.seed, STREAM_SEPARABLE, indices)
-        return np.stack([_separable_matrix(rng, spec.mixture_terms) for rng in streams])
-    last = max(spec.count - 1, 1)  # rho_u_sweep
-    return np.stack([rho_u(0.5 * i / last, 0.0).mat for i in indices.tolist()])
+        return _separable_stack(spec.seed, indices, spec.mixture_terms)
+    return _rho_u_stack(0.5 * indices / max(spec.count - 1, 1))  # rho_u_sweep
 
 
 def generate(spec: EnsembleSpec):

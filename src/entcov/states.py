@@ -130,11 +130,16 @@ def rho_u(gamma: float, theta: float = 0.0) -> DensityMatrix:
     """
     if not 0.0 <= gamma <= 0.5:
         raise ValueError(f"gamma must lie in [0, 1/2], got {gamma}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = 0.5
-    m[0, 3] = gamma * np.exp(1j * theta)
-    m[3, 0] = gamma * np.exp(-1j * theta)
-    return DensityMatrix(m)
+    return DensityMatrix(_rho_u_stack(gamma, theta))
+
+
+def _rho_u_stack(gamma, theta: float = 0.0) -> np.ndarray:
+    """The raw rho_u(gamma, theta) matrix, or the (..., 4, 4) stack of an array of gammas."""
+    m = np.zeros((*np.shape(gamma), 4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 3, 3] = 0.5
+    m[..., 0, 3] = gamma * np.exp(1j * theta)
+    m[..., 3, 0] = gamma * np.exp(-1j * theta)
+    return m
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

@@ -33,9 +33,8 @@ from entcov.ensembles import (
     _complex_normals,
     _ginibre_stack,
     _haar_amp_stack,
-    _haar_stack,
     _haar_unitary_2x2,
-    _separable_matrix,
+    _separable_stack,
     _stack,
     ginibre,
 )
@@ -64,7 +63,6 @@ from entcov.states import (
 )
 from entcov._rng import (
     STREAM_GINIBRE,
-    STREAM_SEPARABLE,
     STREAM_TRIAL,
     STREAM_UNITARY,
     _streams,
@@ -137,8 +135,11 @@ def _separable_stacks(seed, count):
     """(indices, stack) of separable_mixture(seed, k, k % 8 + 1) for k < count, chunk-wise."""
 
     def stack(idx):
-        streams = _streams(seed, STREAM_SEPARABLE, idx)
-        return np.stack([_separable_matrix(rng, k % 8 + 1) for k, rng in zip(idx.tolist(), streams)])
+        out = np.empty((len(idx), 4, 4), dtype=complex)
+        for terms in range(1, 9):
+            group = idx % 8 + 1 == terms
+            out[group] = _separable_stack(seed, idx[group], terms)
+        return out
 
     return _chunks(count, stack)
 
@@ -337,7 +338,7 @@ def _criterion_07_states(idx):
     """from_pure(haar_pure(20260807, k)) where 5 divides k, else Ginibre, ranks cycling 1-4."""
     pure = idx % 5 == 0
     out = np.empty((len(idx), 4, 4), dtype=complex)
-    out[pure] = _haar_stack(20260807, idx[pure])
+    out[pure] = _projectors(_haar_amp_stack(20260807, idx[pure]))
     out[~pure] = _ginibre_stack(20260807, idx[~pure], (1, 2, 3, 4))
     return out
 

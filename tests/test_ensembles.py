@@ -50,7 +50,7 @@ def test_haar_pure_determinism():
 def test_stacks_of_no_index_are_empty():
     no_index = np.arange(0)
     stacks = [
-        ensembles._haar_stack(1, no_index),
+        ensembles._separable_stack(1, no_index, 3),
         ensembles._ginibre_stack(1, no_index, (1,)),
         ensembles._fixed_purity_stack(_keys(1, STREAM_FIXED_PURITY, no_index), 0.46, 0.005),
     ]
@@ -450,7 +450,9 @@ CHUNK_SPECS = [
     EnsembleSpec("haar_pure", N_CHUNKED, 4),
     *(EnsembleSpec("ginibre", N_CHUNKED, 5 + rank, rank=rank) for rank in (1, 2, 3, 4)),
     EnsembleSpec("fixed_purity", N_CHUNKED, 6, purity_target=0.46, purity_window=0.005),
-    EnsembleSpec("separable_mixture", N_CHUNKED, 7, mixture_terms=3),
+    # numpy sums the weights in other orders from 8 terms and past 128 terms.
+    *(EnsembleSpec("separable_mixture", N_CHUNKED, 7, mixture_terms=t) for t in (1, 3, 8, 9)),
+    EnsembleSpec("separable_mixture", 9, 7, mixture_terms=130),
     EnsembleSpec("rho_u_sweep", N_CHUNKED, 0),
     EnsembleSpec("rho_u_sweep", 1, 0),
 ]
@@ -468,7 +470,8 @@ def chunked(count, stack, chunk, monkeypatch):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, ensembles.CHUNK])
-@pytest.mark.parametrize("spec", CHUNK_SPECS, ids=lambda spec: f"{spec.kind}-{spec.rank}")
+# The id names a Ginibre spec's rank and a separable spec's term count.
+@pytest.mark.parametrize("spec", CHUNK_SPECS, ids=lambda s: f"{s.kind}-{s.rank or s.mixture_terms}")
 def test_chunked_matrices_equal_the_per_index_oracle(spec, chunk, monkeypatch):
     mats = chunked(spec.count, functools.partial(ensembles._stack, spec), chunk, monkeypatch)
     for k, m in enumerate(mats):
@@ -492,6 +495,22 @@ def test_the_rank_cycle_follows_the_index_value():
     assert np.array_equal(ensembles._ginibre_stack(2026, indices, cycle), expected)
     for k, m in zip(indices, expected):
         assert np.array_equal(ensembles._ginibre_stack(2026, np.array([k]), cycle)[0], m), k
+
+
+def test_a_separable_stack_forms_a_bounded_number_of_products(monkeypatch):
+    # 2049 terms: 2**13 product states hold 3 indices, so 7 indices form in 3 groups.
+    terms, indices = 2**11 + 1, np.array([9, 2, 40, 3, 2**64 - 1, 0, 17], dtype=np.uint64)
+    formed, tensor = [], ensembles.tensor
+
+    def counting(a, b):
+        formed.append(a.shape[0] * a.shape[1])
+        return tensor(a, b)
+
+    monkeypatch.setattr(ensembles, "tensor", counting)
+    mats = ensembles._separable_stack(2026, indices, terms)
+    assert formed == [3 * terms, 3 * terms, terms]
+    for k, m in zip(indices.tolist(), mats):
+        assert np.array_equal(m, separable_mixture(2026, k, terms).mat), k
 
 
 def test_generate_draws_one_index_at_a_time(monkeypatch):

@@ -36,8 +36,17 @@ def test_negative_seed_rejected_with_one_message(fn):
         lambda: ginibre(1, -1, 2),  # ... and index 2**64 - 1
         lambda: haar_pure(1, 1.5),  # int() would alias index 1
         lambda: rng_at(1, STREAM_GINIBRE, 0, 2**64),
+        lambda: separable_mixture(1, 2**64, 2),
+        lambda: separable_mixture(1, -1, 2),
     ],
-    ids=["index-2**64", "index--1", "index-1.5", "second-part-2**64"],
+    ids=[
+        "index-2**64",
+        "index--1",
+        "index-1.5",
+        "second-part-2**64",
+        "separable-index-2**64",
+        "separable-index--1",
+    ],
 )
 def test_stream_index_outside_u64_rejected(call):
     message = r"^index must be an integer >= 0 and <= 18446744073709551615, got "
