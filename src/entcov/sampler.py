@@ -12,6 +12,7 @@ accidentals).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,9 +37,6 @@ OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _AB = np.array([a * b for a, b in OUTCOMES], dtype=float)
 _A = np.array([a for a, _ in OUTCOMES], dtype=float)
 _B = np.array([b for _, b in OUTCOMES], dtype=float)
-# The (4, 3) matrix [_AB, _A, _B] in integers: the three per-setting sums of
-# whole-number counts in one exact product, which stays off BLAS.
-_SUMS = np.stack([_AB, _A, _B], axis=1).astype(np.int64)
 # The nine settings (i, j) in row order, as 1-based stream index parts.
 _SETTINGS = np.array([(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
 
@@ -107,25 +105,25 @@ def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _simulate(p: np.ndarray, shots: int, seed: int, keys: np.ndarray) -> MeasurementRecord:
-    """The record of ``shots`` draws per setting from the outcome table p.
+def _simulate(p: np.ndarray, shots: int, keys: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3, 4) counts of n runs of ``shots`` draws per setting from the outcome table p.
 
-    keys are the settings' stream keys ``_keys(seed, STREAM_SETTING,
-    _SETTINGS)``, which a caller simulating one seed at many shot counts
-    derives once.
+    keys stacks each run's setting stream keys ``_keys(seed, STREAM_SETTING,
+    _SETTINGS)``, (9n, 2) in all, which a caller simulating many seeds at
+    many shot counts derives once.
     """
-    counts = np.zeros((3, 3, 4))
-    for setting, rng in zip(np.ndindex(3, 3), _rekeyed(keys)):
-        counts[setting] = rng.multinomial(shots, p[setting])
-    return MeasurementRecord(shots_per_setting=shots, counts=counts, seed=seed)
+    counts = np.zeros((len(keys), 4))
+    for row, probs, rng in zip(counts, itertools.cycle(p.reshape(9, 4)), _rekeyed(keys)):
+        row[:] = rng.multinomial(shots, probs)
+    return counts.reshape(-1, 3, 3, 4)
 
 
 def simulate_record(rho: DensityMatrix, shots: int, seed: int) -> MeasurementRecord:
     """Draw ``shots`` outcomes per setting; per-setting streams allow the nine
     settings to be simulated in parallel without changing the result."""
     shots = _integer("shots", shots, 1, MAX_RECORD_SHOTS)
-    p = outcome_probabilities(rho)
-    return _simulate(p, shots, seed, _keys(seed, STREAM_SETTING, _SETTINGS))
+    counts = _simulate(outcome_probabilities(rho), shots, _keys(seed, STREAM_SETTING, _SETTINGS))
+    return MeasurementRecord(shots_per_setting=shots, counts=counts[0], seed=seed)
 
 
 def _covariances(s_ab, s_a, s_b, totals) -> np.ndarray:
@@ -142,16 +140,17 @@ def _covariances_from_counts(counts: np.ndarray) -> np.ndarray:
     return _covariances(counts @ _AB, counts @ _A, counts @ _B, counts.sum(axis=-1))
 
 
-def _bootstrap_covariances(boot: np.ndarray) -> np.ndarray:
-    """The covariances of integer counts, their sums taken in one integer product.
+def _bootstrap_covariances(boot: np.ndarray, shots: int) -> np.ndarray:
+    """The covariances of multinomial replicate tables, each of which sums to shots.
 
-    The integer sums are exact, and so are the float sums of
-    ``_covariances_from_counts`` while each table's total, the record's
-    shots, is at most MAX_RECORD_SHOTS = 2**53, which MeasurementRecord
-    enforces; the two then agree bit for bit.
+    The sums of ab, a and b are taken in int64 from the four count columns,
+    and the total is shots itself.  Both are exact, and so are the float
+    sums of ``_covariances_from_counts`` while shots is at most
+    MAX_RECORD_SHOTS = 2**53, which MeasurementRecord enforces; the two then
+    agree bit for bit.
     """
-    sums = boot.reshape(-1, 4) @ _SUMS
-    return _covariances(*sums.T.reshape(3, *boot.shape[:-1]), boot.sum(axis=-1))
+    n0, n1, n2, n3 = np.moveaxis(boot, -1, 0)
+    return _covariances((n0 + n3) - (n1 + n2), (n0 + n1) - (n2 + n3), (n0 + n2) - (n1 + n3), shots)
 
 
 def estimate_g(rec: MeasurementRecord) -> GEstimate:
@@ -168,7 +167,7 @@ def estimate_g(rec: MeasurementRecord) -> GEstimate:
     freqs = rec.counts / rec.counts.sum(axis=-1, keepdims=True)
     rng = rng_at(rec.seed, STREAM_BOOTSTRAP)
     boot = rng.multinomial(rec.shots_per_setting, freqs, size=(BOOTSTRAP_REPLICATES, 3, 3))
-    replicates = np.sum(_bootstrap_covariances(boot) ** 2, axis=(1, 2))
+    replicates = np.sum(_bootstrap_covariances(boot, rec.shots_per_setting) ** 2, axis=(1, 2))
     stderr = float(np.std(replicates, ddof=1))
     return GEstimate(
         g_hat=g_hat,
@@ -189,10 +188,14 @@ def shots_for_verdict(
 
     Success at a given shot count means g_hat - confidence_sigma * stderr > 1
     in at least ``required`` of ``trials`` seeded runs.  The count is located
-    on a doubling grid up to MAX_SHOTS and then refined by bisection.  Each
-    vote stops as soon as it is decided, once ``required`` hits are reached
-    or can no longer be reached; every trial has its own seed, so stopping
-    early never changes the result.  seed >= 0, trials >= 1 and
+    on a doubling grid up to MAX_SHOTS and then refined by bisection.  At
+    each shot count every trial's record is drawn first.  The vote then
+    bootstraps the trials in the order of their plug-in G, from the lowest
+    up when fewer misses than hits decide it and from the highest down
+    otherwise, and stops as soon as it is decided, once ``required`` hits
+    are reached or can no longer be reached; every trial has its own seed,
+    so neither the order nor stopping early ever changes the result, only
+    how many trials are bootstrapped.  seed >= 0, trials >= 1 and
     1 <= required <= trials follow the integer rule, and confidence_sigma
     must be a finite real number >= 0 (not a boolean); anything else raises
     ValueError before a trial runs.  States with G <= 1, which
@@ -209,12 +212,18 @@ def shots_for_verdict(
 
     p = outcome_probabilities(rho)
     trial_seeds = [derive_seed(seed, STREAM_TRIAL, t) for t in range(trials)]
-    trial_keys = [_keys(t_seed, STREAM_SETTING, _SETTINGS) for t_seed in trial_seeds]
+    keys = np.concatenate([_keys(t_seed, STREAM_SETTING, _SETTINGS) for t_seed in trial_seeds])
+    # Where fewer misses than hits decide the vote, bootstrap the lowest G
+    # first, where misses lie; otherwise the highest first, where hits lie.
+    misses_decide = trials - required + 1 < required
 
     def succeeds(shots: int) -> bool:
+        counts = _simulate(p, shots, keys)
+        plug_in = np.sum(_covariances_from_counts(counts) ** 2, axis=(1, 2))
+        order = np.argsort(plug_in if misses_decide else -plug_in, kind="stable")
         hits = misses = 0
-        for t_seed, keys in zip(trial_seeds, trial_keys):
-            est = estimate_g(_simulate(p, shots, t_seed, keys))
+        for t in order:
+            est = estimate_g(MeasurementRecord(shots, counts[t], trial_seeds[t]))
             if est.g_hat - sigma * est.stderr > 1.0:
                 hits += 1
             else:

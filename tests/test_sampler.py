@@ -125,16 +125,18 @@ def test_settings_draw_from_independent_streams():
 
 
 def test_keys_derived_once_draw_the_records_of_simulate_record():
-    # a search derives each trial's setting keys once and simulates with them
-    # at every shot count; each record equals the one simulate_record draws
+    # a search stacks every trial's setting keys once and simulates all its
+    # trials in one call at every shot count; each run's counts equal the
+    # record simulate_record draws
+    seeds = (0, 31, derive_seed(2026, STREAM_TRIAL, 5))
+    keys = np.concatenate([_keys(seed, STREAM_SETTING, sampler._SETTINGS) for seed in seeds])
     for rho in (canonical("singlet"), rho_u(0.4), ginibre(17, 3, 2)):
         p = outcome_probabilities(rho)
-        for seed in (0, 31, derive_seed(2026, STREAM_TRIAL, 5)):
-            keys = _keys(seed, STREAM_SETTING, sampler._SETTINGS)
-            for shots in (1, 7, 24, 799):
-                rec = sampler._simulate(p, shots, seed, keys)
-                direct = simulate_record(rho, shots, seed)
-                assert np.array_equal(rec.counts, direct.counts) and rec.seed == direct.seed
+        for shots in (1, 7, 24, 799):
+            counts = sampler._simulate(p, shots, keys)
+            assert counts.shape == (len(seeds), 3, 3, 4)
+            for run, seed in zip(counts, seeds):
+                assert np.array_equal(run, simulate_record(rho, shots, seed).counts)
 
 
 def test_empirical_correlations_converge():
@@ -233,6 +235,20 @@ def test_one_call_bootstrap_draws_the_looped_values():
         assert estimate_g(rec).stderr == looped_bootstrap_stderr(rec)
 
 
+@pytest.mark.parametrize("shots", [1, 24, 799, 10**6, MAX_RECORD_SHOTS])
+def test_bootstrap_sums_equal_the_record_sums(shots):
+    # replicate tables are summed in int64 over their columns, with shots as
+    # the total; the record's own float sums give the same covariances
+    rng = np.random.default_rng(shots % 2**32)
+    for rho in (canonical("singlet"), rho_u(0.4), ginibre(8, 1, 3), ginibre(8, 2, 4)):
+        freqs = outcome_probabilities(rho)
+        boot = rng.multinomial(shots, freqs, size=(BOOTSTRAP_REPLICATES, 3, 3))
+        assert np.array_equal(
+            sampler._bootstrap_covariances(boot, shots),
+            sampler._covariances_from_counts(boot.astype(float)),
+        )
+
+
 def test_estimator_bias_shrinks_for_zero_g_state():
     # the zero-G state exposes the pure plug-in bias, which decays like 1/N
     mm = canonical("maximally_mixed")
@@ -317,6 +333,67 @@ def test_search_derives_each_trials_setting_keys_once(monkeypatch):
     monkeypatch.setattr(sampler, "_keys", counted)
     assert shots_for_verdict(canonical("singlet"), 3.0, 2026, trials=10, required=10) == 13
     assert streams.count(STREAM_SETTING) == 10
+
+
+def trial_order_shots_for_verdict(rho, sigma, seed, trials, required):
+    """The search with every vote taken in trial order, through the public
+    simulate_record and estimate_g, with the same doubling and bisection."""
+    trial_seeds = [derive_seed(seed, STREAM_TRIAL, t) for t in range(trials)]
+
+    def succeeds(shots):
+        hits = misses = 0
+        for t_seed in trial_seeds:
+            est = estimate_g(simulate_record(rho, shots, t_seed))
+            if est.g_hat - sigma * est.stderr > 1.0:
+                hits += 1
+            else:
+                misses += 1
+            if hits >= required or misses > trials - required:
+                break
+        return hits >= required
+
+    shots = 1
+    while not succeeds(shots):
+        shots *= 2
+    if shots == 1:
+        return 1
+    lo, hi = shots // 2, shots
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if succeeds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("trials, required", [(10, 1), (10, 6), (10, 10), (20, 19)])
+@pytest.mark.parametrize("name", ["singlet", "rho_u(0.4)"])
+def test_vote_order_never_changes_the_answer(name, trials, required):
+    # the search bootstraps the trials from the highest plug-in G down for
+    # (10, 1) and (10, 6), from the lowest up for (10, 10) and (20, 19)
+    rho = canonical("singlet") if name == "singlet" else rho_u(0.4)
+    expected = trial_order_shots_for_verdict(rho, 3.0, 2026, trials, required)
+    assert shots_for_verdict(rho, 3.0, 2026, trials=trials, required=required) == expected
+
+
+@pytest.mark.parametrize(
+    "name, required, shots, estimates",
+    [("singlet", 10, 13, 35), ("rho_u(0.4)", 10, 24, 29), ("rho_u(0.4)", 1, 2, 11)],
+)
+def test_search_bootstraps_the_deciding_side_first(name, required, shots, estimates, monkeypatch):
+    """The benchmark's two 10-of-10 searches take 35 and 29 estimates, and
+    1 of 10 on rho_u(0.4) takes 11; in trial order they take 50, 42 and 15."""
+    calls = []
+
+    def counted(rec):
+        calls.append(rec.shots_per_setting)
+        return estimate_g(rec)
+
+    monkeypatch.setattr(sampler, "estimate_g", counted)
+    rho = canonical("singlet") if name == "singlet" else rho_u(0.4)
+    assert shots_for_verdict(rho, 3.0, 2026, trials=10, required=required) == shots
+    assert len(calls) == estimates
 
 
 def test_record_json_round_trip():
