@@ -6,9 +6,9 @@ counter-based bit generator keyed as numpy's
 the sample at one address never depends on which other addresses were
 generated, in what order, or on how many workers did the generating.
 ``_keys`` keys one address by numpy's SeedSequence itself and derives the
-keys of many addresses in one vectorised pass of its hash, ``_rekeyed``
-serves given keys through one re-keyed generator and ``_streams`` is the
-two in turn; ``rng_at`` and ``derive_seed`` are the one-address case.
+keys of many addresses in one vectorised pass of its hash, and ``_rekeyed``
+serves given keys through one re-keyed generator; ``rng_at`` and
+``derive_seed`` are the one-address case.
 """
 
 from __future__ import annotations
@@ -168,14 +168,6 @@ def _rekeyed(keys: np.ndarray):
         fresh["state"]["key"] = key
         rng.bit_generator.state = fresh
         yield rng
-
-
-def _streams(seed: int, stream: int, indices):
-    """The generator of each address (seed, stream, *index) for index in indices, in order.
-
-    Their draws equal ``rng_at``'s; see ``_rekeyed`` for how to consume them.
-    """
-    return _rekeyed(_keys(seed, stream, indices))
 
 
 def rng_at(seed: int, stream: int, *index: int) -> np.random.Generator:

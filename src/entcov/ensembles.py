@@ -7,9 +7,11 @@ bounds, separable states as mixtures of random product states.  Every
 generator is a pure function of (seed, index, params), so indices can be
 evaluated in parallel and in any order with byte-identical results.  Each
 index draws from its own stream; sweeps draw CHUNK indices at a time through
-one re-keyed generator (``_rng._streams``) into one (n, 4, 4) stack
+one re-keyed generator (``_rng._rekeyed``) into one (n, 4, 4) stack
 (``_chunks``, ``_stack``), whose fixed-purity and separable kernels also
-form the one-index ``fixed_purity`` and ``separable_mixture``.
+form the one-index ``fixed_purity`` and ``separable_mixture``.  The other
+scalar calls share their stacks' formation: ``_haar_amps``, ``_induced``,
+``_unitaries``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from ._rng import (
     _MAX_INDEX,
     _keys,
     _rekeyed,
-    _streams,
     rng_at,
 )
 from .jsonio import _integer, _json_integral, _real
@@ -55,29 +56,45 @@ class InfeasibleWindowError(RuntimeError):
     """No rank-4 attempt hit a fixed_purity window within MAX_REJECTION_ATTEMPTS."""
 
 
-def _complex_normals(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Complex normals of the given shape: all real parts, then all imaginary parts, in one draw."""
-    x = rng.standard_normal((2, *shape))
-    z = np.empty(shape, dtype=complex)  # filled part by part: cheaper than x[0] + 1j * x[1]
-    z.real = x[0]
-    z.imag = x[1]
+def _normals(keys: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The (n, *shape) normals of n stream keys, each row drawn in place from its own stream."""
+    x = np.empty((len(keys), *shape))
+    for rng, row in zip(_rekeyed(keys), x):
+        rng.standard_normal(out=row)  # the draw of standard_normal(shape)
+    return x
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + 1j * im, filled part by part: cheaper than the sum."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real = re
+    z.imag = im
     return z
 
 
-def _haar_amps(rng: np.random.Generator) -> np.ndarray:
-    z = _complex_normals(rng, (4,))
-    return z / np.linalg.norm(z)
+def _unit(z: np.ndarray) -> np.ndarray:
+    """z / np.linalg.norm(z) along the last axis, bit for bit, for a vector or a stack.
+
+    Dot products of the strided .real and .imag views, (..., 1, n) @ (..., n, 1); copies differ.
+    """
+    re, im = z.real, z.imag
+    norm = np.sqrt(re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None])
+    return z / norm[..., 0]
+
+
+def _haar_amps(x: np.ndarray) -> np.ndarray:
+    """The unit amplitudes of (..., 2, 4) normals: real parts, then imaginary parts."""
+    return _unit(_complex(x[..., 0, :], x[..., 1, :]))
 
 
 def haar_pure(seed: int, index: int) -> PureState:
     """Haar-random pure two-qubit state: normalized complex normal amplitudes."""
-    return PureState(_haar_amps(rng_at(seed, STREAM_HAAR, index)))
+    return PureState(_haar_amps(rng_at(seed, STREAM_HAAR, index).standard_normal((2, 4))))
 
 
 def _haar_amp_stack(seed: int, indices) -> np.ndarray:
     """The (n, 4) amplitudes of haar_pure(seed, k) for k in the indices."""
-    amps = [_haar_amps(rng) for rng in _streams(seed, STREAM_HAAR, indices)]
-    return np.array(amps, dtype=complex).reshape(-1, 4)  # (0, 4) for no index
+    return _haar_amps(_normals(_keys(seed, STREAM_HAAR, indices), (2, 4)))
 
 
 def _induced(z: np.ndarray) -> np.ndarray:
@@ -98,31 +115,28 @@ def _ginibre_stack(seed: int, indices, ranks) -> np.ndarray:
     k is the index value, not its position among the indices.  The indices
     are grouped by rank first; each index draws its (2, 4, rank) normals from
     its own stream, as ``ginibre`` does, into its row of its rank's buffer,
-    and each rank present is then filled in as one complex stack, part by
-    part as ``_complex_normals`` fills, and formed as one stack.
+    and each rank present is then filled in as one complex stack
+    (``_complex``) and formed as one stack.
     """
     rank_of = _rank_cycle(indices, ranks)
     present = sorted(set(rank_of.tolist()))
     groups = [np.flatnonzero(rank_of == rank) for rank in present]
     draws = [np.empty((len(group), 2, 4, rank)) for rank, group in zip(present, groups)]
     # The streams are independent, so they may be visited in rank order.
-    streams = _streams(seed, STREAM_GINIBRE, indices[np.argsort(rank_of, kind="stable")])
+    streams = _rekeyed(_keys(seed, STREAM_GINIBRE, indices[np.argsort(rank_of, kind="stable")]))
     for rng, row in zip(streams, itertools.chain.from_iterable(draws)):
         rng.standard_normal(out=row)  # the draw of standard_normal((2, 4, rank))
     out = np.empty((len(indices), 4, 4), dtype=complex)
-    for rank, group, x in zip(present, groups, draws):
-        z = np.empty((len(group), 4, rank), dtype=complex)
-        z.real = x[:, 0]
-        z.imag = x[:, 1]
-        out[group] = _induced(z)
+    for group, x in zip(groups, draws):
+        out[group] = _induced(_complex(x[:, 0], x[:, 1]))
     return out
 
 
 def ginibre(seed: int, index: int, rank: int) -> DensityMatrix:
     """Random mixed state of rank at most ``rank`` under the induced measure."""
     rank = _integer("rank", rank, *_RANKS)
-    rng = rng_at(seed, STREAM_GINIBRE, index)
-    return DensityMatrix(_induced(_complex_normals(rng, (4, rank))))
+    x = rng_at(seed, STREAM_GINIBRE, index).standard_normal((2, 4, rank))
+    return DensityMatrix(_induced(_complex(x[0], x[1])))
 
 
 def _check_purity(target, window) -> tuple[float | None, float | None]:
@@ -151,7 +165,7 @@ def _fixed_purity_matrix(
     # draws past the hit are never read, and nothing else reads this index's stream.
     for at in range(start, MAX_REJECTION_ATTEMPTS, REJECTION_BLOCK):
         x = rng.standard_normal((min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS - at), 2, 4, 4))
-        mats = _induced(x[:, 0] + 1j * x[:, 1])
+        mats = _induced(_complex(x[:, 0], x[:, 1]))
         hits = np.flatnonzero(np.abs(_purity(mats) - target) <= window)
         if hits.size:
             return mats[hits[0]].copy()  # not a view that keeps the whole block alive
@@ -182,7 +196,7 @@ def _fixed_purity_stack(keys: np.ndarray, target: float, window: float) -> np.nd
     for k, rng in enumerate(_rekeyed(keys)):
         rng.standard_normal(out=x)
         saved.append(rng.bit_generator.state)
-        z[k].real = x[:, 0]  # filled part by part, as _complex_normals fills
+        z[k].real = x[:, 0]  # filled part by part, as _complex fills
         z[k].imag = x[:, 1]
     mats = _induced(z)
     del z  # freed before scoring, to keep the peak memory of a group down
@@ -214,23 +228,20 @@ def _separable_stack(seed: int, indices, terms: int) -> np.ndarray:
     """The (n, 4, 4) mixtures of ``terms`` random product states of the indices.
 
     Each index draws from its own stream, straight into its rows: its weights,
-    then each term's (2, 2) normals of A and then of B, as ``_complex_normals``
-    draws.  The rest is formed as stacks, the norms as np.linalg.norm's dot
-    products, and the weighted products are added in term order.
+    then each term's (2, 2) normals of A and then of B, real parts first.
+    The rest is formed as stacks, the norms by ``_unit``, and the weighted
+    products are added in term order.
     """
     group = max(1, 2**13 // terms)  # product states formed at once; 2**13 take about 4 MiB
     if len(indices) > group:
         parts = [indices[k : k + group] for k in range(0, len(indices), group)]
         return np.concatenate([_separable_stack(seed, part, terms) for part in parts])
     w, x = np.empty((len(indices), terms)), np.empty((len(indices), terms, 2, 2, 2))
-    for rng, w_row, x_row in zip(_streams(seed, STREAM_SEPARABLE, indices), w, x):
+    for rng, w_row, x_row in zip(_rekeyed(_keys(seed, STREAM_SEPARABLE, indices)), w, x):
         rng.standard_exponential(out=w_row)
         rng.standard_normal(out=x_row)
     w /= w.sum(axis=-1, keepdims=True)
-    z = np.empty((len(indices), terms, 2, 1, 2), dtype=complex)  # a row vector per factor
-    z.real, z.imag = x[..., :1, :], x[..., 1:, :]
-    norm = np.sqrt(z.real @ z.real.swapaxes(-1, -2) + z.imag @ z.imag.swapaxes(-1, -2))
-    p = _projectors((z / norm)[..., 0, :])
+    p = _projectors(_unit(_complex(x[..., 0, :], x[..., 1, :])))
     products = tensor(p[:, :, 0], p[:, :, 1])
     out = np.zeros_like(products[:, 0])
     for j in range(terms):
@@ -244,20 +255,27 @@ def separable_mixture(seed: int, index: int, terms: int) -> DensityMatrix:
     return DensityMatrix(_separable_stack(seed, [(index,)], terms)[0])
 
 
-def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
-    # Gram-Schmidt on Ginibre columns; normalizing with real norms fixes the
-    # QR phase ambiguity, which is what makes the result Haar.
-    z = _complex_normals(rng, (2, 2))
-    q0 = z[:, 0] / np.linalg.norm(z[:, 0])
-    v = z[:, 1] - (q0.conj() @ z[:, 1]) * q0
-    q1 = v / np.linalg.norm(v)
-    return np.column_stack([q0, q1])
+def _unitaries(x: np.ndarray) -> np.ndarray:
+    """Haar unitaries (u_a, u_b), (..., 2, 2, 2), of (..., 2, 2, 2, 2) normals, real parts first.
+
+    Gram-Schmidt on Ginibre columns; normalizing with real norms fixes the
+    QR phase ambiguity, which is what makes the result Haar.
+    """
+    z = _complex(x[..., 0, :, :], x[..., 1, :, :])
+    q0 = _unit(z[..., :, 0])
+    v = z[..., :, 1] - (q0.conj()[..., None, :] @ z[..., :, 1, None])[..., 0] * q0
+    return np.stack([q0, _unit(v)], axis=-1)
+
+
+def _unitary_stack(seed: int, indices) -> np.ndarray:
+    """The (n, 2, 2, 2) pairs u_a, u_b of random_local_unitary(seed, k) for k in the indices."""
+    return _unitaries(_normals(_keys(seed, STREAM_UNITARY, indices), (2, 2, 2, 2)))
 
 
 def random_local_unitary(seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
     """Two independent Haar-random 2x2 unitaries."""
-    rng = rng_at(seed, STREAM_UNITARY, index)
-    return _haar_unitary_2x2(rng), _haar_unitary_2x2(rng)
+    u_a, u_b = _unitaries(rng_at(seed, STREAM_UNITARY, index).standard_normal((2, 2, 2, 2)))
+    return u_a, u_b
 
 
 @dataclass(frozen=True)

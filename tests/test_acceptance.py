@@ -10,8 +10,9 @@ asserting none.  A 50-digit mpmath recomputation of the counterexamples shows
 that they are real and not floating-point artifacts.  The companion test 04s
 checks restricted sweeps that are clean.  These sweeps and those of criteria
 01, 02 and 07-10 generate and measure their states in stacks, through the
-chunk loop and the kernels the CLI sweeps use; only criterion 09's pure-state
-invariants are formed one state at a time.
+chunk loop and the kernels the CLI sweeps use, criterion 07's local
+unitaries through the package's stack of them; only criterion 09's
+pure-state invariants are formed one state at a time.
 """
 
 import functools
@@ -30,12 +31,12 @@ from entcov.concurrence import (
 from entcov.ensembles import (
     EnsembleSpec,
     _chunks,
-    _complex_normals,
+    _complex,
     _ginibre_stack,
     _haar_amp_stack,
-    _haar_unitary_2x2,
     _separable_stack,
     _stack,
+    _unitary_stack,
     ginibre,
 )
 from entcov.gmeasure import (
@@ -49,7 +50,7 @@ from entcov.gmeasure import (
     mixed_state_ceiling,
     pure_state_floor,
 )
-from entcov.linalg import PAULIS, SIGMA0, SIGMA1, partial_transpose
+from entcov.linalg import PAULIS, SIGMA0, SIGMA1, partial_transpose, tensor
 from entcov.observables import correlation_data, pauli_moments
 from entcov.sampler import MeasurementRecord, estimate_g, outcome_probabilities, simulate_record
 from entcov.states import (
@@ -61,14 +62,7 @@ from entcov.states import (
     canonical,
     rho_u,
 )
-from entcov._rng import (
-    STREAM_GINIBRE,
-    STREAM_TRIAL,
-    STREAM_UNITARY,
-    _streams,
-    derive_seed,
-    rng_at,
-)
+from entcov._rng import STREAM_GINIBRE, STREAM_TRIAL, derive_seed, rng_at
 
 
 def report(num, ok, detail):
@@ -210,7 +204,7 @@ def _mp_ginibre_c_g(seed, index, rank, mp):
     sum of the nine squared covariances.  The Pauli products have entries
     0, +-1, +-i, so they convert to mpmath exactly.
     """
-    x = _complex_normals(rng_at(seed, STREAM_GINIBRE, index), (4, rank))
+    x = _complex(*rng_at(seed, STREAM_GINIBRE, index).standard_normal((2, 4, rank)))
     m = x @ x.conj().T
     assert np.array_equal(m / np.real(np.trace(m)), ginibre(seed, index, rank).mat)
 
@@ -343,17 +337,10 @@ def _criterion_07_states(idx):
     return out
 
 
-def _local_unitaries(seed, idx):
-    """The stack of kron(u_a, u_b) with u_a, u_b = random_local_unitary(seed, k), k in idx."""
-    streams = _streams(seed, STREAM_UNITARY, idx)
-    pairs = [(_haar_unitary_2x2(rng), _haar_unitary_2x2(rng)) for rng in streams]
-    return np.stack([np.kron(u_a, u_b) for u_a, u_b in pairs])
-
-
 def test_criterion_07_invariance_suite():
     worst_g = worst_c = 0.0
     for idx, mats in _chunks(10_000, _criterion_07_states):
-        u = _local_unitaries(20260817, idx)
+        u = tensor(*_unitary_stack(20260817, idx).swapaxes(0, 1))  # kron(u_a, u_b) of each k
         c, g = _c_and_g(mats)
         c_rotated, g_rotated = _c_and_g(u @ mats @ u.conj().transpose(0, 2, 1))
         worst_g = max(worst_g, float(np.max(np.abs(g_rotated - g))))

@@ -10,6 +10,7 @@ from entcov._rng import (
     STREAM_GINIBRE,
     STREAM_HAAR,
     STREAM_SEPARABLE,
+    STREAM_UNITARY,
     _keys,
     rng_at,
 )
@@ -58,6 +59,8 @@ def test_stacks_of_no_index_are_empty():
     assert {spec.kind for spec in CHUNK_SPECS} == set(ensembles.ENSEMBLE_KINDS)
     for mats in stacks:
         assert mats.shape == (0, 4, 4) and mats.dtype == complex
+    pairs = ensembles._unitary_stack(1, no_index)
+    assert pairs.shape == (0, 2, 2, 2) and pairs.dtype == complex
 
 
 def test_generation_order_does_not_matter():
@@ -444,6 +447,21 @@ def oracle_matrix(spec, index, rank=None):
     return rho_u(0.5 * index / (spec.count - 1) if spec.count > 1 else 0.0, 0.0).mat
 
 
+def oracle_unitaries(seed, index):
+    """random_local_unitary(seed, index) as it was formed, one 2x2 unitary at a time from rng_at.
+
+    Gram-Schmidt on the columns of a complex normal matrix, for u_a and then u_b.
+    """
+    rng = rng_at(seed, STREAM_UNITARY, index)
+    pair = []
+    for _ in range(2):
+        z = complex_normals(rng, (2, 2))
+        q0 = z[:, 0] / np.linalg.norm(z[:, 0])
+        v = z[:, 1] - (q0.conj() @ z[:, 1]) * q0
+        pair.append(np.column_stack([q0, v / np.linalg.norm(v)]))
+    return pair
+
+
 # Counts above the default chunk and not divisible by any chunk tested.
 N_CHUNKED = ensembles.CHUNK + 44
 CHUNK_SPECS = [
@@ -486,6 +504,18 @@ def test_scan_rank_cycle_equals_the_per_index_oracle(ranks, chunk, monkeypatch):
     mats = chunked(N_CHUNKED, stack, chunk, monkeypatch)
     for k, m in enumerate(mats):
         assert np.array_equal(m, oracle_matrix(spec, k, ranks[k % len(ranks)])), k
+
+
+@pytest.mark.parametrize("chunk", [1, 7, ensembles.CHUNK])
+def test_unitary_stack_equals_the_per_index_oracle(chunk, monkeypatch):
+    pairs = chunked(N_CHUNKED, functools.partial(ensembles._unitary_stack, 8), chunk, monkeypatch)
+    for k, pair in enumerate(pairs):
+        assert np.array_equal(pair, oracle_unitaries(8, k)), k
+
+
+@pytest.mark.parametrize("index", [0, 5, 2**64 - 1])
+def test_random_local_unitary_equals_the_oracle(index):
+    assert np.array_equal(random_local_unitary(31, index), oracle_unitaries(31, index))
 
 
 def test_the_rank_cycle_follows_the_index_value():

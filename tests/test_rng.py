@@ -8,7 +8,6 @@ from entcov._rng import (
     STREAM_TRIAL,
     _keys,
     _rekeyed,
-    _streams,
     derive_seed,
     rng_at,
 )
@@ -147,7 +146,7 @@ def draw_all(rng):
 @given(seed=SEEDS, stream=st.integers(0, 7), n_parts=st.integers(0, 2), data=st.data())
 def test_rekeyed_generator_draws_what_rng_at_draws(seed, stream, n_parts, data):
     indices = data.draw(addresses(n_parts, max_size=6))
-    for index, rng in zip(indices, _streams(seed, stream, indices)):
+    for index, rng in zip(indices, _rekeyed(_keys(seed, stream, indices))):
         fresh = rng_at(seed, stream, *index)
         numpys = np.random.Generator(np.random.Philox(seed_sequence(seed, stream, index)))
         for a, b, c in zip(draw_all(rng), draw_all(fresh), draw_all(numpys)):
@@ -189,6 +188,5 @@ def test_no_address_has_no_key_and_no_stream(empty):
     keys = _keys(1, STREAM_GINIBRE, empty)
     assert keys.shape == (0, 2) and keys.dtype == np.uint64
     assert list(_rekeyed(keys)) == []
-    assert list(_streams(1, STREAM_GINIBRE, empty)) == []
     with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
         _keys(-1, STREAM_GINIBRE, empty)
