@@ -175,18 +175,14 @@ def _sweep(count: int, stack):
 
 def cmd_scan_bounds(args) -> int:
     stack = functools.partial(_ginibre_stack, args.seed, ranks=args.rank)
-    # Each chunk's rows are joined into one piece of the CSV text as soon as
-    # it is measured, from its columns in text form.
+    # Each chunk's rows become one piece of the CSV text as soon as it is measured.
     pieces = [CSV_SCAN_HEADER]
     for indices, c, g, p in _sweep(args.count, stack):
-        rank = _rank_cycle(indices, args.rank).tolist()
-        violates = bounds_violated(c, g).astype(int).tolist()
-        rows = zip(*map(format_float, (c, g, p)), rank, violates)
-        pieces.append("\n".join([f"sample,{ct},{gt},{pt},{r},{v}" for ct, gt, pt, r, v in rows]))
+        columns = (c, g, p, _rank_cycle(indices, args.rank), bounds_violated(c, g))
+        pieces.append(format_float(columns, "sample,{},{},{},{},{}"))
     c = np.linspace(0.0, 1.0, BOUND_CURVE_POINTS)
     for kind, curve in (("lower_bound", pure_state_floor), ("upper_bound", mixed_state_ceiling)):
-        rows = zip(format_float(c), format_float(curve(c)))
-        pieces.append("\n".join([f"{kind},{ct},{gt},,,0" for ct, gt in rows]))
+        pieces.append(format_float((c, curve(c)), kind + ",{},{},,,0"))
     _emit(args.output, *pieces)
     return 0
 
@@ -227,7 +223,7 @@ def cmd_purity_slice(args) -> int:
         raise CliInputError(str(exc)) from exc
     pieces, cs, gs = ["concurrence,g,purity"], [], []
     for _, c, g, p in _sweep(spec.count, functools.partial(_stack, spec)):
-        pieces.append("\n".join(map(",".join, zip(*map(format_float, (c, g, p))))))
+        pieces.append(format_float((c, g, p), "{},{},{}"))
         cs.append(c)
         gs.append(g)
     _emit(args.output, *pieces)
@@ -263,8 +259,7 @@ def cmd_ensemble(args) -> int:
     else:
         pieces = ["index,kind,concurrence,g,purity"]
         for indices, c, g, p in _sweep(spec.count, stack):
-            rows = zip(indices.tolist(), *map(format_float, (c, g, p)))
-            pieces.append("\n".join([f"{i},{spec.kind},{ct},{gt},{pt}" for i, ct, gt, pt in rows]))
+            pieces.append(format_float((indices, c, g, p), "{}," + spec.kind + ",{},{},{}"))
         _emit(args.output, *pieces)
     return 0
 

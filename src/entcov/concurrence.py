@@ -12,11 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA2, eig_hermitian, sqrt_psd, tensor
+from .linalg import eig_hermitian, sqrt_psd
 from .states import DensityMatrix, PureState
 
-_YY = tensor(SIGMA2, SIGMA2)
-_YY.setflags(write=False)
+# sigma2 (x) sigma2 is the anti-diagonal (-1, 1, 1, -1), so the spin flip
+# (sigma2 (x) sigma2) m (sigma2 (x) sigma2) is m with its rows and columns
+# reversed and entry (i, j) signed by s_i s_j, s = (-1, 1, 1, -1).
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
+_FLIP_SIGNS.setflags(write=False)
 
 INVARIANT_TOL = 1e-12
 
@@ -88,7 +91,8 @@ SPECTRUM_FLOOR = 1e-12
 
 def _concurrence(m: np.ndarray):
     """Wootters concurrence of a valid 4x4 state matrix, or of each matrix of a stack."""
-    rho_tilde = _YY @ m.conj() @ _YY
+    rho_tilde = m[..., ::-1, ::-1].conj()
+    rho_tilde *= _FLIP_SIGNS
     s = sqrt_psd(m)
     # Hermitian up to rounding since s and rho_tilde both are; eig_hermitian
     # symmetrizes its input.

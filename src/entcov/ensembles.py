@@ -46,10 +46,17 @@ CHUNK = 128
 
 ENSEMBLE_KINDS = ("haar_pure", "ginibre", "fixed_purity", "separable_mixture", "rho_u_sweep")
 
+# The most product states one separable mixture may hold: an index's weights,
+# normals and products are formed at once, about 20 MiB at this bound.
+MAX_MIXTURE_TERMS = 2**16
+
 # Bounds (minimum[, maximum]) of a Ginibre rank and of every integer field of
 # EnsembleSpec.  A count is at most the number of indices a stream can address.
 _RANKS = (1, 4)
-_INT_FIELDS = {"count": (1, _MAX_INDEX + 1), "seed": (0,), "rank": _RANKS, "mixture_terms": (1,)}
+_INT_FIELDS = {
+    "count": (1, _MAX_INDEX + 1), "seed": (0,), "rank": _RANKS,
+    "mixture_terms": (1, MAX_MIXTURE_TERMS),
+}
 
 
 class InfeasibleWindowError(RuntimeError):
@@ -250,8 +257,11 @@ def _separable_stack(seed: int, indices, terms: int) -> np.ndarray:
 
 
 def separable_mixture(seed: int, index: int, terms: int) -> DensityMatrix:
-    """Convex mixture of ``terms`` random product states with flat Dirichlet weights."""
-    terms = _integer("terms", terms, 1)
+    """Convex mixture of ``terms`` random product states with flat Dirichlet weights.
+
+    terms is an integer in 1..MAX_MIXTURE_TERMS.
+    """
+    terms = _integer("terms", terms, *_INT_FIELDS["mixture_terms"])
     return DensityMatrix(_separable_stack(seed, [(index,)], terms)[0])
 
 
@@ -286,8 +296,8 @@ class EnsembleSpec:
     purity_window to fixed_purity, mixture_terms to separable_mixture.  A
     rho_u_sweep walks gamma uniformly over [0, 1/2] at theta = 0.  Every
     given field is checked, whatever the kind: by the integer rule count in
-    1..2**64 (the indices a stream can address), mixture_terms >= 1,
-    seed >= 0, rank in 1..4 (numpy integers are stored as int);
+    1..2**64 (the indices a stream can address), mixture_terms in
+    1..MAX_MIXTURE_TERMS, seed >= 0, rank in 1..4 (numpy integers are stored as int);
     purity_target in [0.25, 1] and purity_window positive and finite, both
     real numbers and never booleans (numpy floats are stored as float).
     """

@@ -98,19 +98,33 @@ def _json_floats(name: str, value) -> np.ndarray:
         raise ValueError(f"{name} holds a number too large for a float") from None
 
 
-def format_float(x) -> str | list[str]:
-    """x in 17 significant digits, -0.0 as "0"; a float array gives one string per value.
+def format_float(x, row: str | None = None) -> str:
+    """x in 17 significant digits, -0.0 as "0"; a non-finite x raises ValueError.
 
-    A non-finite value raises ValueError; in an array, the first one does,
-    with the scalar's message.
+    With a row template, x is a sequence of equal-length arrays, one per
+    ``{}`` field of row, and the result is their text: a line per
+    position, row with each field filled in from its column, a float as
+    the scalar rule writes it and an integer or boolean in decimal.  The
+    first non-finite float, column by column, raises the scalar's message.
     """
-    if isinstance(x, np.ndarray):
-        finite = np.isfinite(x)
-        if not finite.all():
-            format_float(float(x[~finite].flat[0]))  # raises the scalar's message
-        # -0.0 + 0.0 is +0.0 and every other value is unchanged, so each
-        # string is the scalar's: "0" for either zero.
-        return [format(v, ".17g") for v in (x + 0.0).ravel().tolist()]
+    if row is not None:
+        # The whole text in one % operation: "%.17g" of a Python float is
+        # format(v, ".17g"), and -0.0 + 0.0 is +0.0 with every other value
+        # unchanged, so each float is the scalar's text ("0" for either zero).
+        values = [None] * (len(x) * len(x[0]))
+        fields = row.replace("%", "%%").split("{}")
+        line = fields[0]
+        for k, (column, text) in enumerate(zip(x, fields[1:])):
+            if column.dtype.kind == "f":
+                finite = np.isfinite(column)
+                if not finite.all():
+                    format_float(float(column[~finite][0]))  # raises the scalar's message
+                column = column + 0.0
+                line += "%.17g" + text
+            else:
+                line += "%d" + text
+            values[k :: len(x)] = column.tolist()
+        return "\n".join([line] * len(x[0])) % tuple(values)
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot serialize non-finite float {x}")
     if x == 0.0:  # canonicalize -0.0 so the text round-trips

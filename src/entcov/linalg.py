@@ -139,10 +139,12 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
     Returns (w, v) with real w and v[..., :, k] the eigenvector belonging to
-    w[..., k], so that v @ diag(w) @ v^dagger reconstructs the input.
+    w[..., k], so that v @ diag(w) @ v^dagger reconstructs the input.  Both
+    are reversed views of arrays the solver has just made, which nothing
+    else holds, so they are not copied.
     """
     w, v = np.linalg.eigh(_hermitian_part(_check_hermitian(as_cmat(m))))
-    return w[..., ::-1].copy(), v[..., ::-1].copy()
+    return w[..., ::-1], v[..., ::-1]
 
 
 RELATIVE_EIG_FLOOR = 1e-13

@@ -506,6 +506,9 @@ def test_ensemble_rejects_bad_spec(tmp_path, capsys):
         # A count beyond the 2**64 indices a stream can address.
         ({"kind": "haar_pure", "count": 10**400, "seed": 1}, f"{COUNT_RULE}, got 1000"),
         ({"kind": "haar_pure", "count": 2**64 + 1, "seed": 1}, f"{COUNT_RULE}, got 1844"),
+        # Rejected before any buffer is allocated: 10**9 terms would take about 72 GB.
+        ({"kind": "separable_mixture", "count": 1, "seed": 1, "mixture_terms": 10**9},
+         "mixture_terms must be an integer >= 1 and <= 65536, got 1000000000"),
     ]:
         spec_path.write_text(json.dumps(spec))
         code, out, err = run_cli(capsys, ["ensemble", str(spec_path)])

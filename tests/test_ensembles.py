@@ -290,6 +290,21 @@ def test_ensemble_spec_validation():
             EnsembleSpec("fixed_purity", 10, 1, **purity)
 
 
+def test_mixture_terms_are_bounded_at_every_entry_point():
+    top = ensembles.MAX_MIXTURE_TERMS
+    assert top == 2**16
+    assert EnsembleSpec("separable_mixture", 1, 1, mixture_terms=top).mixture_terms == top
+    assert purity(separable_mixture(1, 0, top)) >= 0.25
+    for field, call in [
+        ("mixture_terms", lambda: EnsembleSpec("separable_mixture", 1, 1, mixture_terms=top + 1)),
+        ("mixture_terms", lambda: EnsembleSpec("haar_pure", 1, 1, mixture_terms=top + 1)),
+        ("terms", lambda: separable_mixture(1, 0, top + 1)),
+    ]:
+        rule = f"^{field} must be an integer >= 1 and <= 65536, got 65537$"
+        with pytest.raises(ValueError, match=rule):
+            call()
+
+
 def test_ensemble_spec_checks_purity_fields_of_every_kind():
     with pytest.raises(ValueError, match="purity_window must be positive"):
         EnsembleSpec("haar_pure", 1, 0, purity_window=-1.0)

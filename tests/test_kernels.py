@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entcov.concurrence import (
-    _YY,
     _concurrence,
     _concurrence_pure,
     concurrence_mixed,
@@ -157,7 +156,29 @@ def test_stack_kernels_equal_the_scalar_reference(mats):
         assert np.array_equal(pauli_moments(m), t[k])
         assert np.array_equal(g[k], ref_g(m))
         assert g_from_covariances(correlation_data(rho)) == g[k]
-        assert np.array_equal(c[k], ref_concurrence(m)) and concurrence_mixed(rho) == c[k]
+        assert same_bits(c[k], ref_concurrence(m)) and same_bits(concurrence_mixed(rho), c[k])
+
+
+# Every generator, one seeded sweep each, and the named states.
+ORACLE_SPECS = [
+    EnsembleSpec("haar_pure", 10**4, 2026),
+    *(EnsembleSpec("ginibre", 10**4 // 4, 2026 + rank, rank=rank) for rank in (1, 2, 3, 4)),
+    EnsembleSpec("fixed_purity", 10**4, 2026, purity_target=0.46, purity_window=0.005),
+    EnsembleSpec("separable_mixture", 10**4, 2026, mixture_terms=3),
+    EnsembleSpec("rho_u_sweep", 10**4, 2026),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.kind + f"-{s.rank}" * bool(s.rank))
+def test_the_concurrence_kernel_is_the_spin_flip_product_bit_for_bit(spec):
+    # ref_concurrence flips spins by the matrix products YY @ m* @ YY; the
+    # kernel by reversing m* and signing its entries.  Every bit must agree,
+    # the sign of a zero concurrence included.
+    mats = _stack(spec, np.arange(spec.count))
+    c = _concurrence(mats)
+    assert same_bits(c, [ref_concurrence(m) for m in mats])
+    named = np.stack([canonical(name).mat for name in NAMED])
+    assert same_bits(_concurrence(named), [ref_concurrence(m) for m in named])
 
 
 def corrupt(m: np.ndarray, how: str) -> np.ndarray:
@@ -406,7 +427,6 @@ def test_tensor_of_the_pauli_pairs_is_the_kronecker_product():
     # the tables built from tensor at import keep their bytes
     table = np.stack([np.stack([np.kron(p, q) for q in PAULIS]) for p in PAULIS])
     assert PAIR_OBS.tobytes() == table.tobytes()
-    assert _YY.tobytes() == YY.tobytes()
 
 
 def test_the_hilbert_schmidt_kernel_on_a_stack_is_the_one_matrix_call():
@@ -486,9 +506,19 @@ def test_format_float_on_an_array_is_the_scalar_rule_value_by_value():
     rng = np.random.default_rng(20261019)
     spread = rng.standard_normal(200) * 10.0 ** rng.integers(-320, 300, 200)
     values = np.concatenate([EDGE_FLOATS, spread])
-    assert format_float(values) == [format_float(x) for x in values.tolist()]
-    assert format_float(values[:2]) == ["0", "0"]
-    assert format_float(np.empty(0)) == []
+    assert format_float((values,), "{}") == "\n".join(format_float(x) for x in values.tolist())
+    assert format_float((values[:2],), "{}") == "0\n0"
+    # Several columns: integer and boolean ones in decimal, literal text (a
+    # % included) kept as written.
+    ints = rng.integers(-(2**63), 2**63 - 1, len(values), endpoint=True)
+    flags = rng.random(len(values)) < 0.5
+    columns = (values, ints, values[::-1], flags)
+    expected = [f"a%,{format_float(x)},{i},{format_float(y)},{int(f)},"
+                for x, i, y, f in zip(values.tolist(), ints.tolist(), values[::-1].tolist(), flags)]
+    assert format_float(columns, "a%,{},{},{},{},") == "\n".join(expected)
+    assert format_float((np.arange(2**64 - 2, 2**64, dtype=np.uint64),), "{}") == (
+        f"{2**64 - 2}\n{2**64 - 1}")
+    assert format_float((np.empty(0), np.empty(0, dtype=int)), "{},{}") == ""
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -497,7 +527,9 @@ def test_format_float_on_an_array_raises_the_scalar_message_of_the_first_non_fin
     with pytest.raises(ValueError) as scalar:
         format_float(bad)
     with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
-        format_float(values)
+        format_float((values,), "{}")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+        format_float((np.arange(5), np.ones(5), values, values[::-1]), "{},{},{},{}")
 
 
 def test_bounds_violated_on_arrays_is_the_scalar_rule_pair_by_pair():

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entcov._rng import (
+    STREAM_FIXED_PURITY,
     STREAM_GINIBRE,
     STREAM_TRIAL,
+    _generator,
     _keys,
     _rekeyed,
     derive_seed,
@@ -155,6 +157,56 @@ def test_rekeyed_generator_draws_what_rng_at_draws(seed, stream, n_parts, data):
         # address's re-keying to discard
         rng.integers(0, 2**32, size=3, dtype=np.uint32)
         assert rng.bit_generator.state["has_uint32"] == 1
+
+
+def state_fields(rng) -> dict:
+    """The Philox state of a generator, each field as Python values."""
+    state = rng.bit_generator.state
+    return {
+        "counter": state["state"]["counter"].tolist(),
+        "key": state["state"]["key"].tolist(),
+        "buffer": state["buffer"].tolist(),
+        **{name: state[name] for name in ("buffer_pos", "has_uint32", "uinteger")},
+    }
+
+
+def spare_half(rng):
+    rng.integers(0, 2**32, size=3, dtype=np.uint32)  # an odd count of 32-bit draws
+    assert rng.bit_generator.state["has_uint32"] == 1
+
+
+def part_used_buffer(rng):
+    rng.random(2)  # two of the four 64-bit words one Philox block gives
+    assert rng.bit_generator.state["buffer_pos"] == 2
+
+
+LEFTOVERS = {"nothing": lambda rng: None, "spare-half": spare_half,
+             "part-used-buffer": part_used_buffer}
+
+
+@pytest.mark.parametrize("leave", LEFTOVERS.values(), ids=LEFTOVERS)
+def test_each_rekey_restores_the_state_of_a_fresh_generator(leave):
+    keys = _keys(2026, STREAM_GINIBRE, np.arange(6))
+    for key, rng in zip(keys, _rekeyed(keys)):
+        assert state_fields(rng) == state_fields(_generator(key))
+        leave(rng)  # what the previous index leaves behind for the next re-key
+
+
+def test_a_saved_state_restored_on_the_rekeyed_generator_continues_its_stream():
+    # As _fixed_purity_stack does: save each index's state after its first
+    # block, then restore it onto the one re-keyed generator after the loop.
+    keys = _keys(2026, STREAM_FIXED_PURITY, np.arange(4))
+    saved = []
+    for rng in _rekeyed(keys):
+        rng.integers(0, 2**32, size=5, dtype=np.uint32)  # a spare half in a part-used buffer
+        saved.append(rng.bit_generator.state)
+        rng.standard_normal(3)
+    for key, state in zip(keys, saved):
+        rng.bit_generator.state = state
+        fresh = _generator(key)
+        fresh.integers(0, 2**32, size=5, dtype=np.uint32)
+        assert state_fields(rng) == state_fields(fresh)
+        assert np.array_equal(rng.standard_normal(7), fresh.standard_normal(7))
 
 
 @pytest.mark.parametrize(
