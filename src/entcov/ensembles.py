@@ -29,6 +29,7 @@ from ._rng import (
     STREAM_SEPARABLE,
     STREAM_UNITARY,
     _MAX_INDEX,
+    _generator,
     _keys,
     _rekeyed,
     rng_at,
@@ -163,13 +164,18 @@ def _check_purity(target, window) -> tuple[float | None, float | None]:
     return target, window
 
 
-def _fixed_purity_matrix(
-    rng: np.random.Generator, target: float, window: float, start: int
-) -> np.ndarray:
-    # Attempts start, start + 1, ... are drawn REJECTION_BLOCK at a time as
-    # (real, imaginary) pairs, the order in which one attempt at a time would
-    # draw them, so the accepted matrix does not depend on the block size;
-    # draws past the hit are never read, and nothing else reads this index's stream.
+def _fixed_purity_matrix(key: np.ndarray, target: float, window: float) -> np.ndarray:
+    """The fixed_purity matrix of the stream keyed ``key``, from the attempt after its first block.
+
+    The stream is re-derived from its key, and the first block, which the
+    stack has scored, is drawn again and skipped.  Later attempts are drawn
+    REJECTION_BLOCK at a time as (real, imaginary) pairs, the order in which
+    one attempt at a time would draw them, so the accepted matrix does not
+    depend on the block size; draws past the hit are never read.
+    """
+    rng = _generator(key)
+    start = min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS)
+    rng.standard_normal((start, 2, 4, 4))
     for at in range(start, MAX_REJECTION_ATTEMPTS, REJECTION_BLOCK):
         x = rng.standard_normal((min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS - at), 2, 4, 4))
         mats = _induced(_complex(x[:, 0], x[:, 1]))
@@ -183,37 +189,34 @@ def _fixed_purity_matrix(
 
 
 def _fixed_purity_stack(keys: np.ndarray, target: float, window: float) -> np.ndarray:
-    """The (n, 4, 4) fixed_purity matrices of n indices, as _fixed_purity_matrix draws each.
+    """The (n, 4, 4) fixed_purity matrices of n indices, as one attempt at a time would draw them.
 
     keys are the indices' (n, 2) stream keys ``_keys(seed,
     STREAM_FIXED_PURITY, indices)``, which a sweep derives once per chunk.
     Every index draws its first block of attempts from its own stream, and
     all first blocks are formed and scored as one stack.  An index with no
-    hit there continues alone from its saved stream state, so the attempt
-    cap holds per index and an infeasible window raises at the first index
-    that misses, after its own MAX_REJECTION_ATTEMPTS attempts.  Attempts
-    are scored, not validated: each is a state by construction, and each
-    returned matrix is validated once by its emitter (``DensityMatrix``, or
-    a sweep's stacked ``states._validated``).
+    hit there continues alone in ``_fixed_purity_matrix``, which re-derives
+    its stream from its key, so the attempt cap holds per index and an
+    infeasible window raises at the first index that misses, after its own
+    MAX_REJECTION_ATTEMPTS attempts.  Attempts are scored, not validated:
+    each is a state by construction, and each returned matrix is validated
+    once by its emitter (``DensityMatrix``, or a sweep's stacked
+    ``states._validated``).
     """
     block = min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS)
     x = np.empty((block, 2, 4, 4))
     z = np.empty((len(keys), block, 4, 4), dtype=complex)
-    saved = []
     for k, rng in enumerate(_rekeyed(keys)):
         rng.standard_normal(out=x)
-        saved.append(rng.bit_generator.state)
         z[k].real = x[:, 0]  # filled part by part, as _complex fills
         z[k].imag = x[:, 1]
     mats = _induced(z)
     del z  # freed before scoring, to keep the peak memory of a group down
     hit = np.abs(_purity(mats) - target) <= window
     first = hit.argmax(axis=1)  # an index's first hit, or 0 if it has none
-    missed = ~hit.any(axis=1)
     out = mats[np.arange(len(keys)), first]
-    for k in np.flatnonzero(missed).tolist():
-        rng.bit_generator.state = saved[k]
-        out[k] = _fixed_purity_matrix(rng, target, window, block)
+    for k in np.flatnonzero(~hit.any(axis=1)).tolist():
+        out[k] = _fixed_purity_matrix(keys[k], target, window)
     return out
 
 

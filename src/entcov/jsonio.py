@@ -41,11 +41,9 @@ def _shown(value) -> str:
     """
     if type(value) is int:
         size = abs(value)
-        digits = max(1, int(size.bit_length() * math.log10(2)))  # within one of the count
+        digits = max(1, int(size.bit_length() * math.log10(2)))  # the count or one less
         while size >= 10**digits:
             digits += 1
-        while digits > 1 and size < 10 ** (digits - 1):
-            digits -= 1
         if digits <= _SHOWN_CHARS:
             return repr(value)
         return f"{'-' * (value < 0)}{size // 10 ** (digits - 12)}... ({digits} digits)"
@@ -101,16 +99,15 @@ def _json_floats(name: str, value) -> np.ndarray:
 def format_float(x, row: str | None = None) -> str:
     """x in 17 significant digits, -0.0 as "0"; a non-finite x raises ValueError.
 
-    With a row template, x is a sequence of equal-length arrays, one per
-    ``{}`` field of row, and the result is their text: a line per
-    position, row with each field filled in from its column, a float as
-    the scalar rule writes it and an integer or boolean in decimal.  The
-    first non-finite float, column by column, raises the scalar's message.
+    The one float rule is "%.17g" % (x + 0.0).  With a row template, x is a
+    sequence of equal-length arrays, one per ``{}`` field of row, and the
+    result is their text: a line per position, row with each field filled
+    in from its column, a float by the same rule and an integer or boolean
+    in decimal.  The first non-finite float, column by column, raises the
+    scalar's message.
     """
     if row is not None:
-        # The whole text in one % operation: "%.17g" of a Python float is
-        # format(v, ".17g"), and -0.0 + 0.0 is +0.0 with every other value
-        # unchanged, so each float is the scalar's text ("0" for either zero).
+        # The whole text in one % operation, each float as the scalar writes it.
         values = [None] * (len(x) * len(x[0]))
         fields = row.replace("%", "%%").split("{}")
         line = fields[0]
@@ -127,9 +124,7 @@ def format_float(x, row: str | None = None) -> str:
         return "\n".join([line] * len(x[0])) % tuple(values)
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot serialize non-finite float {x}")
-    if x == 0.0:  # canonicalize -0.0 so the text round-trips
-        return "0"
-    return format(x, ".17g")
+    return "%.17g" % (x + 0.0)  # -0.0 + 0.0 is +0.0, and every other value is unchanged
 
 
 def dumps(obj) -> str:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from entcov import __version__, cli, ensembles
-from entcov.jsonio import dumps, loads
+from entcov.jsonio import _shown, dumps, loads
 from entcov.sampler import record_to_dict, simulate_record
 from entcov.states import (
     canonical,
@@ -531,6 +531,13 @@ def test_a_huge_count_is_reported_by_its_digit_count(tmp_path, capsys, monkeypat
         line = err.splitlines()[-1]
         assert line.endswith(f"{COUNT_RULE}, got {shown}")
         assert len(line.encode()) < 200
+    # The digit count is exact around every power of 10 and of 2 up to 1000
+    # digits, where an estimate from the bit length is most likely off by one.
+    powers = [10**k for k in range(1, 1001)] + [2**b for b in range(1, 3322)]
+    for v in {p + d for p in powers for d in (-1, 0)}:
+        text = str(v)
+        expected = text if len(text) <= 40 else f"{text[:12]}... ({len(text)} digits)"
+        assert (_shown(v), _shown(-v)) == (expected, "-" + expected), len(text)
 
 
 HUGE = 10**400  # a JSON integer beyond the float range

@@ -62,6 +62,9 @@ def test_invariants_reject_inconsistent_values():
         PureInvariants(i1=1.0, i2=0.5, i_alpha=0.9, i_beta=0.25)
     with pytest.raises(ValueError):
         PureInvariants(i1=1.0, i2=0.5, i_alpha=1.0, i_beta=0.3)
+    # consistent with i1 and i2, but negative
+    with pytest.raises(ValueError, match="^i_beta must be nonnegative, got -0.25$"):
+        PureInvariants(i1=1.0, i2=1.5, i_alpha=1.0, i_beta=-0.25)
 
 
 def test_g_pure_from_invariants_endpoints():

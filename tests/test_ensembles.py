@@ -212,17 +212,16 @@ def test_infeasible_window_continues_only_the_first_index(monkeypatch):
     monkeypatch.setattr(ensembles, "MAX_REJECTION_ATTEMPTS", 500)
     continued, one_matrix = [], ensembles._fixed_purity_matrix
 
-    def counting(rng, target, window, start):
-        continued.append((rng.bit_generator.state["state"]["key"].copy(), start))
-        return one_matrix(rng, target, window, start)
+    def counting(key, target, window):
+        continued.append(key)
+        return one_matrix(key, target, window)
 
     monkeypatch.setattr(ensembles, "_fixed_purity_matrix", counting)
     spec = EnsembleSpec("fixed_purity", ensembles.CHUNK, 1, purity_target=1.0, purity_window=1e-12)
     with pytest.raises(ensembles.InfeasibleWindowError, match=" in 500 attempts; the window is"):
         list(ensembles._chunks(spec.count, functools.partial(ensembles._stack, spec)))
-    [(key, start)] = continued
+    [key] = continued
     assert np.array_equal(key, _keys(1, STREAM_FIXED_PURITY, [(0,)])[0])
-    assert start == ensembles.REJECTION_BLOCK
 
 
 def test_fixed_purity_rejects_bad_inputs():

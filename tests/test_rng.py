@@ -193,8 +193,8 @@ def test_each_rekey_restores_the_state_of_a_fresh_generator(leave):
 
 
 def test_a_saved_state_restored_on_the_rekeyed_generator_continues_its_stream():
-    # As _fixed_purity_stack does: save each index's state after its first
-    # block, then restore it onto the one re-keyed generator after the loop.
+    # A state saved from the re-keyed generator is the whole stream state:
+    # restored onto it after the loop, it continues that index's stream.
     keys = _keys(2026, STREAM_FIXED_PURITY, np.arange(4))
     saved = []
     for rng in _rekeyed(keys):

@@ -308,9 +308,31 @@ def test_shots_for_verdict_rejects_non_real_sigma(sigma):
         shots_for_verdict(canonical("singlet"), sigma, seed=2026)
 
 
+def test_one_shot_never_certifies_so_no_search_draws_it(monkeypatch):
+    # One outcome (a, b) per setting: every covariance is ab - a*b = 0 exactly.
+    names = ("singlet", "phi_plus", "phi_minus", "psi_plus", "product00", "maximally_mixed",
+             "classically_correlated")
+    states = [canonical(name) for name in names] + [rho_u(0.4)]
+    states += [ginibre(73, k, k % 4 + 1) for k in range(20)]
+    for rho in states:
+        for seed in range(10):
+            est = estimate_g(simulate_record(rho, 1, seed))
+            assert not est.cov_hat.any() and est.g_hat == 0.0
+    drawn, simulate = [], sampler._simulate
+
+    def counted(p, shots, keys):
+        drawn.append(shots)
+        return simulate(p, shots, keys)
+
+    monkeypatch.setattr(sampler, "_simulate", counted)
+    assert shots_for_verdict(canonical("singlet"), 3.0, 2026, trials=10, required=10) == 13
+    assert shots_for_verdict(rho_u(0.4), 3.0, 2026, trials=10, required=1) == 2
+    assert min(drawn) == 2
+
+
 def test_unreachable_sigma_stops_each_vote_once_decided(monkeypatch):
-    """A vote of 10 needing 8 is lost after its third miss, so the 23 grid
-    points 1, 2, ..., 2**22 cost 3 estimates each, not 10."""
+    """A vote of 10 needing 8 is lost after its third miss, so the 22 grid
+    points 2, 4, ..., 2**22 cost 3 estimates each, not 10."""
     calls = []
 
     def counted(rec):
@@ -320,7 +342,7 @@ def test_unreachable_sigma_stops_each_vote_once_decided(monkeypatch):
     monkeypatch.setattr(sampler, "estimate_g", counted)
     with pytest.raises(RuntimeError, match="^no shot count up to 4194304 certifies"):
         shots_for_verdict(canonical("singlet"), 1e9, 1, trials=10, required=8)
-    assert calls == [2**k for k in range(23) for _ in range(3)]
+    assert calls == [2**k for k in range(1, 23) for _ in range(3)]
 
 
 def test_search_derives_each_trials_setting_keys_once(monkeypatch):
@@ -379,11 +401,12 @@ def test_vote_order_never_changes_the_answer(name, trials, required):
 
 @pytest.mark.parametrize(
     "name, required, shots, estimates",
-    [("singlet", 10, 13, 35), ("rho_u(0.4)", 10, 24, 29), ("rho_u(0.4)", 1, 2, 11)],
+    [("singlet", 10, 13, 34), ("rho_u(0.4)", 10, 24, 28), ("rho_u(0.4)", 1, 2, 1)],
 )
 def test_search_bootstraps_the_deciding_side_first(name, required, shots, estimates, monkeypatch):
-    """The benchmark's two 10-of-10 searches take 35 and 29 estimates, and
-    1 of 10 on rho_u(0.4) takes 11; in trial order they take 50, 42 and 15."""
+    """The benchmark's two 10-of-10 searches take 34 and 28 estimates, and
+    1 of 10 on rho_u(0.4) takes 1; in trial order they take 49, 41 and 5
+    from 2 shots (50, 42 and 15 in trial_order_shots_for_verdict, from 1)."""
     calls = []
 
     def counted(rec):
@@ -508,6 +531,8 @@ def test_record_validation():
     bad[0, 0] = [6, -1, 0, 0]
     with pytest.raises(ValueError):
         MeasurementRecord(shots_per_setting=5, counts=bad, seed=0)
+    with pytest.raises(ValueError, match=r"^counts must have shape \(3, 3, 4\), got \(3, 3, 3\)$"):
+        MeasurementRecord(shots_per_setting=5, counts=good[:, :, :3], seed=0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -176,6 +176,7 @@ def test_pure_state_json_round_trip():
 def test_dumps_writes_only_what_json_holds():
     assert dumps({"a": [], "b": {}}) == '{\n  "a": [],\n  "b": {}\n}'
     assert (dumps([]), dumps({})) == ("[]", "{}")
+    assert (dumps(True), dumps(None)) == ("true", "null")
     for x in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^cannot serialize non-finite float"):
             format_float(x)
