@@ -41,6 +41,9 @@ from .states import DensityMatrix, PureState, _projectors, _purity, _rho_u_stack
 MAX_REJECTION_ATTEMPTS = 10**6
 # fixed_purity draws its attempts this many at a time (the last block is cut to the cap).
 REJECTION_BLOCK = 32
+# An attempt whose Gram score lies this close to its window's edge is decided
+# by the exact rule (``_purity_hits`` gives the bound that makes this safe).
+_SCORE_MARGIN = 1e-12
 # States per stack in the sweeps; outputs do not depend on it.  Larger stacks
 # gained no speed and raised peak memory (1024: +2.3 MiB on a 1024-state scan).
 CHUNK = 128
@@ -105,11 +108,17 @@ def _haar_amp_stack(seed: int, indices) -> np.ndarray:
     return _haar_amps(_normals(_keys(seed, STREAM_HAAR, indices), (2, 4)))
 
 
+def _gram(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z z^dagger, its real trace) of a complex 4 x r matrix, or of each of a stack."""
+    g = z @ _dagger(z)
+    return g, _trace(g.real)
+
+
 def _induced(z: np.ndarray) -> np.ndarray:
     """z z^dagger / Tr(z z^dagger) of a complex 4 x r matrix, or of each of a stack."""
-    m = z @ _dagger(z)
-    m /= _trace(m.real)[..., None, None]
-    return m
+    g, t = _gram(z)
+    g /= t[..., None, None]
+    return g
 
 
 def _rank_cycle(indices, ranks) -> np.ndarray:
@@ -164,6 +173,37 @@ def _check_purity(target, window) -> tuple[float | None, float | None]:
     return target, window
 
 
+def _purity_hits(g: np.ndarray, t: np.ndarray, target: float, window: float) -> np.ndarray:
+    """Which attempts m = g / t of a Gram stack pass abs(_purity(m) - target) <= window.
+
+    g is an (..., 4, 4) stack of Gram matrices z z^dagger and t their real
+    traces (``_gram``).  That exact rule is the one acceptance rule; this
+    scores each attempt without forming m, by the Frobenius form
+    f = sum |g_ij|^2 / t^2 = Tr(m m^dagger), clamped into [1/4, 1] as
+    ``_purity`` clamps, and lets the exact rule decide, on that attempt's
+    m alone, every attempt with | |f - target| - window | <= _SCORE_MARGIN.
+
+    Bound: the rounding errors of either form are relative to sums of
+    products of entry moduli, which Cauchy-Schwarz bounds by t^2 (by 1 for
+    m), so to first order f and _purity(m) each lie within 64u (u = 2**-53,
+    so about 7.1e-15) of Tr(rho^2) for the exact Gram state rho of the drawn
+    normals: the Gram product (r <= 4 terms per entry), the trace, then the
+    32 squares of f, or the division and the 4 x 4 product of _purity.  The
+    clamp and the subtraction of the target widen the gap between the two by
+    at most the rounding of one subtraction, so it stays below 2e-14, under a
+    fiftieth of the margin (the largest gap over 1.3e6 attempts of ranks 1-4
+    was 6.7e-16), and every attempt the score decides gets the exact rule's
+    answer.
+    """
+    v = g.view(np.float64).reshape(*g.shape[:-2], 1, 32)  # real and imaginary parts
+    f = (v @ v.swapaxes(-1, -2))[..., 0, 0] / (t * t)
+    off = np.abs(np.minimum(np.maximum(f, 0.25), 1.0) - target)
+    hits = off <= window
+    for k in zip(*np.nonzero(np.abs(off - window) <= _SCORE_MARGIN)):
+        hits[k] = abs(_purity(g[k] / t[k]) - target) <= window
+    return hits
+
+
 def _fixed_purity_matrix(key: np.ndarray, target: float, window: float) -> np.ndarray:
     """The fixed_purity matrix of the stream keyed ``key``, from the attempt after its first block.
 
@@ -171,17 +211,18 @@ def _fixed_purity_matrix(key: np.ndarray, target: float, window: float) -> np.nd
     stack has scored, is drawn again and skipped.  Later attempts are drawn
     REJECTION_BLOCK at a time as (real, imaginary) pairs, the order in which
     one attempt at a time would draw them, so the accepted matrix does not
-    depend on the block size; draws past the hit are never read.
+    depend on the block size; draws past the hit are never read.  Only the
+    accepted attempt is normalised, as ``_induced`` normalises it.
     """
     rng = _generator(key)
     start = min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS)
     rng.standard_normal((start, 2, 4, 4))
     for at in range(start, MAX_REJECTION_ATTEMPTS, REJECTION_BLOCK):
         x = rng.standard_normal((min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS - at), 2, 4, 4))
-        mats = _induced(_complex(x[:, 0], x[:, 1]))
-        hits = np.flatnonzero(np.abs(_purity(mats) - target) <= window)
+        g, t = _gram(_complex(x[:, 0], x[:, 1]))
+        hits = np.flatnonzero(_purity_hits(g, t, target, window))
         if hits.size:
-            return mats[hits[0]].copy()  # not a view that keeps the whole block alive
+            return g[hits[0]] / t[hits[0]]
     raise InfeasibleWindowError(
         f"no rank-4 sample hit purity {target} +- {window} in {MAX_REJECTION_ATTEMPTS} "
         "attempts; the window is infeasible"
@@ -198,9 +239,11 @@ def _fixed_purity_stack(keys: np.ndarray, target: float, window: float) -> np.nd
     hit there continues alone in ``_fixed_purity_matrix``, which re-derives
     its stream from its key, so the attempt cap holds per index and an
     infeasible window raises at the first index that misses, after its own
-    MAX_REJECTION_ATTEMPTS attempts.  Attempts are scored, not validated:
-    each is a state by construction, and each returned matrix is validated
-    once by its emitter (``DensityMatrix``, or a sweep's stacked
+    MAX_REJECTION_ATTEMPTS attempts.  Attempts are scored on their Gram
+    stack (``_purity_hits``), not validated: each is a state by
+    construction, only the attempt an index accepts is normalised, as
+    ``_induced`` normalises it, and each returned matrix is validated once
+    by its emitter (``DensityMatrix``, or a sweep's stacked
     ``states._validated``).
     """
     block = min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS)
@@ -210,11 +253,11 @@ def _fixed_purity_stack(keys: np.ndarray, target: float, window: float) -> np.nd
         rng.standard_normal(out=x)
         z[k].real = x[:, 0]  # filled part by part, as _complex fills
         z[k].imag = x[:, 1]
-    mats = _induced(z)
+    g, t = _gram(z)
     del z  # freed before scoring, to keep the peak memory of a group down
-    hit = np.abs(_purity(mats) - target) <= window
-    first = hit.argmax(axis=1)  # an index's first hit, or 0 if it has none
-    out = mats[np.arange(len(keys)), first]
+    hit = _purity_hits(g, t, target, window)
+    rows, first = np.arange(len(keys)), hit.argmax(axis=1)  # first hit, or 0 if none
+    out = g[rows, first] / t[rows, first][:, None, None]
     for k in np.flatnonzero(~hit.any(axis=1)).tolist():
         out[k] = _fixed_purity_matrix(keys[k], target, window)
     return out

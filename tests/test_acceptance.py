@@ -44,15 +44,14 @@ from entcov.gmeasure import (
     _g_hs,
     _l3_from_moments,
     concurrence_interval,
-    g_from_covariances,
     g_hilbert_schmidt,
     l3,
     mixed_state_ceiling,
     pure_state_floor,
 )
 from entcov.linalg import PAULIS, SIGMA0, SIGMA1, partial_transpose, tensor
-from entcov.observables import correlation_data, pauli_moments
-from entcov.sampler import MeasurementRecord, estimate_g, outcome_probabilities, simulate_record
+from entcov.observables import pauli_moments
+from entcov.sampler import estimate_g, simulate_record
 from entcov.states import (
     PureState,
     _projectors,
@@ -64,15 +63,13 @@ from entcov.states import (
 )
 from entcov._rng import STREAM_GINIBRE, STREAM_TRIAL, derive_seed, rng_at
 
+from oracles import exact_record, g_of
+
 
 def report(num, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"\nACCEPTANCE {num:02d} {status}: {detail}")
     return ok
-
-
-def g_of(rho):
-    return g_from_covariances(correlation_data(rho))
 
 
 def _haar_chunks(seed, count):
@@ -429,17 +426,12 @@ def test_criterion_10_area_not_a_line():
     )
 
 
-def _exact_record(rho, shots):
-    counts = shots * outcome_probabilities(rho)
-    return MeasurementRecord(shots_per_setting=shots, counts=counts, seed=0)
-
-
 def test_criterion_11_estimator_consistency():
     worst_exact = 0.0
     states = [canonical("singlet"), canonical("maximally_mixed"), rho_u(0.3, 0.9)]
     states += [ginibre(20260811, k, k % 4 + 1) for k in range(20)]
     for rho in states:
-        est = estimate_g(_exact_record(rho, 1))
+        est = estimate_g(exact_record(rho, 1))
         worst_exact = max(worst_exact, abs(est.g_hat - g_of(rho)))
 
     singlet = canonical("singlet")

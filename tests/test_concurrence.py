@@ -67,6 +67,25 @@ def test_invariants_reject_inconsistent_values():
         PureInvariants(i1=1.0, i2=1.5, i_alpha=1.0, i_beta=-0.25)
 
 
+@pytest.mark.parametrize(
+    "inside, outside, message",
+    [
+        (dict(i_alpha=1.0 + 5e-13), dict(i_alpha=1.0 + 2e-12), r"^i_alpha != i1 "),
+        (dict(i_beta=5e-13), dict(i_beta=2e-12), r"^i_beta != \(i1\^2 - i2\)/2$"),
+        # consistent with i1 and i2 (to about 1e-16), but negative
+        (dict(i2=1.0 + 1e-12, i_beta=-5e-13), dict(i2=1.0 + 4e-12, i_beta=-2e-12),
+         "^i_beta must be nonnegative, got "),
+    ],
+    ids=["i_alpha", "i_beta", "sign"],
+)
+def test_invariants_are_checked_to_1e_12(inside, outside, message):
+    # INVARIANT_TOL is 1e-12: each check passes 5e-13 off and raises 2e-12 off.
+    exact = dict(i1=1.0, i2=1.0, i_alpha=1.0, i_beta=0.0)
+    PureInvariants(**{**exact, **inside})
+    with pytest.raises(ValueError, match=message):
+        PureInvariants(**{**exact, **outside})
+
+
 def test_g_pure_from_invariants_endpoints():
     assert abs(g_pure_from_invariants(pure_invariants(SINGLET)) - 3.0) < 1e-12
     assert g_pure_from_invariants(pure_invariants(KET00)) == 0.0

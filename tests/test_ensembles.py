@@ -32,12 +32,15 @@ from entcov.observables import correlation_data, pauli_moments
 from entcov.states import (
     DensityMatrix,
     _projectors,
+    _purity,
     _validated,
     apply_local_unitary,
     canonical,
     purity,
     rho_u,
 )
+
+from oracles import complex_normals
 
 
 def test_haar_pure_determinism():
@@ -222,6 +225,22 @@ def test_infeasible_window_continues_only_the_first_index(monkeypatch):
         list(ensembles._chunks(spec.count, functools.partial(ensembles._stack, spec)))
     [key] = continued
     assert np.array_equal(key, _keys(1, STREAM_FIXED_PURITY, [(0,)])[0])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_the_gram_score_hits_what_the_exact_rule_hits_at_the_window_edge(rank):
+    # Each window is exactly |_purity(m_k) - target| of one attempt k, which
+    # the exact rule just accepts.  The Frobenius score differs from _purity
+    # in the last bits for about half the attempts, so without the exact
+    # rule near the edge some of these attempts would be missed.
+    x = np.random.default_rng(rank).standard_normal((4, 32, 2, 4, rank))
+    z = ensembles._complex(x[:, :, 0], x[:, :, 1])
+    g, t = ensembles._gram(z)
+    exact = _purity(ensembles._induced(z))
+    for target in (0.3, 0.46, 0.6, 0.8, 1.0):
+        for window in np.unique(np.abs(exact - target)).tolist():
+            hits = ensembles._purity_hits(g, t, target, window)
+            assert np.array_equal(hits, np.abs(exact - target) <= window), (target, window)
 
 
 def test_fixed_purity_rejects_bad_inputs():
@@ -425,10 +444,6 @@ def test_rho_u_sweep_covers_gamma_range():
     gs = [g_from_covariances(correlation_data(r)) for r in states]
     assert abs(gs[0] - 1.0) < 1e-12   # gamma = 0
     assert abs(gs[-1] - 3.0) < 1e-12  # gamma = 1/2
-
-
-def complex_normals(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def oracle_matrix(spec, index, rank=None):

@@ -17,16 +17,13 @@ from entcov.gmeasure import (
 )
 from entcov.linalg import PAULIS, SIGMA0, SIGMA1, partial_transpose, tensor
 from entcov.observables import (
-    correlation_data,
     correlation_data_from_moments,
     pauli_moments,
     variance,
 )
 from entcov.states import PureState, apply_local_unitary, canonical, from_pure, rho_u
 
-
-def g_of(rho):
-    return g_from_covariances(correlation_data(rho))
+from oracles import g_of
 
 
 def test_g_product_state_vanishes():
@@ -165,6 +162,14 @@ def test_greport_rejects_inconsistent_fields():
         GReport(g=2.0, g_hs=2.0, l3=0.0, verdict="not_certified", conc_interval=(0.5, 0.9))
     with pytest.raises(ValueError):
         GReport(g=0.5, g_hs=0.5, l3=4.0, verdict="not_certified", conc_interval=(0.9, 0.5))
+
+
+def test_greport_forms_agree_to_1e_10():
+    # FORM_TOL is 1e-10: the two forms of G may differ by 5e-11, not by 2e-10.
+    fields = dict(g=0.5, l3=4.0, verdict="not_certified", conc_interval=(0.0, 0.5))
+    GReport(g_hs=0.5 + 5e-11, **fields)
+    with pytest.raises(ValueError, match="^covariance and Hilbert-Schmidt forms disagree: 0.5 vs "):
+        GReport(g_hs=0.5 + 2e-10, **fields)
 
 
 def test_local_unitary_invariance_of_g():

@@ -75,6 +75,8 @@ from entcov.states import (
     rho_u,
 )
 
+from oracles import complex_normals
+
 YY = np.kron(SIGMA2, SIGMA2)
 NAMED = ("singlet", "phi_plus", "phi_minus", "psi_plus", "product00", "maximally_mixed",
          "classically_correlated")
@@ -386,10 +388,6 @@ def ref_g_hs(m) -> float:
 
 def ref_concurrence_pure(a) -> float:
     return 2.0 * abs(a[0] * a[3] - a[1] * a[2])
-
-
-def complex_normals(rng, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def assert_stack_is_per_matrix(stack, per_matrix, batch_ndim=1):

@@ -213,6 +213,17 @@ def test_correlation_data_validates_consistency():
         CorrelationData(cov=np.zeros((3, 3)), blochA=np.zeros(3), blochB=np.zeros(4), corrT=np.zeros((3, 3)))
 
 
+def test_correlation_data_is_consistent_to_1e_12():
+    # CONSISTENCY_TOL is 1e-12: cov may be 5e-13 off corrT - blochA blochB^T, not 2e-12.
+    bloch_a, bloch_b = np.array([0.5, -0.25, 0.0]), np.array([0.0, 0.5, 0.25])
+    corr = np.outer(bloch_a, bloch_b)
+    inside, outside = np.zeros((3, 3)), np.zeros((3, 3))
+    inside[2, 1], outside[2, 1] = 5e-13, 2e-12
+    CorrelationData(cov=inside, blochA=bloch_a, blochB=bloch_b, corrT=corr)
+    with pytest.raises(ValueError, match=r"^cov != corrT - blochA blochB\^T \(defect 2\.000e-12\)$"):
+        CorrelationData(cov=outside, blochA=bloch_a, blochB=bloch_b, corrT=corr)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["cov", "blochA", "blochB", "corrT"])
 def test_correlation_data_rejects_non_finite_entries(field, bad):

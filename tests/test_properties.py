@@ -13,7 +13,7 @@ from entcov.ensembles import ginibre, random_local_unitary
 from entcov.gmeasure import g_from_covariances, l3
 from entcov.jsonio import dumps, loads
 from entcov.linalg import SIGMA1, partial_transpose
-from entcov.observables import correlation_data, correlation_data_from_moments, pauli_moments
+from entcov.observables import correlation_data_from_moments, pauli_moments
 from entcov.sampler import (
     MeasurementRecord,
     outcome_probabilities,
@@ -23,6 +23,8 @@ from entcov.sampler import (
 )
 from entcov.states import apply_local_unitary, canonical
 
+from oracles import g_of
+
 states = st.builds(
     ginibre,
     st.integers(0, 2**32 - 1),
@@ -31,10 +33,6 @@ states = st.builds(
 )
 unitaries = st.builds(random_local_unitary, st.integers(0, 2**32 - 1), st.integers(0, 10**6))
 few = settings(max_examples=30, deadline=None, database=None)
-
-
-def g_of(rho) -> float:
-    return g_from_covariances(correlation_data(rho))
 
 
 @few

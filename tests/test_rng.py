@@ -14,6 +14,7 @@ from entcov._rng import (
     rng_at,
 )
 from entcov.ensembles import (
+    REJECTION_BLOCK,
     EnsembleSpec,
     fixed_purity,
     ginibre,
@@ -192,21 +193,29 @@ def test_each_rekey_restores_the_state_of_a_fresh_generator(leave):
         leave(rng)  # what the previous index leaves behind for the next re-key
 
 
-def test_a_saved_state_restored_on_the_rekeyed_generator_continues_its_stream():
-    # A state saved from the re-keyed generator is the whole stream state:
-    # restored onto it after the loop, it continues that index's stream.
+def test_a_rederived_generator_continues_the_stream_past_its_first_block():
+    # The fixed-purity continuation: every index draws its first block of
+    # attempts through the one re-keyed generator, and an index that missed
+    # re-derives its generator from its key, draws that block again, skips
+    # it and goes on.  Both must continue as one uninterrupted stream, also
+    # when the previous index left a spare half in a part-used buffer.
+    block = (REJECTION_BLOCK, 2, 4, 4)
     keys = _keys(2026, STREAM_FIXED_PURITY, np.arange(4))
-    saved = []
-    for rng in _rekeyed(keys):
-        rng.integers(0, 2**32, size=5, dtype=np.uint32)  # a spare half in a part-used buffer
-        saved.append(rng.bit_generator.state)
-        rng.standard_normal(3)
-    for key, state in zip(keys, saved):
-        rng.bit_generator.state = state
-        fresh = _generator(key)
-        fresh.integers(0, 2**32, size=5, dtype=np.uint32)
-        assert state_fields(rng) == state_fields(fresh)
-        assert np.array_equal(rng.standard_normal(7), fresh.standard_normal(7))
+    first = np.empty(block)
+    for key, rng in zip(keys, _rekeyed(keys)):
+        rng.standard_normal(out=first)
+        rederived = _generator(key)
+        assert np.array_equal(rederived.standard_normal(block), first)
+        assert state_fields(rng) == state_fields(rederived)
+        later = rederived.standard_normal(block)
+        assert np.array_equal(rng.standard_normal(block), later)
+        whole = _generator(key).standard_normal((2 * REJECTION_BLOCK, 2, 4, 4))
+        assert np.array_equal(whole, np.concatenate([first, later]))
+        for gen in (rng, rederived):
+            gen.integers(0, 2**32, size=5, dtype=np.uint32)  # a spare half in a part-used buffer
+        assert state_fields(rng) == state_fields(rederived)
+        assert np.array_equal(rng.standard_normal(7), rederived.standard_normal(7))
+        rng.integers(0, 2**32, size=5, dtype=np.uint32)  # left behind for the next re-key
 
 
 @pytest.mark.parametrize(

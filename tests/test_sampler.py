@@ -22,12 +22,7 @@ from entcov.sampler import (
 )
 from entcov.states import canonical, rho_u
 
-
-def exact_record(rho, shots, seed=0):
-    """Synthetic record whose counts are exactly shots * p(a, b)."""
-    return MeasurementRecord(
-        shots_per_setting=shots, counts=shots * outcome_probabilities(rho), seed=seed
-    )
+from oracles import exact_record
 
 
 def test_outcome_probabilities_singlet():
@@ -533,6 +528,17 @@ def test_record_validation():
         MeasurementRecord(shots_per_setting=5, counts=bad, seed=0)
     with pytest.raises(ValueError, match=r"^counts must have shape \(3, 3, 4\), got \(3, 3, 3\)$"):
         MeasurementRecord(shots_per_setting=5, counts=good[:, :, :3], seed=0)
+
+
+def test_count_sums_are_checked_to_one_part_in_a_million():
+    # COUNT_SUM_TOL is 1e-6: one setting's counts sum 5e-7 off passes, 2e-6 off raises.
+    counts = np.zeros((3, 3, 4))
+    counts[:, :, 0] = 5
+    counts[1, 2, 3] = 5e-7
+    MeasurementRecord(shots_per_setting=5, counts=counts, seed=0)
+    counts[1, 2, 3] = 2e-6
+    with pytest.raises(ValueError, match="^every setting's counts must sum to shots_per_setting$"):
+        MeasurementRecord(shots_per_setting=5, counts=counts, seed=0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
