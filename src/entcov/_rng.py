@@ -6,9 +6,10 @@ counter-based bit generator keyed as numpy's
 the sample at one address never depends on which other addresses were
 generated, in what order, or on how many workers did the generating.
 ``_keys`` keys one address by numpy's SeedSequence itself and derives the
-keys of many addresses in one vectorised pass of its hash, and ``_rekeyed``
-serves given keys through one re-keyed generator; ``rng_at`` and
-``derive_seed`` are the one-address case.
+keys of many addresses in one vectorised pass of its hash, ``_seed_keys``
+those of many seeds in one pass of the same hash, and ``_rekeyed`` serves
+given keys through one re-keyed generator; ``rng_at`` and ``derive_seed``
+are the one-address case.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ STREAM_SETTING = 5
 STREAM_BOOTSTRAP = 6
 STREAM_TRIAL = 7
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which ``_keys``
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which ``_hash``
 # runs on uint32 columns: a pool of four uint32 words, the entropy hash
 # (INIT_A, MULT_A), the mixer and the output hash (INIT_B, MULT_B).
 _MASK32 = 0xFFFFFFFF
@@ -91,6 +92,40 @@ def _consts(const: int, mult: int, count: int) -> np.ndarray:
 
 
 _OUTPUT_CONSTS = _consts(_INIT_B, _MULT_B, _POOL_SIZE + 1)
+# Multiplying a hash constant by these gives it and its next four values.
+_POWERS_A = _consts(1, _MULT_A, _POOL_SIZE + 1)
+
+
+def _pool_const(seed: int) -> int:
+    """The entropy hash constant once the pool of (seed, stream) is built.
+
+    numpy pads the seed to at least the pool size, appends the stream id
+    and hashes each word into every pool word, so the constant has advanced
+    once per pool word per word.
+    """
+    seed_words = max(_POOL_SIZE, (seed.bit_length() + 31) // 32)
+    return _INIT_A * pow(_MULT_A, _POOL_SIZE * (seed_words + 1), 2**32) & _MASK32
+
+
+def _hash(pool: np.ndarray, const: np.ndarray, words) -> np.ndarray:
+    """The (m, 2) uint64 Philox keys of m addresses from their pools.
+
+    numpy's SeedSequence loop on uint32 columns, the four pool words at
+    once: pool is (4, m), one column per address (or one broadcast column),
+    const the (1, m) hash constants that follow each pool, and every word
+    (m,) or a scalar.  Mixing a word into pool word d uses the d-th of the
+    next hash constants.
+    """
+    for word in words:
+        consts = const * _POWERS_A
+        const = consts[-1:]
+        hashed = (word ^ consts[:-1]) * consts[1:]
+        hashed ^= hashed >> 16
+        pool = pool * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
+        pool ^= pool >> 16
+    out = (pool ^ _OUTPUT_CONSTS[:-1]) * _OUTPUT_CONSTS[1:]
+    out = (out ^ out >> 16).astype(np.uint64)
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=-1)
 
 
 def _keys(seed: int, stream: int, indices) -> np.ndarray:
@@ -108,25 +143,29 @@ def _keys(seed: int, stream: int, indices) -> np.ndarray:
     n, words = _index_words(indices)
     if n == 1:
         return _seed_sequence(seed, int(stream), *words).generate_state(2, np.uint64)[None]
-    # numpy's loop on uint32 columns, the four pool words at once, from the
-    # pool of (seed, stream): numpy pads the seed to at least the pool size,
-    # appends the stream id and hashes each word into every pool word, so
-    # the hash constant has advanced once per pool word per word.
     pool = _seed_sequence(seed, int(stream)).pool[:, None]
-    seed_words = max(_POOL_SIZE, (seed.bit_length() + 31) // 32)
-    const = _INIT_A * pow(_MULT_A, _POOL_SIZE * (seed_words + 1), 2**32) & _MASK32
-    # Mixing a word into pool word d uses the d-th of the next hash constants.
-    for word in words:
-        consts = _consts(const, _MULT_A, _POOL_SIZE + 1)
-        const = int(consts[-1, 0])
-        hashed = (word ^ consts[:-1]) * consts[1:]
-        hashed ^= hashed >> 16
-        pool = pool * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
-        pool ^= pool >> 16
-    out = (pool ^ _OUTPUT_CONSTS[:-1]) * _OUTPUT_CONSTS[1:]
-    out = (out ^ out >> 16).astype(np.uint64)
-    keys = np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=-1)
-    return np.broadcast_to(keys, (n, 2))
+    const = np.array([[_pool_const(seed)]], dtype=np.uint32)
+    return np.broadcast_to(_hash(pool, const, words), (n, 2))
+
+
+def _seed_keys(seeds, stream: int, indices) -> np.ndarray:
+    """The (len(seeds) * n, 2) keys of (seed, stream, *index), for each seed every index.
+
+    Row k * n + i equals ``_keys(seeds[k], stream, indices)[i]``: the pools
+    of the seeds are stacked, one column per address, and hashed in one
+    pass, each column from its own seed's hash constant.  Every seed must be
+    an integer >= 0.
+    """
+    seeds = [_integer("seed", seed, 0) for seed in seeds]
+    if not seeds or len(indices) == 0:
+        return np.empty((0, 2), dtype=np.uint64)
+    n, words = _index_words(indices)
+    pools = np.stack([_seed_sequence(seed, int(stream)).pool for seed in seeds], axis=1)
+    const = np.array([[_pool_const(seed) for seed in seeds]], dtype=np.uint32)
+    if n > 1:
+        pools, const = np.repeat(pools, n, axis=1), np.repeat(const, n, axis=1)
+        words = [np.tile(word, len(seeds)) for word in words]
+    return _hash(pools, const, words)
 
 
 @functools.cache

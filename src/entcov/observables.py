@@ -41,10 +41,11 @@ class CorrelationData:
     corrT: np.ndarray
 
     def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=float)
-        bloch_a = np.asarray(self.blochA, dtype=float)
-        bloch_b = np.asarray(self.blochB, dtype=float)
-        corr = np.asarray(self.corrT, dtype=float)
+        # Copies, so that freezing them leaves the caller's own arrays writeable.
+        cov = np.array(self.cov, dtype=float)
+        bloch_a = np.array(self.blochA, dtype=float)
+        bloch_b = np.array(self.blochB, dtype=float)
+        corr = np.array(self.corrT, dtype=float)
         if cov.shape != (3, 3) or corr.shape != (3, 3):
             raise ValueError("cov and corrT must be 3x3")
         if bloch_a.shape != (3,) or bloch_b.shape != (3,):

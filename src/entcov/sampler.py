@@ -24,7 +24,7 @@ from ._rng import (
     STREAM_TRIAL,
     _keys,
     _rekeyed,
-    derive_seed,
+    _seed_keys,
     rng_at,
 )
 from .gmeasure import certifies, g_from_covariances
@@ -153,28 +153,28 @@ def _bootstrap_covariances(boot: np.ndarray, shots: int) -> np.ndarray:
     return _covariances((n0 + n3) - (n1 + n2), (n0 + n1) - (n2 + n3), (n0 + n2) - (n1 + n3), shots)
 
 
-def estimate_g(rec: MeasurementRecord) -> GEstimate:
-    """Plug-in G with a bootstrap standard error.
+def _estimate(counts: np.ndarray, shots: int, rng: np.random.Generator) -> GEstimate:
+    """Plug-in G of one (3, 3, 4) table of counts, each setting summing to shots, with a
+    bootstrap standard error drawn from rng.
 
     Each of the BOOTSTRAP_REPLICATES replicates redraws every setting's
     table multinomially at the empirical frequencies; stderr is the
     standard deviation of the replicate G values.  The one draw consumes
     the stream replicate by replicate, setting by setting.
     """
-    cov_hat = _covariances_from_counts(rec.counts)
+    cov_hat = _covariances_from_counts(counts)
     g_hat = float(np.sum(cov_hat**2))
 
-    freqs = rec.counts / rec.counts.sum(axis=-1, keepdims=True)
-    rng = rng_at(rec.seed, STREAM_BOOTSTRAP)
-    boot = rng.multinomial(rec.shots_per_setting, freqs, size=(BOOTSTRAP_REPLICATES, 3, 3))
-    replicates = np.sum(_bootstrap_covariances(boot, rec.shots_per_setting) ** 2, axis=(1, 2))
+    freqs = counts / counts.sum(axis=-1, keepdims=True)
+    boot = rng.multinomial(shots, freqs, size=(BOOTSTRAP_REPLICATES, 3, 3))
+    replicates = np.sum(_bootstrap_covariances(boot, shots) ** 2, axis=(1, 2))
     stderr = float(np.std(replicates, ddof=1))
-    return GEstimate(
-        g_hat=g_hat,
-        cov_hat=cov_hat,
-        stderr=stderr,
-        shots_per_setting=rec.shots_per_setting,
-    )
+    return GEstimate(g_hat=g_hat, cov_hat=cov_hat, stderr=stderr, shots_per_setting=shots)
+
+
+def estimate_g(rec: MeasurementRecord) -> GEstimate:
+    """Plug-in G with a bootstrap standard error drawn from the record's bootstrap stream."""
+    return _estimate(rec.counts, rec.shots_per_setting, rng_at(rec.seed, STREAM_BOOTSTRAP))
 
 
 def shots_for_verdict(
@@ -212,8 +212,10 @@ def shots_for_verdict(
         raise ValueError(f"state has G = {g:.6g} <= 1 and cannot be certified")
 
     p = outcome_probabilities(rho)
-    trial_seeds = [derive_seed(seed, STREAM_TRIAL, t) for t in range(trials)]
-    keys = np.concatenate([_keys(t_seed, STREAM_SETTING, _SETTINGS) for t_seed in trial_seeds])
+    trial_keys = _keys(seed, STREAM_TRIAL, np.arange(trials))
+    trial_seeds = (trial_keys[:, 0] ^ trial_keys[:, 1]).tolist()  # derive_seed of each trial
+    keys = _seed_keys(trial_seeds, STREAM_SETTING, _SETTINGS)
+    boot_keys = _seed_keys(trial_seeds, STREAM_BOOTSTRAP, [()])
     # Where fewer misses than hits decide the vote, bootstrap the lowest G
     # first, where misses lie; otherwise the highest first, where hits lie.
     misses_decide = trials - required + 1 < required
@@ -223,8 +225,10 @@ def shots_for_verdict(
         plug_in = np.sum(_covariances_from_counts(counts) ** 2, axis=(1, 2))
         order = np.argsort(plug_in if misses_decide else -plug_in, kind="stable")
         hits = misses = 0
-        for t in order:
-            est = estimate_g(MeasurementRecord(shots, counts[t], trial_seeds[t]))
+        # The drawn counts are whole, nonnegative and sum to shots, so they
+        # are estimated as they are, each through its trial's bootstrap key.
+        for t, rng in zip(order, _rekeyed(boot_keys[order])):
+            est = _estimate(counts[t], shots, rng)
             if est.g_hat - sigma * est.stderr > 1.0:
                 hits += 1
             else:

@@ -224,6 +224,19 @@ def test_correlation_data_is_consistent_to_1e_12():
         CorrelationData(cov=outside, blochA=bloch_a, blochB=bloch_b, corrT=corr)
 
 
+def test_correlation_data_freezes_copies_not_the_callers_arrays():
+    fields = {"cov": np.zeros((3, 3)), "blochA": np.zeros(3), "blochB": np.zeros(3),
+              "corrT": np.zeros((3, 3))}
+    cd = CorrelationData(**fields)
+    for name, arr in fields.items():
+        assert arr.flags.writeable, name
+        arr[0] = 1.0  # the caller may still edit its own array
+        stored = getattr(cd, name)
+        assert not stored.flags.writeable and not stored.any(), name
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["cov", "blochA", "blochB", "corrT"])
 def test_correlation_data_rejects_non_finite_entries(field, bad):

@@ -10,6 +10,7 @@ from entcov._rng import (
     _generator,
     _keys,
     _rekeyed,
+    _seed_keys,
     derive_seed,
     rng_at,
 )
@@ -84,6 +85,7 @@ ENTRY_POINTS = [
     ("trials", lambda v: shots_for_verdict(SINGLET, 2.0, 1, trials=v, required=1), 0),
     ("required", lambda v: shots_for_verdict(SINGLET, 2.0, 1, trials=4, required=v), 0),
     ("seed", lambda v: shots_for_verdict(SINGLET, 2.0, v, trials=4, required=4), -1),
+    ("seed", lambda v: _seed_keys([0, v], STREAM_TRIAL, [(0,)]), -1),
 ]
 
 
@@ -135,6 +137,26 @@ def test_keys_equal_numpys_seed_sequence(seed, stream, n_parts, data):
     if n_parts == 1:  # a 1-D integer array holds one part per address
         flat = np.array([part for (part,) in indices], dtype=np.uint64)
         assert np.array_equal(_keys(seed, stream, flat), expected)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(seeds=st.lists(SEEDS, max_size=3), stream=st.integers(0, 7), n_parts=st.integers(0, 2),
+       data=st.data())
+def test_seed_keys_equal_numpys_seed_sequence(seeds, stream, n_parts, data):
+    # seeds of one, two, five and seven words, so that the hash constants
+    # after the pools differ between the columns of one pass
+    seeds = data.draw(st.permutations([0, 2**64 - 1, 2**128, 2**200, *seeds]))
+    indices = data.draw(addresses(n_parts, max_size=6))
+    expected = np.array([seed_sequence(seed, stream, index).generate_state(2, np.uint64)
+                         for seed in seeds for index in indices])
+    assert np.array_equal(_seed_keys(seeds, stream, indices), expected)
+    assert np.array_equal(_seed_keys(seeds, stream, np.array(indices, dtype=np.uint64)), expected)
+
+
+def test_seed_keys_of_no_seed_or_no_index_are_empty():
+    for seeds, indices in (([], [(0,)]), ([1, 2], []), ([1], np.arange(0))):
+        keys = _seed_keys(seeds, STREAM_TRIAL, indices)
+        assert keys.shape == (0, 2) and keys.dtype == np.uint64
 
 
 def draw_all(rng):

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from entcov import sampler
-from entcov._rng import STREAM_BOOTSTRAP, STREAM_SETTING, STREAM_TRIAL, _keys, derive_seed, rng_at
+from entcov._rng import (
+    STREAM_BOOTSTRAP,
+    STREAM_SETTING,
+    STREAM_TRIAL,
+    _keys,
+    _seed_keys,
+    derive_seed,
+    rng_at,
+)
 from entcov.ensembles import ginibre, separable_mixture
 from entcov.gmeasure import g_from_covariances
 from entcov.jsonio import dumps, loads
@@ -124,7 +132,10 @@ def test_keys_derived_once_draw_the_records_of_simulate_record():
     # trials in one call at every shot count; each run's counts equal the
     # record simulate_record draws
     seeds = (0, 31, derive_seed(2026, STREAM_TRIAL, 5))
-    keys = np.concatenate([_keys(seed, STREAM_SETTING, sampler._SETTINGS) for seed in seeds])
+    keys = _seed_keys(seeds, STREAM_SETTING, sampler._SETTINGS)
+    assert np.array_equal(
+        keys, np.concatenate([_keys(seed, STREAM_SETTING, sampler._SETTINGS) for seed in seeds])
+    )
     for rho in (canonical("singlet"), rho_u(0.4), ginibre(17, 3, 2)):
         p = outcome_probabilities(rho)
         for shots in (1, 7, 24, 799):
@@ -328,28 +339,82 @@ def test_one_shot_never_certifies_so_no_search_draws_it(monkeypatch):
 def test_unreachable_sigma_stops_each_vote_once_decided(monkeypatch):
     """A vote of 10 needing 8 is lost after its third miss, so the 22 grid
     points 2, 4, ..., 2**22 cost 3 estimates each, not 10."""
-    calls = []
+    calls, estimate = [], sampler._estimate
 
-    def counted(rec):
-        calls.append(rec.shots_per_setting)
-        return estimate_g(rec)
+    def counted(counts, shots, rng):
+        calls.append(shots)
+        return estimate(counts, shots, rng)
 
-    monkeypatch.setattr(sampler, "estimate_g", counted)
+    monkeypatch.setattr(sampler, "_estimate", counted)
     with pytest.raises(RuntimeError, match="^no shot count up to 4194304 certifies"):
         shots_for_verdict(canonical("singlet"), 1e9, 1, trials=10, required=8)
     assert calls == [2**k for k in range(1, 23) for _ in range(3)]
 
 
-def test_search_derives_each_trials_setting_keys_once(monkeypatch):
-    streams = []
+def test_search_derives_its_keys_in_one_pass_each(monkeypatch):
+    # one pass for the trial seeds, one for every trial's nine setting keys
+    # and one for every trial's bootstrap key; no estimate derives its own
+    calls = []
 
-    def counted(seed, stream, indices):
-        streams.append(stream)
+    def keys(seed, stream, indices):
+        calls.append(("keys", stream, len(indices)))
         return _keys(seed, stream, indices)
 
-    monkeypatch.setattr(sampler, "_keys", counted)
+    def seed_keys(seeds, stream, indices):
+        calls.append(("seed_keys", stream, len(seeds) * len(indices)))
+        return _seed_keys(seeds, stream, indices)
+
+    def unused(*args):
+        raise AssertionError("the search derives no key one address at a time")
+
+    monkeypatch.setattr(sampler, "_keys", keys)
+    monkeypatch.setattr(sampler, "_seed_keys", seed_keys)
+    monkeypatch.setattr(sampler, "rng_at", unused)
     assert shots_for_verdict(canonical("singlet"), 3.0, 2026, trials=10, required=10) == 13
-    assert streams.count(STREAM_SETTING) == 10
+    assert calls == [
+        ("keys", STREAM_TRIAL, 10),
+        ("seed_keys", STREAM_SETTING, 90),
+        ("seed_keys", STREAM_BOOTSTRAP, 10),
+    ]
+
+
+@pytest.mark.parametrize("trials, required", [(10, 10), (10, 1), (20, 19)])
+@pytest.mark.parametrize("name", ["singlet", "rho_u(0.4)"])
+def test_every_search_estimate_is_estimate_g_of_its_record(name, trials, required, monkeypatch):
+    """Each estimate of the vote, from the drawn counts and the trial's re-keyed
+    bootstrap generator, equals estimate_g of the record at that trial's seed
+    bit for bit, also after a vote that stopped early and left its re-keyed
+    generator unfinished."""
+    drawn, seen = [], []
+    simulate, estimate = sampler._simulate, sampler._estimate
+
+    def simulating(p, shots, keys):
+        drawn.append(simulate(p, shots, keys))
+        return drawn[-1]
+
+    def estimating(counts, shots, rng):
+        whole = drawn[-1]
+        t, offset = divmod(counts.ctypes.data - whole.ctypes.data, whole.strides[0])
+        assert offset == 0 and np.shares_memory(counts, whole)
+        est = estimate(counts, shots, rng)
+        seen.append((len(drawn), t, shots, counts.copy(), est))
+        return est
+
+    monkeypatch.setattr(sampler, "_simulate", simulating)
+    monkeypatch.setattr(sampler, "_estimate", estimating)
+    rho = canonical("singlet") if name == "singlet" else rho_u(0.4)
+    shots_for_verdict(rho, 3.0, 2026, trials=trials, required=required)
+    monkeypatch.undo()  # estimate_g below runs the unwrapped estimator
+
+    votes = [vote for vote, *_ in seen]
+    assert min(votes.count(vote) for vote in set(votes)) < trials  # a vote stopped early
+    trial_seeds = [derive_seed(2026, STREAM_TRIAL, t) for t in range(trials)]
+    for _, t, shots, counts, est in seen:
+        expected = estimate_g(MeasurementRecord(shots, counts, trial_seeds[t]))
+        assert est.g_hat.hex() == expected.g_hat.hex()
+        assert est.stderr.hex() == expected.stderr.hex()
+        assert est.cov_hat.tobytes() == expected.cov_hat.tobytes()
+        assert est.shots_per_setting == expected.shots_per_setting == shots
 
 
 def trial_order_shots_for_verdict(rho, sigma, seed, trials, required):
@@ -402,13 +467,13 @@ def test_search_bootstraps_the_deciding_side_first(name, required, shots, estima
     """The benchmark's two 10-of-10 searches take 34 and 28 estimates, and
     1 of 10 on rho_u(0.4) takes 1; in trial order they take 49, 41 and 5
     from 2 shots (50, 42 and 15 in trial_order_shots_for_verdict, from 1)."""
-    calls = []
+    calls, estimate = [], sampler._estimate
 
-    def counted(rec):
-        calls.append(rec.shots_per_setting)
-        return estimate_g(rec)
+    def counted(counts, shots, rng):
+        calls.append(shots)
+        return estimate(counts, shots, rng)
 
-    monkeypatch.setattr(sampler, "estimate_g", counted)
+    monkeypatch.setattr(sampler, "_estimate", counted)
     rho = canonical("singlet") if name == "singlet" else rho_u(0.4)
     assert shots_for_verdict(rho, 3.0, 2026, trials=10, required=required) == shots
     assert len(calls) == estimates
