@@ -7,9 +7,10 @@ the sample at one address never depends on which other addresses were
 generated, in what order, or on how many workers did the generating.
 ``_keys`` keys one address by numpy's SeedSequence itself and derives the
 keys of many addresses in one vectorised pass of its hash, ``_seed_keys``
-those of many seeds in one pass of the same hash, and ``_rekeyed`` serves
-given keys through one re-keyed generator; ``rng_at`` and ``derive_seed``
-are the one-address case.
+those of many seeds in one pass of the same hash, ``_rekeyed`` serves given
+keys through one re-keyed generator, and ``_derived_seeds`` derives the
+seeds of many addresses from their keys; ``rng_at`` and ``derive_seed`` are
+the one-address case.
 """
 
 from __future__ import annotations
@@ -222,7 +223,12 @@ def rng_at(seed: int, stream: int, *index: int) -> np.random.Generator:
     return _generator(_keys(seed, stream, [index])[0])
 
 
+def _derived_seeds(seed: int, stream: int, indices) -> list[int]:
+    """``derive_seed`` of each address (seed, stream, *index), index in indices (see ``_keys``)."""
+    keys = _keys(seed, stream, indices)
+    return (keys[:, 0] ^ keys[:, 1]).tolist()  # the XOR of each address's two key words
+
+
 def derive_seed(seed: int, stream: int, *index: int) -> int:
     """A fresh 64-bit seed deterministically derived from an address."""
-    key = _keys(seed, stream, [index])[0]
-    return int(key[0] ^ key[1])
+    return _derived_seeds(seed, stream, [index])[0]

@@ -58,7 +58,6 @@ from .states import (
     _purity,
     _validated,
     density_matrix_from_dict,
-    density_matrix_to_dict,
     from_pure,
     pure_state_from_dict,
 )
@@ -68,6 +67,13 @@ BOUND_CURVE_POINTS = 200
 BIN_WIDTH = 0.05
 
 CSV_SCAN_HEADER = "kind,concurrence,g,purity,rank,violates"
+
+# The format_float row of one state in `ensemble --format json`: the state's
+# dumps text inside the list, every number a field, then its comma.
+_JSON_STATE_ROW = (
+    dumps([{"index": "{}", "re": [["{}"] * 4] * 4, "im": [["{}"] * 4] * 4}])[2:-2]
+    .replace('"{}"', "{}") + ","
+)
 
 
 class CliInputError(Exception):
@@ -250,12 +256,12 @@ def cmd_ensemble(args) -> int:
     spec = _load(args.spec, ensemble_spec_from_dict)
     stack = functools.partial(_stack, spec)
     if args.format == "json":  # the states only: no measures are computed
-        states = [
-            {"index": i, **density_matrix_to_dict(DensityMatrix(m))}
-            for indices, mats in _chunks(spec.count, stack)
-            for i, m in zip(indices.tolist(), mats)
-        ]
-        _emit(args.output, dumps(states))
+        pieces = ["["]  # each chunk's states are one piece, a comma after each state
+        for indices, mats in _chunks(spec.count, stack):
+            mats = _validated(mats).reshape(-1, 16)
+            pieces.append(format_float((indices, *mats.real.T, *mats.imag.T), _JSON_STATE_ROW))
+        pieces[-1] = pieces[-1][:-1]  # no comma after the last state
+        _emit(args.output, *pieces, "]")
     else:
         pieces = ["index,kind,concurrence,g,purity"]
         for indices, c, g, p in _sweep(spec.count, stack):

@@ -22,6 +22,7 @@ from ._rng import (
     STREAM_BOOTSTRAP,
     STREAM_SETTING,
     STREAM_TRIAL,
+    _derived_seeds,
     _keys,
     _rekeyed,
     _seed_keys,
@@ -212,8 +213,7 @@ def shots_for_verdict(
         raise ValueError(f"state has G = {g:.6g} <= 1 and cannot be certified")
 
     p = outcome_probabilities(rho)
-    trial_keys = _keys(seed, STREAM_TRIAL, np.arange(trials))
-    trial_seeds = (trial_keys[:, 0] ^ trial_keys[:, 1]).tolist()  # derive_seed of each trial
+    trial_seeds = _derived_seeds(seed, STREAM_TRIAL, np.arange(trials))
     keys = _seed_keys(trial_seeds, STREAM_SETTING, _SETTINGS)
     boot_keys = _seed_keys(trial_seeds, STREAM_BOOTSTRAP, [()])
     # Where fewer misses than hits decide the vote, bootstrap the lowest G

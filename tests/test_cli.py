@@ -434,6 +434,75 @@ def test_a_fixed_purity_slice_factors_only_the_states_it_emits(capsys, monkeypat
     assert sum(factored) == 128
 
 
+def test_the_json_ensemble_validates_and_writes_each_chunk_once(tmp_path, capsys, monkeypatch):
+    # One stacked Cholesky validates each chunk and one format operation
+    # writes it: no state is validated or serialized on its own.
+    factored, cholesky, dumped = [], np.linalg.cholesky, []
+
+    def counting(a):
+        factored.append(int(np.prod(np.shape(a)[:-2])))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(cli, "dumps", lambda obj: dumped.append(obj) or dumps(obj))
+    code, out, _ = run_cli(capsys, pinned_argv(tmp_path, "ensemble-ginibre-json"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_CSV_SHA256["ensemble-ginibre-json"]
+    assert factored == [ensembles.CHUNK, 44]
+    assert dumped == []
+
+
+def per_state_json(spec: ensembles.EnsembleSpec) -> str:
+    """The per-state writer `ensemble --format json` had: a DensityMatrix, a dict and dumps each."""
+    states = [{"index": i, **density_matrix_to_dict(rho)} for i, rho in ensembles.generate(spec)]
+    return dumps(states) + "\n"
+
+
+@pytest.mark.parametrize("count", [1, ensembles.CHUNK + 44])
+@pytest.mark.parametrize("kind", sorted(PINNED_SPECS))
+def test_the_json_ensemble_equals_the_per_state_writer(tmp_path, capsys, monkeypatch, kind, count):
+    spec = {**PINNED_SPECS[kind], "count": count, "seed": PINNED_SPECS[kind]["seed"] + 20}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    expected = per_state_json(ensembles.ensemble_spec_from_dict(spec))
+    for chunk in (1, 7, ensembles.CHUNK):
+        monkeypatch.setattr(ensembles, "CHUNK", chunk)
+        assert run_cli(capsys, ["ensemble", str(spec_path), "--format", "json"]) == (0, expected, "")
+
+
+@pytest.mark.parametrize("command", ["scan-bounds", "purity-slice", "ensemble-csv", "ensemble-json"])
+def test_a_failure_in_a_late_chunk_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(ensembles, "CHUNK", 4)
+    nans = []
+
+    def nan_in_the_second_stack(kernel):
+        def stack(first, indices, **kwargs):
+            mats = kernel(first, indices, **kwargs)
+            if indices[0] == ensembles.CHUNK:
+                mats[1, 2, 3] = np.nan
+                nans.append(int(indices[0]))
+            return mats
+
+        return stack
+
+    monkeypatch.setattr(cli, "_ginibre_stack", nan_in_the_second_stack(cli._ginibre_stack))
+    monkeypatch.setattr(cli, "_stack", nan_in_the_second_stack(cli._stack))
+    if command.startswith("ensemble"):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "ginibre", "count": 10, "seed": 3, "rank": 3}))
+        argv = ["ensemble", str(spec_path), "--format", command.split("-")[1]]
+    elif command == "scan-bounds":
+        argv = ["scan-bounds", "--count", "10"]
+    else:
+        argv = ["purity-slice", "--purity", "0.46", "--count", "10"]
+    output = tmp_path / "out.txt"
+    for destination in ("-", str(output)):
+        code, out, err = run_cli(capsys, argv + ["--output", destination])
+        assert (code, out, err) == (1, "", "runtime error: matrix entries must be finite\n")
+    assert nans == [4, 4]  # each run hit the second stack
+    assert not output.exists()
+
+
 @pytest.mark.parametrize(
     "emitter", ["fixed_purity", "generate", "purity-slice", "ensemble-csv", "ensemble-json"]
 )

@@ -7,6 +7,7 @@ from entcov._rng import (
     STREAM_FIXED_PURITY,
     STREAM_GINIBRE,
     STREAM_TRIAL,
+    _derived_seeds,
     _generator,
     _keys,
     _rekeyed,
@@ -255,6 +256,16 @@ def test_derive_seed_values_are_unchanged(address, value):
     assert derive_seed(*address) == value
     words = seed_sequence(address[0], address[1], address[2:]).generate_state(2, np.uint64)
     assert derive_seed(*address) == int(words[0] ^ words[1])
+
+
+def test_derived_seeds_are_derive_seed_of_each_address():
+    addresses = [(1000, 5), (0, 0), (2**64 - 1, 2**32)]
+    assert _derived_seeds(424242, STREAM_TRIAL, addresses) == [
+        derive_seed(424242, STREAM_TRIAL, *index) for index in addresses
+    ]
+    seeds = _derived_seeds(2026, STREAM_TRIAL, np.arange(10))
+    assert seeds[0] == 17869917908401515170 and seeds[9] == 14447280633774175575
+    assert all(type(seed) is int for seed in seeds)
 
 
 @pytest.mark.parametrize("bad", [[(-1,)], [(0,), (2**64,)], [(1.5,)], [(True,)]])

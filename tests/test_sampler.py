@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entcov import sampler
+from entcov import _rng, sampler
 from entcov._rng import (
     STREAM_BOOTSTRAP,
     STREAM_SETTING,
@@ -368,6 +368,7 @@ def test_search_derives_its_keys_in_one_pass_each(monkeypatch):
         raise AssertionError("the search derives no key one address at a time")
 
     monkeypatch.setattr(sampler, "_keys", keys)
+    monkeypatch.setattr(_rng, "_keys", keys)  # the trial seeds' pass, in _rng._derived_seeds
     monkeypatch.setattr(sampler, "_seed_keys", seed_keys)
     monkeypatch.setattr(sampler, "rng_at", unused)
     assert shots_for_verdict(canonical("singlet"), 3.0, 2026, trials=10, required=10) == 13
