@@ -5,12 +5,12 @@ counter-based bit generator keyed as numpy's
 ``SeedSequence(entropy=seed, spawn_key=(stream, hi, lo, ...))`` keys it, so
 the sample at one address never depends on which other addresses were
 generated, in what order, or on how many workers did the generating.
-``_keys`` keys one address by numpy's SeedSequence itself and derives the
-keys of many addresses in one vectorised pass of its hash, ``_seed_keys``
-those of many seeds in one pass of the same hash, ``_rekeyed`` serves given
-keys through one re-keyed generator, and ``_derived_seeds`` derives the
-seeds of many addresses from their keys; ``rng_at`` and ``derive_seed`` are
-the one-address case.
+``_keys`` keys one address by numpy's SeedSequence itself; the keys of many
+addresses, of one seed (``_keys``) or of many (``_seed_keys``), come from
+one broadcast pass of its hash (``_hash``).  ``_rekeyed`` serves given keys
+through one re-keyed generator, and ``_derived_seeds`` derives the seeds of
+many addresses from their keys; ``rng_at`` and ``derive_seed`` are the
+one-address case.
 """
 
 from __future__ import annotations
@@ -84,12 +84,12 @@ def _columns(parts: np.ndarray) -> list[np.ndarray]:
 
 
 def _consts(const: int, mult: int, count: int) -> np.ndarray:
-    """(count, 1) uint32 column of the hash constants const, const * mult, ..."""
+    """(count, 1, 1) uint32 column of the hash constants const, const * mult, ..."""
     out = []
     for _ in range(count):
         out.append(const)
         const = const * mult & _MASK32
-    return np.array(out, dtype=np.uint32)[:, None]
+    return np.array(out, dtype=np.uint32)[:, None, None]
 
 
 _OUTPUT_CONSTS = _consts(_INIT_B, _MULT_B, _POOL_SIZE + 1)
@@ -108,15 +108,17 @@ def _pool_const(seed: int) -> int:
     return _INIT_A * pow(_MULT_A, _POOL_SIZE * (seed_words + 1), 2**32) & _MASK32
 
 
-def _hash(pool: np.ndarray, const: np.ndarray, words) -> np.ndarray:
-    """The (m, 2) uint64 Philox keys of m addresses from their pools.
+def _hash(seeds: list[int], stream: int, n: int, words) -> np.ndarray:
+    """The (k * n, 2) uint64 Philox keys of n addresses for each of k seeds, seed-major.
 
-    numpy's SeedSequence loop on uint32 columns, the four pool words at
-    once: pool is (4, m), one column per address (or one broadcast column),
-    const the (1, m) hash constants that follow each pool, and every word
-    (m,) or a scalar.  Mixing a word into pool word d uses the d-th of the
-    next hash constants.
+    numpy's SeedSequence loop on uint32 arrays, the four pool words at once:
+    the (4, k, 1) stack of the seeds' cached (seed, stream) pools and their
+    (1, k, 1) hash constants are broadcast against every word, an (n,)
+    column, or a Python int when there is one address.  Mixing a word into
+    pool word d uses the d-th of the next hash constants.
     """
+    pool = np.stack([_seed_sequence(seed, stream).pool for seed in seeds], axis=1)[:, :, None]
+    const = np.array([_pool_const(seed) for seed in seeds], dtype=np.uint32)[None, :, None]
     for word in words:
         consts = const * _POWERS_A
         const = consts[-1:]
@@ -126,7 +128,8 @@ def _hash(pool: np.ndarray, const: np.ndarray, words) -> np.ndarray:
         pool ^= pool >> 16
     out = (pool ^ _OUTPUT_CONSTS[:-1]) * _OUTPUT_CONSTS[1:]
     out = (out ^ out >> 16).astype(np.uint64)
-    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=-1)
+    keys = np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=-1)
+    return np.broadcast_to(keys, (len(seeds), n, 2)).reshape(-1, 2)  # no word: one key per seed
 
 
 def _keys(seed: int, stream: int, indices) -> np.ndarray:
@@ -144,29 +147,19 @@ def _keys(seed: int, stream: int, indices) -> np.ndarray:
     n, words = _index_words(indices)
     if n == 1:
         return _seed_sequence(seed, int(stream), *words).generate_state(2, np.uint64)[None]
-    pool = _seed_sequence(seed, int(stream)).pool[:, None]
-    const = np.array([[_pool_const(seed)]], dtype=np.uint32)
-    return np.broadcast_to(_hash(pool, const, words), (n, 2))
+    return _hash([seed], int(stream), n, words)
 
 
 def _seed_keys(seeds, stream: int, indices) -> np.ndarray:
     """The (len(seeds) * n, 2) keys of (seed, stream, *index), for each seed every index.
 
-    Row k * n + i equals ``_keys(seeds[k], stream, indices)[i]``: the pools
-    of the seeds are stacked, one column per address, and hashed in one
-    pass, each column from its own seed's hash constant.  Every seed must be
-    an integer >= 0.
+    Row k * n + i equals ``_keys(seeds[k], stream, indices)[i]``, from one
+    ``_hash`` pass.  Every seed must be an integer >= 0.
     """
     seeds = [_integer("seed", seed, 0) for seed in seeds]
     if not seeds or len(indices) == 0:
         return np.empty((0, 2), dtype=np.uint64)
-    n, words = _index_words(indices)
-    pools = np.stack([_seed_sequence(seed, int(stream)).pool for seed in seeds], axis=1)
-    const = np.array([[_pool_const(seed) for seed in seeds]], dtype=np.uint32)
-    if n > 1:
-        pools, const = np.repeat(pools, n, axis=1), np.repeat(const, n, axis=1)
-        words = [np.tile(word, len(seeds)) for word in words]
-    return _hash(pools, const, words)
+    return _hash(seeds, int(stream), *_index_words(indices))
 
 
 @functools.cache

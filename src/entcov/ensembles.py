@@ -234,8 +234,9 @@ def _fixed_purity_stack(keys: np.ndarray, target: float, window: float) -> np.nd
 
     keys are the indices' (n, 2) stream keys ``_keys(seed,
     STREAM_FIXED_PURITY, indices)``, which a sweep derives once per chunk.
-    Every index draws its first block of attempts from its own stream, and
-    all first blocks are formed and scored as one stack.  An index with no
+    Every index draws its first block of attempts from its own stream, all
+    as one (n, block, 2, 4, 4) stack of normals (``_normals``), and all
+    first blocks are formed and scored as one stack.  An index with no
     hit there continues alone in ``_fixed_purity_matrix``, which re-derives
     its stream from its key, so the attempt cap holds per index and an
     infeasible window raises at the first index that misses, after its own
@@ -246,15 +247,12 @@ def _fixed_purity_stack(keys: np.ndarray, target: float, window: float) -> np.nd
     by its emitter (``DensityMatrix``, or a sweep's stacked
     ``states._validated``).
     """
-    block = min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS)
-    x = np.empty((block, 2, 4, 4))
-    z = np.empty((len(keys), block, 4, 4), dtype=complex)
-    for k, rng in enumerate(_rekeyed(keys)):
-        rng.standard_normal(out=x)
-        z[k].real = x[:, 0]  # filled part by part, as _complex fills
-        z[k].imag = x[:, 1]
+    x = _normals(keys, (min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS), 2, 4, 4))
+    z = _complex(x[:, :, 0], x[:, :, 1])
+    # Each stack is freed once used: a group's peak memory stays near three complex stacks.
+    del x
     g, t = _gram(z)
-    del z  # freed before scoring, to keep the peak memory of a group down
+    del z
     hit = _purity_hits(g, t, target, window)
     rows, first = np.arange(len(keys)), hit.argmax(axis=1)  # first hit, or 0 if none
     out = g[rows, first] / t[rows, first][:, None, None]

@@ -29,7 +29,7 @@ from ._rng import (
     rng_at,
 )
 from .gmeasure import certifies, g_from_covariances
-from .jsonio import _integer, _json_floats, _json_int, _real
+from .jsonio import _integer, _json_floats, _json_int, _json_integral, _real
 from .observables import correlation_data, pauli_moments
 from .states import DensityMatrix
 
@@ -254,14 +254,11 @@ def shots_for_verdict(
 
 def record_to_dict(rec: MeasurementRecord) -> dict:
     """JSON form {"shots": N, "seed": s, "counts": {"11": [...], ..., "33": [...]}}."""
-    counts = {}
-    for i in range(3):
-        for j in range(3):
-            row = []
-            for value in rec.counts[i, j]:
-                value = float(value)
-                row.append(int(value) if value.is_integer() else value)
-            counts[f"{i + 1}{j + 1}"] = row
+    counts = {
+        f"{i + 1}{j + 1}": [_json_integral(value) for value in rec.counts[i, j].tolist()]
+        for i in range(3)
+        for j in range(3)
+    }
     return {"shots": rec.shots_per_setting, "seed": rec.seed, "counts": counts}
 
 

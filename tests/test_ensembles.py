@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -588,17 +589,39 @@ def test_generate_draws_one_index_at_a_time(monkeypatch):
 
 
 def test_a_sweep_derives_the_fixed_purity_keys_once_per_chunk(monkeypatch):
+    # The first blocks of each 16-index group are drawn in one _normals call.
     spec = EnsembleSpec("fixed_purity", 300, 3, purity_target=0.46, purity_window=0.005)
-    streams, keys = [], ensembles._keys
+    streams, keys, drawn, normals = [], ensembles._keys, [], ensembles._normals
 
     def counting(seed, stream, indices):
         streams.append(stream)
         return keys(seed, stream, indices)
 
+    def counting_normals(keys, shape):
+        drawn.append(len(keys))
+        return normals(keys, shape)
+
     monkeypatch.setattr(ensembles, "_keys", counting)
+    monkeypatch.setattr(ensembles, "_normals", counting_normals)
     chunks = list(ensembles._chunks(spec.count, functools.partial(ensembles._stack, spec)))
     assert [len(idx) for idx, _ in chunks] == [128, 128, 44]
     assert streams == [STREAM_FIXED_PURITY] * 3
+    assert drawn == [16] * 18 + [12]
+
+
+def test_a_fixed_purity_group_holds_about_three_complex_stacks_at_its_peak():
+    # One group's (16, 32, 4, 4) complex stack of attempts is 131072 B.  The
+    # normals are freed before the Gram product; holding them through it
+    # raises the peak to about four stacks.
+    keys = _keys(2026, STREAM_FIXED_PURITY, np.arange(16))
+    ensembles._fixed_purity_stack(keys, 0.46, 0.005)  # warm-up
+    tracemalloc.start()
+    try:
+        ensembles._fixed_purity_stack(keys, 0.46, 0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 131072, peak / 131072
 
 
 def test_generate_raises_at_the_failing_index(monkeypatch):
