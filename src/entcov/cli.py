@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .concurrence import _concurrence, concurrence_mixed
+from .concurrence import _concurrence_from_spectrum, concurrence_mixed
 from .ensembles import (
     _INT_FIELDS,
     _RANKS,
@@ -45,7 +45,7 @@ from .gmeasure import (
     pure_state_floor,
 )
 from .jsonio import _integer, dumps, format_float
-from .observables import correlation_data, pauli_moments
+from .observables import _moments, correlation_data
 from .sampler import (
     MAX_RECORD_SHOTS,
     estimate_g,
@@ -57,6 +57,7 @@ from .states import (
     DensityMatrix,
     _purity,
     _validated,
+    _validated_spectrum,
     density_matrix_from_dict,
     from_pure,
     pure_state_from_dict,
@@ -172,11 +173,15 @@ def _sweep(count: int, stack):
     """Yield the (indices, concurrence, G, purity) arrays of each chunk of 0..count-1, in order.
 
     stack gives the raw matrices of each chunk of indices (see
-    ``ensembles._chunks``); each stack is validated once and measured as a whole.
+    ``ensembles._chunks``); each stack is validated once and measured as a
+    whole.  One eigendecomposition of its Hermitian parts decides the PSD
+    rule and gives the concurrence its square root; the measures check
+    nothing again.
     """
     for indices, mats in _chunks(count, stack):
-        mats = _validated(mats)
-        yield indices, _concurrence(mats), _g_from_moments(pauli_moments(mats)), _purity(mats)
+        mats, w, v = _validated_spectrum(mats)
+        c = _concurrence_from_spectrum(mats, w, v)
+        yield indices, c, _g_from_moments(_moments(mats)), _purity(mats)
 
 
 def cmd_scan_bounds(args) -> int:

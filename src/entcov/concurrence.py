@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_hermitian, sqrt_psd
+from .linalg import _eigh, _hermitian_part, _psd_root, eig_hermitian, sqrt_psd
 from .states import DensityMatrix, PureState
 
 # sigma2 (x) sigma2 is the anti-diagonal (-1, 1, 1, -1), so the spin flip
@@ -89,18 +89,39 @@ def concurrence_pure(p: PureState) -> float:
 SPECTRUM_FLOOR = 1e-12
 
 
-def _concurrence(m: np.ndarray):
-    """Wootters concurrence of a valid 4x4 state matrix, or of each matrix of a stack."""
+def _flip_product(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """s rho_tilde s for a state matrix m (or stack) and its square root s: Hermitian up to
+    rounding, since s and rho_tilde both are."""
     rho_tilde = m[..., ::-1, ::-1].conj()
     rho_tilde *= _FLIP_SIGNS
-    s = sqrt_psd(m)
-    # Hermitian up to rounding since s and rho_tilde both are; eig_hermitian
-    # symmetrizes its input.
-    w, _ = eig_hermitian(s @ rho_tilde @ s)
+    return s @ rho_tilde @ s
+
+
+def _wootters(w: np.ndarray):
+    """max(0, l1 - l2 - l3 - l4) from the descending eigenvalues w of the spin-flip product."""
     w = np.maximum(w, 0.0)
     w[w < SPECTRUM_FLOOR] = 0.0
     lam = np.sqrt(w)
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
+def _concurrence(m: np.ndarray):
+    """Wootters concurrence of a valid 4x4 state matrix, or of each matrix of a stack.
+
+    The square root and the eigensolver run their own checks (``sqrt_psd``,
+    ``eig_hermitian``).
+    """
+    return _wootters(eig_hermitian(_flip_product(m, sqrt_psd(m)))[0])
+
+
+def _concurrence_from_spectrum(m: np.ndarray, w: np.ndarray, v: np.ndarray):
+    """_concurrence of a validated stack m, given the descending eigendecomposition (w, v)
+    of its Hermitian parts (``states._validated_spectrum``); nothing is checked again.
+
+    Bit for bit _concurrence: sqrt_psd applies the same eigh to the same
+    Hermitian parts, and eig_hermitian symmetrizes the product the same way.
+    """
+    return _wootters(_eigh(_hermitian_part(_flip_product(m, _psd_root(w, v))))[0])
 
 
 def concurrence_mixed(rho: DensityMatrix) -> float:

@@ -135,19 +135,38 @@ def partial_transpose(m, sub: str) -> np.ndarray:
     return out.reshape(m.shape)  # a copy: the swapped axes cannot be merged in place
 
 
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a Hermitian matrix or stack, eigenvalues sorted descending.
+
+    Returns (w, v) with v[..., :, k] the eigenvector belonging to w[..., k].
+    Both are reversed views of arrays the solver has just made, which
+    nothing else holds, so they are not copied.  h is not checked.
+    """
+    w, v = np.linalg.eigh(h)
+    return w[..., ::-1], v[..., ::-1]
+
+
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
     Returns (w, v) with real w and v[..., :, k] the eigenvector belonging to
-    w[..., k], so that v @ diag(w) @ v^dagger reconstructs the input.  Both
-    are reversed views of arrays the solver has just made, which nothing
-    else holds, so they are not copied.
+    w[..., k], so that v @ diag(w) @ v^dagger reconstructs the input.
     """
-    w, v = np.linalg.eigh(_hermitian_part(_check_hermitian(as_cmat(m))))
-    return w[..., ::-1], v[..., ::-1]
+    return _eigh(_hermitian_part(_check_hermitian(as_cmat(m))))
 
 
 RELATIVE_EIG_FLOOR = 1e-13
+
+
+def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The Hermitian square root from a descending eigendecomposition (w, v) of a PSD matrix.
+
+    w is not checked: eigenvalues below zero or below RELATIVE_EIG_FLOOR of
+    the largest are zeroed.
+    """
+    w = np.maximum(w, 0.0)
+    w[w < RELATIVE_EIG_FLOOR * w[..., :1]] = 0.0
+    return (v * np.sqrt(w)[..., None, :]) @ _dagger(v)
 
 
 def sqrt_psd(m) -> np.ndarray:
@@ -163,6 +182,25 @@ def sqrt_psd(m) -> np.ndarray:
     w_min = _first_failing(w[..., -1] < -MATRIX_TOL, w[..., -1])
     if w_min is not None:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w_min:.3e})")
-    w = np.maximum(w, 0.0)
-    w[w < RELATIVE_EIG_FLOOR * w[..., :1]] = 0.0
-    return (v * np.sqrt(w)[..., None, :]) @ _dagger(v)
+    return _psd_root(w, v)
+
+
+def _blas_kernel() -> str:
+    """The CPU kernel numpy's bundled OpenBLAS runs (``SkylakeX``, ``Haswell``, ...).
+
+    Read from the library's ``scipy_openblas_get_corename64_``; "unknown"
+    when numpy bundles no such library or it lacks the symbol.  The pinned
+    eigh bits belong to one kernel, so runs record it.
+    """
+    import ctypes
+    import glob
+    import os
+
+    libs = sorted(glob.glob(os.path.join(
+        os.path.dirname(np.__path__[0]), "numpy.libs", "libscipy_openblas64_*.so")))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return (corename() or b"unknown").decode()

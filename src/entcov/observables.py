@@ -96,7 +96,11 @@ def pauli_moments(mat: np.ndarray) -> np.ndarray:
     table of that matrix alone; a failing check reports the first failing
     matrix.
     """
-    mat = _check_hermitian(as_cmat(mat, dims=(4,)))
+    return _moments(_check_hermitian(as_cmat(mat, dims=(4,))))
+
+
+def _moments(mat: np.ndarray) -> np.ndarray:
+    """pauli_moments of a complex (..., 4, 4) matrix or stack, not checked (a validated stack)."""
     return np.real(np.einsum("mnij,...ji->...mn", PAIR_OBS, mat))
 
 

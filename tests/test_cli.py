@@ -418,20 +418,28 @@ def test_ensemble_infeasible_window(tmp_path, capsys, monkeypatch):
 
 
 def test_a_fixed_purity_slice_factors_only_the_states_it_emits(capsys, monkeypatch):
-    # Rejected attempts are scored, never validated: the one Cholesky of each
-    # emitted state is the sweep's own validation of its chunk.
-    factored, cholesky = [], np.linalg.cholesky
+    # Rejected attempts are scored, never validated: the one validation of
+    # each emitted state is the sweep's own, on its chunk's eigendecomposition,
+    # and no state is factored by the Cholesky route of DensityMatrix.
+    validated, factored = [], []
+    validate, cholesky = cli._validated_spectrum, np.linalg.cholesky
 
-    def counting(a):
+    def counting_validation(mats):
+        validated.append(len(mats))
+        return validate(mats)
+
+    def counting_cholesky(a):
         factored.append(int(np.prod(np.shape(a)[:-2])))
         return cholesky(a)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(cli, "_validated_spectrum", counting_validation)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     code, out, _ = run_cli(
         capsys, ["purity-slice", "--purity", "0.46", "--count", "128", "--seed", "2026"]
     )
     assert code == 0 and len(out.splitlines()) == 1 + 128
-    assert sum(factored) == 128
+    assert sum(validated) == 128
+    assert factored == []
 
 
 def test_the_json_ensemble_validates_and_writes_each_chunk_once(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ size and mix of states, and so must the public scalar functions, which
 are now the kernels' one-matrix case.
 """
 
+import dataclasses
 import itertools
 import re
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from entcov.concurrence import (
     _concurrence,
+    _concurrence_from_spectrum,
     _concurrence_pure,
     concurrence_mixed,
     concurrence_pure,
@@ -69,6 +71,7 @@ from entcov.states import (
     PureState,
     _purity,
     _validated,
+    _validated_spectrum,
     canonical,
     from_pure,
     purity,
@@ -183,6 +186,17 @@ def test_the_concurrence_kernel_is_the_spin_flip_product_bit_for_bit(spec):
     assert same_bits(_concurrence(named), [ref_concurrence(m) for m in named])
 
 
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.kind + f"-{s.rank}" * bool(s.rank))
+def test_the_concurrence_from_the_validated_spectrum_is_concurrence_mixed_bit_for_bit(spec):
+    # The sweep's concurrence reuses its validation's eigendecomposition
+    # instead of sqrt_psd's; every bit must agree with the checked call.
+    spec = dataclasses.replace(spec, count=512)
+    m, w, v = _validated_spectrum(_stack(spec, np.arange(spec.count)))
+    c = _concurrence_from_spectrum(m, w, v)
+    assert same_bits(c, _concurrence(m))
+    assert same_bits(c, [concurrence_mixed(DensityMatrix(x)) for x in m])
+
+
 def corrupt(m: np.ndarray, how: str) -> np.ndarray:
     m = m.copy()
     if how == "nan":
@@ -207,19 +221,26 @@ def message(fn, m) -> str:
 BAD = ("nan", "inf", "hermitian", "trace", "psd")
 
 
-@few
-@given(stacks, st.data())
-def test_a_bad_matrix_raises_its_own_scalar_message(mats, data):
+def bad_stacks(mats, data):
+    """(k, how, single, several): mats with matrix k corrupted, and a copy that may also
+    corrupt a later matrix, which the validation must not report first."""
     n = len(mats)
     k = data.draw(st.integers(0, n - 1), label="bad index")
     how = data.draw(st.sampled_from(BAD), label="corruption")
     single = mats.copy()
     single[k] = corrupt(mats[k], how)
-    # the state validation reports the first failing matrix across all its checks
     several = single.copy()
     if k < n - 1 and data.draw(st.booleans(), label="second bad matrix"):
         later = data.draw(st.integers(k + 1, n - 1), label="later index")
         several[later] = corrupt(mats[later], data.draw(st.sampled_from(BAD), label="later how"))
+    return k, how, single, several
+
+
+@few
+@given(stacks, st.data())
+def test_a_bad_matrix_raises_its_own_scalar_message(mats, data):
+    k, how, single, several = bad_stacks(mats, data)
+    # the state validation reports the first failing matrix across all its checks
     expected = message(DensityMatrix, single[k])
     assert message(ref_validate, single[k]) == expected
     for bad in (single, several):
@@ -233,6 +254,22 @@ def test_a_bad_matrix_raises_its_own_scalar_message(mats, data):
             kernel(single)
 
 
+@few
+@given(stacks, st.data())
+def test_the_sweep_route_refuses_a_bad_matrix_with_its_scalar_message(mats, data):
+    # The sweeps validate on the eigendecomposition their concurrence reuses;
+    # every refusal is DensityMatrix's, with its message.
+    k, _, single, several = bad_stacks(mats, data)
+    expected = message(DensityMatrix, single[k])
+    for bad in (single, several):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            _validated_spectrum(bad)
+    m, w, v = _validated_spectrum(mats)
+    assert same_bits(m, mats)
+    w_ref, v_ref = eig_hermitian(mats)
+    assert same_bits(w, w_ref) and same_bits(v, v_ref)
+
+
 def near_edge(rng, delta: float, rank: int) -> np.ndarray:
     """A trace-1 Hermitian matrix of the given rank, min eigenvalue -MATRIX_TOL * (1 + delta)."""
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
@@ -242,6 +279,23 @@ def near_edge(rng, delta: float, rank: int) -> np.ndarray:
     w[1:rank] *= (1 - w[0]) / w[1:rank].sum()
     m = (q * w) @ q.conj().T
     return (m + m.conj().T) / 2
+
+
+def at_edge(rng, wmin: float, pos: int) -> np.ndarray:
+    """A trace-1 Hermitian matrix whose eigh spectrum has exactly wmin as its least eigenvalue.
+
+    wmin sits on the diagonal at pos (0 or 3), decoupled from a 3x3 PSD
+    block: the tridiagonal reduction leaves it alone, so eigh returns it
+    unrounded and the rule's >= is decided at its boundary.
+    """
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b = z @ z.conj().T
+    b *= (1 - wmin) / np.trace(b).real
+    rest = [i for i in range(4) if i != pos]
+    m = np.zeros((4, 4), dtype=complex)
+    m[np.ix_(rest, rest)] = (b + b.conj().T) / 2
+    m[pos, pos] = wmin
+    return m
 
 
 def outcome(fn, m) -> str:
@@ -267,16 +321,45 @@ def test_the_psd_decision_at_the_tolerance_edge_is_the_eigh_rule():
     assert np.array_equal(_validated(mats[kept]), mats[kept])
 
 
-def test_an_overflowing_hermitian_part_goes_to_the_eigh_rule():
-    # Hermitian, unit trace and finite, with entries near 1e308, where
-    # m + m^dagger would overflow; the Cholesky of the first may return NaN
-    # factors without raising (OpenBLAS does)
+def overflowing() -> tuple[np.ndarray, ...]:
+    """Hermitian, unit trace and finite, with entries near 1e308, where m + m^dagger would
+    overflow; the Cholesky of the first may return NaN factors without raising (OpenBLAS does)."""
     big = np.diag([0.25] * 4).astype(complex)
     big[0, 1] = big[1, 0] = 1e308
     imaginary = np.diag([0.25] * 4).astype(complex)
     imaginary[3, 2], imaginary[2, 3] = 1e308j, -1e308j
     split = np.diag([1.5e308, -1.5e308, 1.0, 0.0]).astype(complex)
-    for m, wmin in ((big, "-1.000e+308"), (imaginary, "-1.000e+308"), (split, "-1.500e+308")):
+    return big, imaginary, split
+
+
+OVERFLOWING = overflowing()
+
+
+def test_the_sweep_route_decides_the_tolerance_edge_as_density_matrix_does():
+    rng = np.random.default_rng(20261020)
+    deltas = [sign * d for d in (1e-2, 1e-4, 1e-6, 1e-8) for sign in (1, -1)]
+    # exactly at the edge, one ulp inside it and one ulp past it
+    wmins = [-MATRIX_TOL, np.nextafter(-MATRIX_TOL, 0.0), np.nextafter(-MATRIX_TOL, -1.0)] * 4
+    edge = [at_edge(rng, wmin, pos) for wmin in wmins for pos in (0, 3)]
+    assert [outcome(DensityMatrix, m) == "accepted" for m in edge] == [
+        wmin >= -MATRIX_TOL for wmin in wmins for _ in (0, 3)]
+    near = [near_edge(rng, d, rank) for _ in range(4) for d in deltas for rank in (2, 3, 4)]
+    mats = np.stack(near + edge + list(OVERFLOWING))
+    expected = [outcome(DensityMatrix, m) for m in mats]
+    for m, want in zip(mats, expected):
+        assert outcome(_validated_spectrum, m[None]) == want
+    first_bad = next(w for w in expected if w != "accepted")
+    assert outcome(_validated_spectrum, mats) == first_bad
+    kept = [k for k, w in enumerate(expected) if w == "accepted"]
+    m, w, v = _validated_spectrum(mats[kept])
+    assert same_bits(m, mats[kept])
+    # every accepted edge state keeps concurrence_mixed's bits
+    c = _concurrence_from_spectrum(m, w, v)
+    assert same_bits(c, [concurrence_mixed(DensityMatrix(x)) for x in mats[kept]])
+
+
+def test_an_overflowing_hermitian_part_goes_to_the_eigh_rule():
+    for m, wmin in zip(OVERFLOWING, ("-1.000e+308", "-1.000e+308", "-1.500e+308")):
         expected = f"ValueError: not positive semidefinite: min eigenvalue {wmin}"
         assert outcome(_validated, m[None]) == outcome(ref_validate, m) == expected
         with pytest.raises(ValueError, match=re.escape(expected.removeprefix("ValueError: "))):

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from entcov.linalg import (
     SIGMA0,
     SIGMA1,
     SIGMA3,
+    _blas_kernel,
     eig_hermitian,
     partial_trace,
     partial_transpose,
@@ -172,3 +175,14 @@ def test_partial_operations_reject_a_bad_subsystem(sub):
         partial_trace(np.eye(4), sub)
     with pytest.raises(ValueError, match="^sub must be 'A' or 'B'"):
         partial_transpose(np.eye(4), sub)
+
+
+def test_the_blas_kernel_is_named_or_unknown(monkeypatch):
+    kernel = _blas_kernel()
+    assert type(kernel) is str and kernel
+
+    def unloadable(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert _blas_kernel() == "unknown"
