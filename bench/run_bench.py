@@ -1,33 +1,36 @@
 """Run the entcov benchmark on every workload and write BENCH_<pr>.json.
 
-    python3 bench/run_bench.py --pr 30 [--seed 2026] [--seconds 40]
+    python3 bench/run_bench.py --pr 30
 
-Each workload (scan, slice, certify) runs untraced in its own subprocess,
-``perfbench/run.py --trace 0``.  The file keeps each run's info line and
-result line as perfbench printed them, with the git commit (and whether
-the tree held uncommitted changes), the Python and numpy versions and the
-OpenBLAS kernel (``entcov.linalg._blas_kernel``): the pinned eigh bits,
-and so the digests behind ``correct``, belong to one kernel.
+Each workload (scan, slice, certify) runs untraced for 40 s at seed 2026
+in its own subprocess, ``perfbench/run.py --trace 0``, so BENCH files of
+different changes compare like with like.  The file keeps each run's info
+line (which carries the Python, numpy and BLAS versions) and result line
+as perfbench printed them, with the git commit (and whether the tree held
+uncommitted changes) and the OpenBLAS kernel
+(``entcov.linalg._blas_kernel``): the pinned eigh bits, and so the digests
+behind ``correct``, belong to one kernel.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scan", "slice", "certify")
+SEED = 2026
+SECONDS = 40
 
 
-def run_workload(workload: str, seed: int, seconds: int) -> tuple[str, str]:
+def run_workload(workload: str) -> tuple[str, str]:
     """perfbench's info line and result line for one untraced run of a workload."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, check=False,
     )
     lines = proc.stdout.strip().splitlines()
@@ -41,8 +44,7 @@ def git(*args: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
-def bench_record(lines: dict[str, tuple[str, str]], commit: str, dirty: bool,
-                 numpy_version: str, kernel: str) -> dict:
+def bench_record(lines: dict[str, tuple[str, str]], commit: str, dirty: bool, kernel: str) -> dict:
     """The BENCH document of the (info line, result line) pair of each workload.
 
     A line that is not a JSON object, or a result line without its
@@ -60,8 +62,6 @@ def bench_record(lines: dict[str, tuple[str, str]], commit: str, dirty: bool,
     return {
         "commit": commit or "unknown",
         "uncommitted_changes": dirty,
-        "python": platform.python_version(),
-        "numpy": numpy_version,
         "blas_kernel": kernel,
         "workloads": workloads,
     }
@@ -74,20 +74,15 @@ def write_bench(path: Path, record: dict) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="entcov benchmark trajectory file")
     parser.add_argument("--pr", type=int, required=True, help="the number in BENCH_<pr>.json")
-    parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--seconds", type=int, default=40, help="seconds per workload")
-    parser.add_argument("--output", type=Path, help="default: BENCH_<pr>.json at the repo root")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
-    import numpy
-
     from entcov.linalg import _blas_kernel
 
-    lines = {workload: run_workload(workload, args.seed, args.seconds) for workload in WORKLOADS}
+    lines = {workload: run_workload(workload) for workload in WORKLOADS}
     record = bench_record(lines, git("rev-parse", "HEAD"), bool(git("status", "--porcelain")),
-                          numpy.__version__, _blas_kernel())
-    write_bench(args.output or ROOT / f"BENCH_{args.pr}.json", record)
+                          _blas_kernel())
+    write_bench(ROOT / f"BENCH_{args.pr}.json", record)
     return 0 if all(w["result"]["correct"] for w in record["workloads"].values()) else 1
 
 

@@ -19,17 +19,17 @@ RESULT = json.dumps({"correct": True, "attempted": 1300, "failed": 0, "metrics":
 
 
 def test_the_bench_file_keeps_each_line_with_the_run_context(tmp_path):
-    record = run_bench.bench_record({"scan": (INFO, RESULT)}, "94abe37", False, "2.4.6", "SkylakeX")
+    record = run_bench.bench_record({"scan": (INFO, RESULT)}, "94abe37", False, "SkylakeX")
     assert record["commit"] == "94abe37" and record["uncommitted_changes"] is False
-    assert (record["numpy"], record["blas_kernel"]) == ("2.4.6", "SkylakeX")
+    assert record["blas_kernel"] == "SkylakeX"
     assert record["workloads"]["scan"] == {"info": json.loads(INFO), "result": json.loads(RESULT)}
     path = tmp_path / "BENCH_1.json"
     run_bench.write_bench(path, record)
     assert json.loads(path.read_text(encoding="utf-8")) == record
-    assert run_bench.bench_record({}, "", True, "2.4.6", "unknown")["commit"] == "unknown"
+    assert run_bench.bench_record({}, "", True, "unknown")["commit"] == "unknown"
 
 
 @pytest.mark.parametrize("result", ["[1, 2]", json.dumps({"correct": True, "failed": 0}), "{"])
 def test_a_malformed_result_line_is_refused(result):
     with pytest.raises(ValueError):
-        run_bench.bench_record({"scan": (INFO, result)}, "94abe37", False, "2.4.6", "SkylakeX")
+        run_bench.bench_record({"scan": (INFO, result)}, "94abe37", False, "SkylakeX")
