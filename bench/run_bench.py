@@ -7,7 +7,7 @@ in its own subprocess, ``perfbench/run.py --trace 0``, so BENCH files of
 different changes compare like with like.  The file keeps each run's info
 line (which carries the Python, numpy and BLAS versions) and result line
 as perfbench printed them, with the git commit (and whether the tree held
-uncommitted changes) and the OpenBLAS kernel
+changes to tracked files) and the OpenBLAS kernel
 (``entcov.linalg._blas_kernel``): the pinned eigh bits, and so the digests
 behind ``correct``, belong to one kernel.
 """
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     from entcov.linalg import _blas_kernel
 
     lines = {workload: run_workload(workload) for workload in WORKLOADS}
-    record = bench_record(lines, git("rev-parse", "HEAD"), bool(git("status", "--porcelain")),
+    record = bench_record(lines, git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--untracked-files=no")),
                           _blas_kernel())
     write_bench(ROOT / f"BENCH_{args.pr}.json", record)
     return 0 if all(w["result"]["correct"] for w in record["workloads"].values()) else 1
