@@ -80,8 +80,8 @@ def main(argv=None) -> int:
     from entcov.linalg import _blas_kernel
 
     lines = {workload: run_workload(workload) for workload in WORKLOADS}
-    record = bench_record(lines, git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--untracked-files=no")),
-                          _blas_kernel())
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    record = bench_record(lines, git("rev-parse", "HEAD"), dirty, _blas_kernel())
     write_bench(ROOT / f"BENCH_{args.pr}.json", record)
     return 0 if all(w["result"]["correct"] for w in record["workloads"].values()) else 1
 
