@@ -6,12 +6,12 @@ with the rank of X as a knob to explore the region near both concurrence
 bounds, separable states as mixtures of random product states.  Every
 generator is a pure function of (seed, index, params), so indices can be
 evaluated in parallel and in any order with byte-identical results.  Each
-index draws from its own stream; sweeps draw CHUNK indices at a time through
-one re-keyed generator (``_rng._rekeyed``) into one (n, 4, 4) stack
-(``_chunks``, ``_stack``), whose fixed-purity and separable kernels also
-form the one-index ``fixed_purity`` and ``separable_mixture``.  The other
-scalar calls share their stacks' formation: ``_haar_amps``, ``_induced``,
-``_unitaries``.
+index draws from its own stream; sweeps draw CHUNK indices at a time, through
+one re-keyed generator (``_rng._rekeyed``) or, for fixed purity, one live
+generator per index, into one (n, 4, 4) stack (``_chunks``, ``_stack``),
+whose fixed-purity and separable kernels also form the one-index
+``fixed_purity`` and ``separable_mixture``.  The other scalar calls share
+their stacks' formation: ``_haar_amps``, ``_induced``, ``_unitaries``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from .linalg import _dagger, _trace, tensor
 from .states import DensityMatrix, PureState, _projectors, _purity, _rho_u_stack
 
 MAX_REJECTION_ATTEMPTS = 10**6
-# fixed_purity draws its attempts this many at a time (the last block is cut to the cap).
+# Fixed-purity indices draw attempts in stacked rounds of _ROUND, at most _ROUNDS, then
+# alone REJECTION_BLOCK at a time; the last round or block is cut to the cap.
 REJECTION_BLOCK = 32
+_ROUND, _ROUNDS = 16, 4
 # An attempt whose Gram score lies this close to its window's edge is decided
 # by the exact rule (``_purity_hits`` gives the bound that makes this safe).
 _SCORE_MARGIN = 1e-12
@@ -69,9 +71,14 @@ class InfeasibleWindowError(RuntimeError):
 
 def _normals(keys: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The (n, *shape) normals of n stream keys, each row drawn in place from its own stream."""
-    x = np.empty((len(keys), *shape))
-    for rng, row in zip(_rekeyed(keys), x):
-        rng.standard_normal(out=row)  # the draw of standard_normal(shape)
+    return _drawn(_rekeyed(keys), (len(keys), *shape))
+
+
+def _drawn(streams, shape: tuple[int, ...]) -> np.ndarray:
+    """Normals of the given shape, row k drawn in place by the k-th generator of streams."""
+    x = np.empty(shape)
+    for rng, row in zip(streams, x):
+        rng.standard_normal(out=row)  # the draw of standard_normal(shape[1:])
     return x
 
 
@@ -204,19 +211,8 @@ def _purity_hits(g: np.ndarray, t: np.ndarray, target: float, window: float) -> 
     return hits
 
 
-def _fixed_purity_matrix(key: np.ndarray, target: float, window: float) -> np.ndarray:
-    """The fixed_purity matrix of the stream keyed ``key``, from the attempt after its first block.
-
-    The stream is re-derived from its key, and the first block, which the
-    stack has scored, is drawn again and skipped.  Later attempts are drawn
-    REJECTION_BLOCK at a time as (real, imaginary) pairs, the order in which
-    one attempt at a time would draw them, so the accepted matrix does not
-    depend on the block size; draws past the hit are never read.  Only the
-    accepted attempt is normalised, as ``_induced`` normalises it.
-    """
-    rng = _generator(key)
-    start = min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS)
-    rng.standard_normal((start, 2, 4, 4))
+def _fixed_purity_matrix(rng, start: int, target: float, window: float) -> np.ndarray:
+    """The fixed_purity matrix of a live stream whose first ``start`` attempts all missed."""
     for at in range(start, MAX_REJECTION_ATTEMPTS, REJECTION_BLOCK):
         x = rng.standard_normal((min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS - at), 2, 4, 4))
         g, t = _gram(_complex(x[:, 0], x[:, 1]))
@@ -234,30 +230,36 @@ def _fixed_purity_stack(keys: np.ndarray, target: float, window: float) -> np.nd
 
     keys are the indices' (n, 2) stream keys ``_keys(seed,
     STREAM_FIXED_PURITY, indices)``, which a sweep derives once per chunk.
-    Every index draws its first block of attempts from its own stream, all
-    as one (n, block, 2, 4, 4) stack of normals (``_normals``), and all
-    first blocks are formed and scored as one stack.  An index with no
-    hit there continues alone in ``_fixed_purity_matrix``, which re-derives
-    its stream from its key, so the attempt cap holds per index and an
-    infeasible window raises at the first index that misses, after its own
-    MAX_REJECTION_ATTEMPTS attempts.  Attempts are scored on their Gram
-    stack (``_purity_hits``), not validated: each is a state by
-    construction, only the attempt an index accepts is normalised, as
-    ``_induced`` normalises it, and each returned matrix is validated once
-    by its emitter (``DensityMatrix``, or a sweep's stacked
-    ``states._validated``).
+    Each index gets one live generator on its key, and every index still
+    missing draws its next _ROUND attempts into one (n, _ROUND, 2, 4, 4)
+    stack of normals, formed and scored (``_purity_hits``) as one stack.
+    After _ROUNDS rounds, an index still missing continues alone on its
+    generator (``_fixed_purity_matrix``), in index order: the cap holds per
+    index, and an infeasible window raises at the first index, after its
+    own MAX_REJECTION_ATTEMPTS attempts.  A generator's draws do not depend
+    on how they are cut into calls, so neither do the accepted matrices;
+    no attempt is drawn twice.  Only the attempt an index accepts is
+    normalised, as ``_induced`` normalises it, and each returned matrix is
+    validated once by its emitter (``DensityMatrix``, or a sweep's
+    ``states._validated_spectrum``).
     """
-    x = _normals(keys, (min(REJECTION_BLOCK, MAX_REJECTION_ATTEMPTS), 2, 4, 4))
-    z = _complex(x[:, :, 0], x[:, :, 1])
-    # Each stack is freed once used: a group's peak memory stays near three complex stacks.
-    del x
-    g, t = _gram(z)
-    del z
-    hit = _purity_hits(g, t, target, window)
-    rows, first = np.arange(len(keys)), hit.argmax(axis=1)  # first hit, or 0 if none
-    out = g[rows, first] / t[rows, first][:, None, None]
-    for k in np.flatnonzero(~hit.any(axis=1)).tolist():
-        out[k] = _fixed_purity_matrix(keys[k], target, window)
+    rngs = [_generator(key) for key in keys]
+    out = np.empty((len(keys), 4, 4), dtype=complex)
+    live, at, stop = np.arange(len(keys)), 0, min(_ROUNDS * _ROUND, MAX_REJECTION_ATTEMPTS)
+    while live.size and at < stop:
+        size = min(_ROUND, stop - at)
+        x = _drawn([rngs[k] for k in live.tolist()], (live.size, size, 2, 4, 4))
+        z = _complex(x[:, :, 0], x[:, :, 1])
+        del x  # each stack is freed once used: a round's peak stays near three complex stacks
+        g, t = _gram(z)
+        del z
+        hit = _purity_hits(g, t, target, window)
+        rows = np.flatnonzero(hit.any(axis=1))
+        first = hit[rows].argmax(axis=1)
+        out[live[rows]] = g[rows, first] / t[rows, first][:, None, None]
+        live, at = np.delete(live, rows), at + size
+    for k in live.tolist():
+        out[k] = _fixed_purity_matrix(rngs[k], at, target, window)
     return out
 
 
@@ -319,11 +321,6 @@ def _unitaries(x: np.ndarray) -> np.ndarray:
     q0 = _unit(z[..., :, 0])
     v = z[..., :, 1] - (q0.conj()[..., None, :] @ z[..., :, 1, None])[..., 0] * q0
     return np.stack([q0, _unit(v)], axis=-1)
-
-
-def _unitary_stack(seed: int, indices) -> np.ndarray:
-    """The (n, 2, 2, 2) pairs u_a, u_b of random_local_unitary(seed, k) for k in the indices."""
-    return _unitaries(_normals(_keys(seed, STREAM_UNITARY, indices), (2, 2, 2, 2)))
 
 
 def random_local_unitary(seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -390,12 +387,12 @@ def _stack(spec: EnsembleSpec, indices) -> np.ndarray:
     if spec.kind == "ginibre":
         return _ginibre_stack(spec.seed, indices, (spec.rank,))
     if spec.kind == "fixed_purity":
-        # The keys are derived once per chunk.  First blocks are scored 16
-        # indices at a time: groups of 32, or a whole chunk, were no faster and
-        # raised the slice benchmark's peak memory about two and six times as
-        # much as 16 does (+0.9 MiB).
+        # The keys are derived once per chunk, and 32 indices draw their rounds
+        # together (a 512-attempt first round).  Groups of 16 made the slice
+        # benchmark 8% slower (0.0136-0.0141 s against 0.0126-0.0130 s, three
+        # 20 s runs each) for 0.1-0.2 MiB less peak memory.
         keys = _keys(spec.seed, STREAM_FIXED_PURITY, indices)
-        group, target, window = 16, spec.purity_target, spec.purity_window
+        group, target, window = 32, spec.purity_target, spec.purity_window
         parts = [keys[k : k + group] for k in range(0, len(keys), group)]
         return np.concatenate([_fixed_purity_stack(g, target, window) for g in parts])
     if spec.kind == "separable_mixture":

@@ -36,7 +36,6 @@ from entcov.ensembles import (
     _haar_amp_stack,
     _separable_stack,
     _stack,
-    _unitary_stack,
     ginibre,
 )
 from entcov.gmeasure import (
@@ -63,7 +62,7 @@ from entcov.states import (
 )
 from entcov._rng import STREAM_GINIBRE, STREAM_TRIAL, derive_seed, rng_at
 
-from oracles import exact_record, g_of
+from oracles import exact_record, g_of, unitary_stack
 
 
 def report(num, ok, detail):
@@ -337,7 +336,7 @@ def _criterion_07_states(idx):
 def test_criterion_07_invariance_suite():
     worst_g = worst_c = 0.0
     for idx, mats in _chunks(10_000, _criterion_07_states):
-        u = tensor(*_unitary_stack(20260817, idx).swapaxes(0, 1))  # kron(u_a, u_b) of each k
+        u = tensor(*unitary_stack(20260817, idx).swapaxes(0, 1))  # kron(u_a, u_b) of each k
         c, g = _c_and_g(mats)
         c_rotated, g_rotated = _c_and_g(u @ mats @ u.conj().transpose(0, 2, 1))
         worst_g = max(worst_g, float(np.max(np.abs(g_rotated - g))))

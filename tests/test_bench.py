@@ -1,5 +1,6 @@
 """bench/run_bench.py's BENCH file writer, on canned perfbench lines (no benchmark runs)."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -18,18 +19,49 @@ RESULT = json.dumps({"correct": True, "attempted": 1300, "failed": 0, "metrics":
     "peak_rss_mb": {"value": 39.6, "unit": "MiB"}}})
 
 
+INFEASIBLE = "error: no rank-4 sample hit purity 0.99 +- 0.005 in 1000000 attempts; " \
+    "the window is infeasible\n"
+
+
 def test_the_bench_file_keeps_each_line_with_the_run_context(tmp_path):
-    record = run_bench.bench_record({"scan": (INFO, RESULT)}, "94abe37", False, "SkylakeX")
+    commands = {"infeasible_exit": run_bench.command_record(
+        "infeasible_exit", 2, 1.76543, 41984, b"", INFEASIBLE)}
+    record = run_bench.bench_record({"scan": (INFO, RESULT)}, "94abe37", False, "SkylakeX", commands)
     assert record["commit"] == "94abe37" and record["uncommitted_changes"] is False
     assert record["blas_kernel"] == "SkylakeX"
     assert record["workloads"]["scan"] == {"info": json.loads(INFO), "result": json.loads(RESULT)}
+    assert record["commands"] == commands
     path = tmp_path / "BENCH_1.json"
     run_bench.write_bench(path, record)
     assert json.loads(path.read_text(encoding="utf-8")) == record
-    assert run_bench.bench_record({}, "", True, "unknown")["commit"] == "unknown"
+    assert run_bench.bench_record({}, "", True, "unknown", {})["commit"] == "unknown"
 
 
 @pytest.mark.parametrize("result", ["[1, 2]", json.dumps({"correct": True, "failed": 0}), "{"])
 def test_a_malformed_result_line_is_refused(result):
     with pytest.raises(ValueError):
-        run_bench.bench_record({"scan": (INFO, result)}, "94abe37", False, "SkylakeX")
+        run_bench.bench_record({"scan": (INFO, result)}, "94abe37", False, "SkylakeX", {})
+
+
+def test_a_command_run_keeps_its_exit_time_memory_and_output():
+    out = b"index,purity,concurrence,g\n0,0.46,0.1,1.2\n"
+    record = run_bench.command_record("slice_10k", 0, 0.81234, 47206, out, "")
+    assert record == {
+        "argv": ["purity-slice", "--purity", "0.46", "--count", "10000", "--seed", "2026"],
+        "exit_code": 0, "wall_s": 0.8123, "peak_rss_mb": 46.1, "stdout_bytes": len(out),
+        "stdout_sha256": hashlib.sha256(out).hexdigest(),
+    }
+    infeasible = run_bench.command_record("infeasible_exit", 2, 1.76543, 41984, b"", INFEASIBLE)
+    assert infeasible["exit_code"] == 2 and infeasible["peak_rss_mb"] == 41.0
+    assert infeasible["stdout_sha256"] == hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize(
+    "code, stdout, stderr",
+    [(0, b"", INFEASIBLE), (1, b"", INFEASIBLE), (2, b"", "runtime error: other\n"),
+     (2, b"0,0.46\n", INFEASIBLE)],
+    ids=["exit-0", "exit-1", "other-message", "partial-output"],
+)
+def test_an_infeasible_exit_that_ends_otherwise_is_refused(code, stdout, stderr):
+    with pytest.raises(ValueError, match="^infeasible_exit: exit"):
+        run_bench.command_record("infeasible_exit", code, 1.7, 41984, stdout, stderr)

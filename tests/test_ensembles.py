@@ -12,6 +12,7 @@ from entcov._rng import (
     STREAM_HAAR,
     STREAM_SEPARABLE,
     STREAM_UNITARY,
+    _generator,
     _keys,
     rng_at,
 )
@@ -41,7 +42,7 @@ from entcov.states import (
     rho_u,
 )
 
-from oracles import complex_normals
+from oracles import complex_normals, state_fields, unitary_stack
 
 
 def test_haar_pure_determinism():
@@ -63,7 +64,7 @@ def test_stacks_of_no_index_are_empty():
     assert {spec.kind for spec in CHUNK_SPECS} == set(ensembles.ENSEMBLE_KINDS)
     for mats in stacks:
         assert mats.shape == (0, 4, 4) and mats.dtype == complex
-    pairs = ensembles._unitary_stack(1, no_index)
+    pairs = unitary_stack(1, no_index)
     assert pairs.shape == (0, 2, 2, 2) and pairs.dtype == complex
 
 
@@ -216,16 +217,21 @@ def test_infeasible_window_continues_only_the_first_index(monkeypatch):
     monkeypatch.setattr(ensembles, "MAX_REJECTION_ATTEMPTS", 500)
     continued, one_matrix = [], ensembles._fixed_purity_matrix
 
-    def counting(key, target, window):
-        continued.append(key)
-        return one_matrix(key, target, window)
+    def counting(rng, start, target, window):
+        continued.append((rng, start))
+        return one_matrix(rng, start, target, window)
 
     monkeypatch.setattr(ensembles, "_fixed_purity_matrix", counting)
     spec = EnsembleSpec("fixed_purity", ensembles.CHUNK, 1, purity_target=1.0, purity_window=1e-12)
     with pytest.raises(ensembles.InfeasibleWindowError, match=" in 500 attempts; the window is"):
         list(ensembles._chunks(spec.count, functools.partial(ensembles._stack, spec)))
-    [key] = continued
-    assert np.array_equal(key, _keys(1, STREAM_FIXED_PURITY, [(0,)])[0])
+    # One lone continuation, on index 0's stream, from the end of its stacked
+    # rounds to the cap.
+    [(rng, start)] = continued
+    assert start == ensembles._ROUNDS * ensembles._ROUND
+    first = _generator(_keys(1, STREAM_FIXED_PURITY, [(0,)])[0])
+    first.standard_normal((500, 2, 4, 4))
+    assert state_fields(rng) == state_fields(first)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -538,7 +544,7 @@ def test_scan_rank_cycle_equals_the_per_index_oracle(ranks, chunk, monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 7, ensembles.CHUNK])
 def test_unitary_stack_equals_the_per_index_oracle(chunk, monkeypatch):
-    pairs = chunked(N_CHUNKED, functools.partial(ensembles._unitary_stack, 8), chunk, monkeypatch)
+    pairs = chunked(N_CHUNKED, functools.partial(unitary_stack, 8), chunk, monkeypatch)
     for k, pair in enumerate(pairs):
         assert np.array_equal(pair, oracle_unitaries(8, k)), k
 
@@ -588,37 +594,60 @@ def test_generate_draws_one_index_at_a_time(monkeypatch):
     assert np.array_equal(rho.mat, expected.mat)
 
 
+def drawn_attempts(first_hit):
+    """The attempts an index draws when its first hit is attempt first_hit (up to its round or block)."""
+    stacked, up = ensembles._ROUNDS * ensembles._ROUND, lambda n, size: -(-n // size) * size
+    if first_hit <= stacked:
+        return up(first_hit, ensembles._ROUND)
+    return stacked + up(first_hit - stacked, ensembles.REJECTION_BLOCK)
+
+
 def test_a_sweep_derives_the_fixed_purity_keys_once_per_chunk(monkeypatch):
-    # The first blocks of each 16-index group are drawn in one _normals call.
+    # The keys once per chunk, one live generator per index, and each index
+    # draws up to its first hit rounded up to its round or block: no attempt
+    # is drawn twice.
     spec = EnsembleSpec("fixed_purity", 300, 3, purity_target=0.46, purity_window=0.005)
-    streams, keys, drawn, normals = [], ensembles._keys, [], ensembles._normals
+    streams, keys, built, generator = [], ensembles._keys, [], ensembles._generator
 
     def counting(seed, stream, indices):
         streams.append(stream)
         return keys(seed, stream, indices)
 
-    def counting_normals(keys, shape):
-        drawn.append(len(keys))
-        return normals(keys, shape)
+    def building(key):
+        built.append((key, generator(key)))
+        return built[-1][1]
 
     monkeypatch.setattr(ensembles, "_keys", counting)
-    monkeypatch.setattr(ensembles, "_normals", counting_normals)
+    monkeypatch.setattr(ensembles, "_generator", building)
     chunks = list(ensembles._chunks(spec.count, functools.partial(ensembles._stack, spec)))
     assert [len(idx) for idx, _ in chunks] == [128, 128, 44]
     assert streams == [STREAM_FIXED_PURITY] * 3
-    assert drawn == [16] * 18 + [12]
+    assert np.array_equal([key for key, _ in built], keys(3, STREAM_FIXED_PURITY, np.arange(300)))
+    alone = 0
+    for k, (key, rng) in enumerate(built):
+        _, first_hit = one_attempt_fixed_purity(3, k, 0.46, 0.005)
+        alone += first_hit > ensembles._ROUNDS * ensembles._ROUND
+        reference = generator(key)
+        reference.standard_normal((drawn_attempts(first_hit), 2, 4, 4))
+        assert state_fields(rng) == state_fields(reference), k
+    assert alone > 0  # some indices continue alone after their rounds
 
 
 def test_a_fixed_purity_group_holds_about_three_complex_stacks_at_its_peak():
-    # One group's (16, 32, 4, 4) complex stack of attempts is 131072 B.  The
-    # normals are freed before the Gram product; holding them through it
-    # raises the peak to about four stacks.
-    keys = _keys(2026, STREAM_FIXED_PURITY, np.arange(16))
+    # A group's first round, a (32, 16, 4, 4) complex stack of attempts, is
+    # 131072 B; its 32 live generators are counted apart.  The normals are
+    # freed before the Gram product; holding them through it raises the peak
+    # to about four stacks.
+    keys = _keys(2026, STREAM_FIXED_PURITY, np.arange(32))
     ensembles._fixed_purity_stack(keys, 0.46, 0.005)  # warm-up
     tracemalloc.start()
     try:
+        rngs = [_generator(key) for key in keys]
+        generators = tracemalloc.get_traced_memory()[0]
+        del rngs
+        tracemalloc.reset_peak()
         ensembles._fixed_purity_stack(keys, 0.46, 0.005)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - generators
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * 131072, peak / 131072

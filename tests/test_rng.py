@@ -17,6 +17,7 @@ from entcov._rng import (
 )
 from entcov.ensembles import (
     REJECTION_BLOCK,
+    _ROUND,
     EnsembleSpec,
     fixed_purity,
     ginibre,
@@ -25,6 +26,8 @@ from entcov.ensembles import (
 )
 from entcov.sampler import shots_for_verdict
 from entcov.states import canonical
+
+from oracles import state_fields
 
 
 @pytest.mark.parametrize("fn", [rng_at, derive_seed])
@@ -183,17 +186,6 @@ def test_rekeyed_generator_draws_what_rng_at_draws(seed, stream, n_parts, data):
         assert rng.bit_generator.state["has_uint32"] == 1
 
 
-def state_fields(rng) -> dict:
-    """The Philox state of a generator, each field as Python values."""
-    state = rng.bit_generator.state
-    return {
-        "counter": state["state"]["counter"].tolist(),
-        "key": state["state"]["key"].tolist(),
-        "buffer": state["buffer"].tolist(),
-        **{name: state[name] for name in ("buffer_pos", "has_uint32", "uinteger")},
-    }
-
-
 def spare_half(rng):
     rng.integers(0, 2**32, size=3, dtype=np.uint32)  # an odd count of 32-bit draws
     assert rng.bit_generator.state["has_uint32"] == 1
@@ -216,29 +208,22 @@ def test_each_rekey_restores_the_state_of_a_fresh_generator(leave):
         leave(rng)  # what the previous index leaves behind for the next re-key
 
 
-def test_a_rederived_generator_continues_the_stream_past_its_first_block():
-    # The fixed-purity continuation: every index draws its first block of
-    # attempts through the one re-keyed generator, and an index that missed
-    # re-derives its generator from its key, draws that block again, skips
-    # it and goes on.  Both must continue as one uninterrupted stream, also
-    # when the previous index left a spare half in a part-used buffer.
-    block = (REJECTION_BLOCK, 2, 4, 4)
-    keys = _keys(2026, STREAM_FIXED_PURITY, np.arange(4))
-    first = np.empty(block)
-    for key, rng in zip(keys, _rekeyed(keys)):
-        rng.standard_normal(out=first)
-        rederived = _generator(key)
-        assert np.array_equal(rederived.standard_normal(block), first)
-        assert state_fields(rng) == state_fields(rederived)
-        later = rederived.standard_normal(block)
-        assert np.array_equal(rng.standard_normal(block), later)
-        whole = _generator(key).standard_normal((2 * REJECTION_BLOCK, 2, 4, 4))
-        assert np.array_equal(whole, np.concatenate([first, later]))
-        for gen in (rng, rederived):
-            gen.integers(0, 2**32, size=5, dtype=np.uint32)  # a spare half in a part-used buffer
-        assert state_fields(rng) == state_fields(rederived)
-        assert np.array_equal(rng.standard_normal(7), rederived.standard_normal(7))
-        rng.integers(0, 2**32, size=5, dtype=np.uint32)  # left behind for the next re-key
+def test_a_live_generator_draws_one_stream_however_its_attempts_are_cut():
+    # The fixed-purity continuation: each index keeps one live generator,
+    # draws stacked rounds of attempts in place, a last round cut short by
+    # the cap, then blocks alone.  Together they must be one uninterrupted
+    # draw of the key's stream, so no accepted state depends on the cuts.
+    attempt, rounds = (2, 4, 4), [_ROUND, _ROUND, _ROUND, 9]
+    for key in _keys(2026, STREAM_FIXED_PURITY, np.arange(4)):
+        rng, parts = _generator(key), []
+        for size in rounds:
+            parts.append(np.empty((size, *attempt)))
+            rng.standard_normal(out=parts[-1])
+        parts += [rng.standard_normal((REJECTION_BLOCK, *attempt)) for _ in range(2)]
+        reference = _generator(key)
+        whole = reference.standard_normal((sum(rounds) + 2 * REJECTION_BLOCK, *attempt))
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert state_fields(rng) == state_fields(reference)
 
 
 @pytest.mark.parametrize(
