@@ -12,7 +12,7 @@ changes to tracked files) and the OpenBLAS kernel
 behind ``correct``, belong to one kernel.
 
 Then each entcov command of COMMANDS runs once in its own process with one
-BLAS thread; the file keeps its exit code, wall time, peak RSS (from the
+BLAS thread, from the repository root (spec files are given relative to it); the file keeps its exit code, wall time, peak RSS (from the
 child's own ``wait4`` usage) and the size and sha256 of its standard output.
 A command that exits with another code, or without its expected message,
 fails the script.
@@ -40,6 +40,9 @@ COMMANDS = {
                   0, ""),
     "infeasible_exit": (["purity-slice", "--purity", "0.99", "--count", "1"],
                         2, " in 1000000 attempts; the window is infeasible\n"),
+    # 10^4 rank-3 Ginibre states at seed 2026 as JSON: CI's ginibre-json digest.
+    "ensemble_json_10k": (["ensemble", "bench/ginibre_rank3_10k.json", "--format", "json"],
+                          0, ""),
 }
 
 

@@ -56,7 +56,6 @@ from .sampler import (
 from .states import (
     DensityMatrix,
     _purity,
-    _validated,
     _validated_spectrum,
     density_matrix_from_dict,
     from_pure,
@@ -263,7 +262,7 @@ def cmd_ensemble(args) -> int:
     if args.format == "json":  # the states only: no measures are computed
         pieces = ["["]  # each chunk's states are one piece, a comma after each state
         for indices, mats in _chunks(spec.count, stack):
-            mats = _validated(mats).reshape(-1, 16)
+            mats = _validated_spectrum(mats)[0].reshape(-1, 16)
             pieces.append(format_float((indices, *mats.real.T, *mats.imag.T), _JSON_STATE_ROW))
         pieces[-1] = pieces[-1][:-1]  # no comma after the last state
         _emit(args.output, *pieces, "]")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigh, _hermitian_part, _psd_root, eig_hermitian, sqrt_psd
+from .linalg import _eigh, _hermitian_part, _psd_root
 from .states import DensityMatrix, PureState
 
 # sigma2 (x) sigma2 is the anti-diagonal (-1, 1, 1, -1), so the spin flip
@@ -105,21 +105,14 @@ def _wootters(w: np.ndarray):
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
-def _concurrence(m: np.ndarray):
-    """Wootters concurrence of a valid 4x4 state matrix, or of each matrix of a stack.
-
-    The square root and the eigensolver run their own checks (``sqrt_psd``,
-    ``eig_hermitian``).
-    """
-    return _wootters(eig_hermitian(_flip_product(m, sqrt_psd(m)))[0])
-
-
 def _concurrence_from_spectrum(m: np.ndarray, w: np.ndarray, v: np.ndarray):
-    """_concurrence of a validated stack m, given the descending eigendecomposition (w, v)
-    of its Hermitian parts (``states._validated_spectrum``); nothing is checked again.
+    """Wootters concurrence of a validated state matrix m or of each matrix of a stack, given
+    the descending eigendecomposition (w, v) of its Hermitian parts, which
+    ``states._validated_spectrum`` returns; nothing is checked again.
 
-    Bit for bit _concurrence: sqrt_psd applies the same eigh to the same
-    Hermitian parts, and eig_hermitian symmetrizes the product the same way.
+    Bit for bit the checked kernels' value: ``sqrt_psd`` applies the same
+    eigh to the same Hermitian parts, and ``eig_hermitian`` symmetrizes the
+    product the same way.
     """
     return _wootters(_eigh(_hermitian_part(_flip_product(m, _psd_root(w, v))))[0])
 
@@ -130,6 +123,8 @@ def concurrence_mixed(rho: DensityMatrix) -> float:
     The l_k are the descending square roots of the eigenvalues of
     rho rho_tilde with rho_tilde = (sigma2 (x) sigma2) rho* (sigma2 (x) sigma2),
     obtained from the Hermitian matrix sqrt(rho) rho_tilde sqrt(rho), which
-    shares that spectrum.
+    shares that spectrum.  rho was validated at construction, so neither
+    eigendecomposition checks it again.
     """
-    return float(_concurrence(rho.mat))
+    m = rho.mat
+    return float(_concurrence_from_spectrum(m, *_eigh(_hermitian_part(m))))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _trace, partial_trace, tensor
-from .observables import CorrelationData, _covariances, correlation_data, pauli_moments
+from .observables import CorrelationData, _covariances, _moments, correlation_data
 from .states import DensityMatrix
 
 logger = logging.getLogger(__name__)
@@ -114,7 +114,7 @@ def l3(rho: DensityMatrix) -> float:
     order i = 3, 1, 2.  t00 = Tr(rho) rather than a literal 1 keeps the
     singlet's L3 an exact 0.
     """
-    return _l3_from_moments(pauli_moments(rho.mat))
+    return _l3_from_moments(_moments(rho.mat))
 
 
 def _l3_from_moments(t: np.ndarray) -> float:

@@ -100,7 +100,7 @@ def pauli_moments(mat: np.ndarray) -> np.ndarray:
 
 
 def _moments(mat: np.ndarray) -> np.ndarray:
-    """pauli_moments of a complex (..., 4, 4) matrix or stack, not checked (a validated stack)."""
+    """pauli_moments of a complex (..., 4, 4) matrix or stack, not checked (a validated state)."""
     return np.real(np.einsum("mnij,...ji->...mn", PAIR_OBS, mat))
 
 
@@ -120,4 +120,4 @@ def correlation_data_from_moments(t: np.ndarray) -> CorrelationData:
 
 def correlation_data(rho: DensityMatrix) -> CorrelationData:
     """All 9 covariances, 9 raw correlations and both Bloch vectors of a state."""
-    return correlation_data_from_moments(pauli_moments(rho.mat))
+    return correlation_data_from_moments(_moments(rho.mat))

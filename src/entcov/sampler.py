@@ -30,7 +30,7 @@ from ._rng import (
 )
 from .gmeasure import certifies, g_from_covariances
 from .jsonio import _integer, _json_floats, _json_int, _json_integral, _real
-from .observables import correlation_data, pauli_moments
+from .observables import _moments, correlation_data
 from .states import DensityMatrix
 
 # Fixed outcome order (+ +), (+ -), (- +), (- -); all tables use it.
@@ -100,7 +100,7 @@ def outcome_probabilities(rho: DensityMatrix) -> np.ndarray:
     Negative entries, which a state within MATRIX_TOL of PSD may give, are
     clamped to 0 and each setting is renormalised to sum to 1.
     """
-    t = pauli_moments(rho.mat)
+    t = _moments(rho.mat)
     probs = (t[0, 0] + _A * t[1:, 0, None, None] + _B * t[0, 1:, None] + _AB * t[1:, 1:, None]) / 4
     probs = np.where(probs < 0, 0.0, probs)
     return probs / probs.sum(axis=-1, keepdims=True)

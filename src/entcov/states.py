@@ -4,6 +4,11 @@ Basis convention: |0> = |up> = horizontal polarization.  Computational
 basis states are ordered |00>, |01>, |10>, |11>, qubit A being the left
 (slow) factor.  States failing validation are rejected at construction,
 never silently repaired.
+
+One function validates every state, one matrix or a stack of them
+(``_validated_spectrum``): ``DensityMatrix``, the sweeps and the JSON
+``ensemble`` all go through it, and nothing derived from a state it
+accepted is checked again.
 """
 
 from __future__ import annotations
@@ -18,31 +23,12 @@ from .jsonio import _json_floats
 from .linalg import MATRIX_TOL, SIGMA0, tensor
 
 PURE_NORM_TOL = 1e-12
-_PSD_SHIFT = (1 - 1e-4) * MATRIX_TOL * np.eye(4)  # the Cholesky shift s*I of _validated
-
-
-def _screened(mats):
-    """The checks every validation runs before the PSD rule, over an (N, 4, 4) stack.
-
-    Returns (m, h, bad, defect, tr): the stack as complex, the Hermitian part
-    h of each matrix (of zeros in place of a non-finite one), a flag for each
-    matrix failing the finite, Hermitian or unit-trace check, and the defect
-    and trace those checks measured.
-    """
-    m = np.asarray(mats, dtype=complex)
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    x = m if finite.all() else np.where(finite[:, None, None], m, 0.0)
-    defect = linalg.herm_defect(x)
-    tr = linalg._trace(x)
-    bad = ~finite | (defect > MATRIX_TOL) | (np.abs(tr - 1.0) > MATRIX_TOL)
-    return m, linalg._hermitian_part(x), bad, defect, tr
 
 
 def _refuse(m, bad, defect, tr, wmin) -> None:
     """Raise the message of the first matrix flagged in bad, checked in DensityMatrix's order.
 
-    wmin holds the smallest eigenvalue of each Hermitian part, or is None
-    when the PSD rule flagged no matrix.
+    wmin holds the smallest eigenvalue of each Hermitian part.
     """
     k = int(np.argmax(bad))
     linalg.as_cmat(m[k])  # raises the message for non-finite entries
@@ -53,57 +39,25 @@ def _refuse(m, bad, defect, tr, wmin) -> None:
     raise ValueError(f"not positive semidefinite: min eigenvalue {wmin[k]:.3e}")
 
 
-def _validated(mats) -> np.ndarray:
-    """An (N, 4, 4) stack as complex, every matrix checked as DensityMatrix checks one.
+def _validated_spectrum(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An (N, 4, 4) stack as complex, every matrix checked, and the spectrum that decided it.
 
     The checks, in order: finite entries, Hermitian, unit trace and PSD.  A
     failing stack raises the message its first failing matrix raises on its
-    own.  The PSD rule is min eigh(h) >= -MATRIX_TOL for the Hermitian part
-    h, with the eigensolver ``linalg.sqrt_psd`` applies later to the same
-    h, so a state accepted here is never refused there.  This route serves
-    callers that compute no spectrum (``DensityMatrix`` and the JSON
-    ``ensemble``): one stacked Cholesky of h + s*I,
-    s = (1 - 1e-4) * MATRIX_TOL, decides it, and eigh runs only if that
-    Cholesky fails or returns a non-finite factor (its entries overflowed),
-    to apply the rule itself.  Sweeps, whose concurrence needs the spectrum
-    anyway, apply the rule to it (``_validated_spectrum``).
-
-    A finite factor of h + s*I exists only if lambda_min(h) > -s - eps,
-    eps being the backward error, at most about n * gamma_(n+1) * ||h||
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10).
-    A matrix passing the trace check with lambda_min(h) >= -2 * MATRIX_TOL
-    has ||h|| <= 1 + 7 * MATRIX_TOL, so eps is a few 1e-15, below the gap
-    MATRIX_TOL - s = 1e-14, as is eigh's own error (a larger ||h|| at unit
-    trace means a lambda_min far below -MATRIX_TOL, which no factor
-    survives).  So every stack the Cholesky accepts, the eigh rule accepts
-    too; a matrix failing an earlier check is reported by that check either
-    way.
+    own.  Returns (m, w, v), where (w, v) is ``linalg._eigh`` of the
+    Hermitian parts h: eigenvalues descending, the decomposition that
+    ``sqrt_psd`` computes for m.  The PSD rule is min eigh(h) >= -MATRIX_TOL,
+    applied to w itself, so a state accepted here is never refused by
+    ``sqrt_psd``, and the spectrum is left for the caller's square root
+    (``concurrence._concurrence_from_spectrum``).
     """
-    m, h, bad, defect, tr = _screened(mats)
-    wmin = None
-    try:
-        psd = np.isfinite(np.linalg.cholesky(h + _PSD_SHIFT)).all()
-    except np.linalg.LinAlgError:
-        psd = False
-    if not psd:
-        wmin = np.linalg.eigh(h)[0][:, 0]
-        bad |= wmin < -MATRIX_TOL
-    if bad.any():
-        _refuse(m, bad, defect, tr, wmin)
-    return m
-
-
-def _validated_spectrum(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_validated's stack, decided on the eigendecomposition of its Hermitian parts.
-
-    Returns (m, w, v), where (w, v) is ``linalg._eigh`` of the Hermitian
-    parts: eigenvalues descending, the decomposition that ``sqrt_psd``
-    computes for m.  The PSD rule is applied to w itself, so every decision
-    and message is _validated's, and the spectrum is left for the caller's
-    square root (``concurrence._concurrence_from_spectrum``).
-    """
-    m, h, bad, defect, tr = _screened(mats)
-    w, v = linalg._eigh(h)
+    m = np.asarray(mats, dtype=complex)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    # a matrix of zeros in place of each non-finite one, which _refuse reports
+    x = m if finite.all() else np.where(finite[:, None, None], m, 0.0)
+    defect, tr = linalg.herm_defect(x), linalg._trace(x)
+    w, v = linalg._eigh(linalg._hermitian_part(x))
+    bad = ~finite | (defect > MATRIX_TOL) | (np.abs(tr - 1.0) > MATRIX_TOL)
     bad |= w[:, -1] < -MATRIX_TOL
     if bad.any():
         _refuse(m, bad, defect, tr, w[:, -1])
@@ -118,7 +72,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg._one_matrix(self.mat, dims=(4,))
-        m = _validated(m[None])[0].copy()
+        m = _validated_spectrum(m[None])[0][0].copy()
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 

@@ -22,7 +22,7 @@ import pytest
 
 from entcov.cli import bin_spreads
 from entcov.concurrence import (
-    _concurrence,
+    _concurrence_from_spectrum,
     _concurrence_pure,
     concurrence_mixed,
     g_pure_from_invariants,
@@ -55,7 +55,7 @@ from entcov.states import (
     PureState,
     _projectors,
     _purity,
-    _validated,
+    _validated_spectrum,
     apply_local_unitary,
     canonical,
     rho_u,
@@ -74,7 +74,7 @@ def report(num, ok, detail):
 def _haar_chunks(seed, count):
     """(amplitudes, from_pure projectors) of haar_pure(seed, k) for k < count, chunk-wise."""
     for _, amps in _chunks(count, functools.partial(_haar_amp_stack, seed)):
-        yield amps, _validated(_projectors(amps))
+        yield amps, _validated_spectrum(_projectors(amps))[0]
 
 
 def test_criterion_01_pure_master_relation():
@@ -90,7 +90,7 @@ def test_criterion_02_form_equivalence():
     worst = 0.0
     # ginibre(20260802, k, k % 4 + 1) for k < 10^4, a chunk at a time
     for _, mats in _ginibre_stacks(20260802, 10_000, (1, 2, 3, 4)):
-        mats = _validated(mats)
+        mats = _validated_spectrum(mats)[0]
         worst = max(worst, float(np.max(np.abs(_g_of_stack(mats) - _g_hs(mats)))))
     ok = worst <= 1e-10
     assert report(2, ok, f"covariance vs Hilbert-Schmidt form, max |dev| = {worst:.3e} (tol 1e-10)")
@@ -141,8 +141,8 @@ def _g_of_stack(mats):
 
 def _c_and_g(mats):
     """(C, G) of each matrix of a stack, validated as DensityMatrix validates one state."""
-    mats = _validated(mats)
-    return _concurrence(mats), _g_of_stack(mats)
+    mats, w, v = _validated_spectrum(mats)
+    return _concurrence_from_spectrum(mats, w, v), _g_of_stack(mats)
 
 
 def _criterion_04_sweep():
@@ -310,7 +310,7 @@ def test_criterion_06_lur_behaviour():
     min_l3 = np.inf
     for _, mats in _separable_stacks(20260806, 10_000):
         # Per state: numpy's stacked square moves the last bit of a few L3 values.
-        for t in pauli_moments(_validated(mats)):
+        for t in pauli_moments(_validated_spectrum(mats)[0]):
             value = _l3_from_moments(t)
             min_l3 = min(min_l3, value)
             if value < 4.0 - 1e-9:
@@ -344,7 +344,8 @@ def test_criterion_07_invariance_suite():
     worst_pt = 0.0
     for _, mats in _ginibre_stacks(20260827, 10_000, (1, 2, 3, 4)):
         g_pt = _g_of_stack(partial_transpose(mats, "B"))
-        worst_pt = max(worst_pt, float(np.max(np.abs(g_pt - _g_of_stack(_validated(mats))))))
+        g = _g_of_stack(_validated_spectrum(mats)[0])
+        worst_pt = max(worst_pt, float(np.max(np.abs(g_pt - g))))
     # the LUR witness pair: detection flips across the threshold, G does not move
     singlet = canonical("singlet")
     flipped = apply_local_unitary(singlet, SIGMA1, SIGMA0)
@@ -361,7 +362,7 @@ def test_criterion_07_invariance_suite():
 def test_criterion_08_detection_threshold():
     max_sep_g = 0.0
     for _, mats in _separable_stacks(20260828, 10_000):
-        max_sep_g = max(max_sep_g, float(np.max(_g_of_stack(_validated(mats)))))
+        max_sep_g = max(max_sep_g, float(np.max(_g_of_stack(_validated_spectrum(mats)[0]))))
     implication_ok = True
     certified = 0
     for _, mats in _ginibre_stacks(20260838, 10_000, (2, 3, 4)):

@@ -65,3 +65,14 @@ def test_a_command_run_keeps_its_exit_time_memory_and_output():
 def test_an_infeasible_exit_that_ends_otherwise_is_refused(code, stdout, stderr):
     with pytest.raises(ValueError, match="^infeasible_exit: exit"):
         run_bench.command_record("infeasible_exit", code, 1.7, 41984, stdout, stderr)
+
+
+def test_the_json_ensemble_command_runs_the_ci_ginibre_spec():
+    argv, code, message = run_bench.COMMANDS["ensemble_json_10k"]
+    assert argv[0] == "ensemble" and argv[2:] == ["--format", "json"] and (code, message) == (0, "")
+    spec = json.loads((run_bench.ROOT / argv[1]).read_text(encoding="utf-8"))
+    assert spec == {"kind": "ginibre", "count": 10000, "seed": 2026, "rank": 3}
+    out = b'[{"index": 0, "re": [], "im": []}]\n'
+    record = run_bench.command_record("ensemble_json_10k", 0, 0.40123, 52224, out, "")
+    assert record["argv"] == argv and record["stdout_bytes"] == len(out)
+    assert record["wall_s"] == 0.4012 and record["peak_rss_mb"] == 51.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entcov import __version__, cli, ensembles
+from entcov import __version__, cli, ensembles, states
 from entcov.jsonio import _shown, dumps, loads
 from entcov.sampler import record_to_dict, simulate_record
 from entcov.states import (
@@ -420,50 +420,44 @@ def test_ensemble_infeasible_window(tmp_path, capsys, monkeypatch):
 def test_a_fixed_purity_slice_factors_only_the_states_it_emits(capsys, monkeypatch):
     # Rejected attempts are scored, never validated: the one validation of
     # each emitted state is the sweep's own, on its chunk's eigendecomposition,
-    # and no state is factored by the Cholesky route of DensityMatrix.
-    validated, factored = [], []
-    validate, cholesky = cli._validated_spectrum, np.linalg.cholesky
+    # and no state is validated again as a DensityMatrix.
+    validated, validate = [], states._validated_spectrum
 
     def counting_validation(mats):
         validated.append(len(mats))
         return validate(mats)
 
-    def counting_cholesky(a):
-        factored.append(int(np.prod(np.shape(a)[:-2])))
-        return cholesky(a)
-
+    monkeypatch.setattr(states, "_validated_spectrum", counting_validation)
     monkeypatch.setattr(cli, "_validated_spectrum", counting_validation)
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     code, out, _ = run_cli(
         capsys, ["purity-slice", "--purity", "0.46", "--count", "128", "--seed", "2026"]
     )
     assert code == 0 and len(out.splitlines()) == 1 + 128
     assert sum(validated) == 128
-    assert factored == []
 
 
 def test_the_json_ensemble_validates_and_writes_each_chunk_once(tmp_path, capsys, monkeypatch):
-    # One stacked Cholesky validates each chunk and one format operation
+    # One stacked validation decides each chunk and one format operation
     # writes it: no state is validated or serialized on its own.
-    factored, cholesky, dumped = [], np.linalg.cholesky, []
+    validated, validate, dumped = [], cli._validated_spectrum, []
 
-    def counting(a):
-        factored.append(int(np.prod(np.shape(a)[:-2])))
-        return cholesky(a)
+    def counting(mats):
+        validated.append(len(mats))
+        return validate(mats)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(cli, "_validated_spectrum", counting)
     monkeypatch.setattr(cli, "dumps", lambda obj: dumped.append(obj) or dumps(obj))
     code, out, _ = run_cli(capsys, pinned_argv(tmp_path, "ensemble-ginibre-json"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_CSV_SHA256["ensemble-ginibre-json"]
-    assert factored == [ensembles.CHUNK, 44]
+    assert validated == [ensembles.CHUNK, 44]
     assert dumped == []
 
 
 def per_state_json(spec: ensembles.EnsembleSpec) -> str:
     """The per-state writer `ensemble --format json` had: a DensityMatrix, a dict and dumps each."""
-    states = [{"index": i, **density_matrix_to_dict(rho)} for i, rho in ensembles.generate(spec)]
-    return dumps(states) + "\n"
+    rows = [{"index": i, **density_matrix_to_dict(rho)} for i, rho in ensembles.generate(spec)]
+    return dumps(rows) + "\n"
 
 
 @pytest.mark.parametrize("count", [1, ensembles.CHUNK + 44])

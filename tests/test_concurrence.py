@@ -5,7 +5,7 @@ import pytest
 
 from entcov.concurrence import (
     PureInvariants,
-    _concurrence,
+    _concurrence_from_spectrum,
     _concurrence_pure,
     concurrence_mixed,
     concurrence_pure,
@@ -19,7 +19,7 @@ from entcov.states import (
     DensityMatrix,
     PureState,
     _projectors,
-    _validated,
+    _validated_spectrum,
     apply_local_unitary,
     canonical,
     from_pure,
@@ -137,7 +137,7 @@ def test_concurrence_mixed_agrees_with_pure():
     # stacked kernels give concurrence_mixed's and concurrence_pure's values
     # bit for bit
     for _, amps in _chunks(10_000, functools.partial(_haar_amp_stack, 31)):
-        mixed = _concurrence(_validated(_projectors(amps)))
+        mixed = _concurrence_from_spectrum(*_validated_spectrum(_projectors(amps)))
         assert np.all(np.abs(mixed - _concurrence_pure(amps)) < 1e-9)
 
 
@@ -154,7 +154,7 @@ def test_pure_master_relation_sample():
     # haar_pure(43, k) for k < 1000, a chunk at a time
     for _, amps in _chunks(1000, functools.partial(_haar_amp_stack, 43)):
         c = _concurrence_pure(amps)
-        g = _g_from_moments(pauli_moments(_validated(_projectors(amps))))
+        g = _g_from_moments(pauli_moments(_validated_spectrum(_projectors(amps))[0]))
         assert np.all(np.abs(g - c * c * (2.0 + c * c)) < 1e-9)
         # for pure states G > 0 iff C > 0
         assert np.all(g[c > 1e-4] > 1e-9)

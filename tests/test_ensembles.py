@@ -35,7 +35,7 @@ from entcov.states import (
     DensityMatrix,
     _projectors,
     _purity,
-    _validated,
+    _validated_spectrum,
     apply_local_unitary,
     canonical,
     purity,
@@ -79,7 +79,7 @@ def test_haar_pure_master_relation():
     # haar_pure(101, k) for k < 500, a chunk at a time
     for _, amps in ensembles._chunks(500, functools.partial(ensembles._haar_amp_stack, 101)):
         c = _concurrence_pure(amps)
-        g = _g_from_moments(pauli_moments(_validated(_projectors(amps))))
+        g = _g_from_moments(pauli_moments(_validated_spectrum(_projectors(amps))[0]))
         assert np.all(np.abs(g - c * c * (2.0 + c * c)) < 1e-9)
 
 

@@ -9,15 +9,20 @@ are now the kernels' one-matrix case.
 
 import dataclasses
 import itertools
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entcov
+from entcov import linalg
 from entcov.concurrence import (
-    _concurrence,
     _concurrence_from_spectrum,
     _concurrence_pure,
     concurrence_mixed,
@@ -39,6 +44,7 @@ from entcov.gmeasure import (
     _clamp_g,
     _g_from_moments,
     _g_hs,
+    analyze,
     bounds_violated,
     g_from_covariances,
     g_hilbert_schmidt,
@@ -51,6 +57,7 @@ from entcov.linalg import (
     MATRIX_TOL,
     PAULIS,
     SIGMA2,
+    _blas_kernel,
     _trace,
     eig_hermitian,
     partial_trace,
@@ -66,11 +73,11 @@ from entcov.observables import (
     pauli_moments,
     variance,
 )
+from entcov.sampler import outcome_probabilities
 from entcov.states import (
     DensityMatrix,
     PureState,
     _purity,
-    _validated,
     _validated_spectrum,
     canonical,
     from_pure,
@@ -149,8 +156,9 @@ few = settings(max_examples=40, deadline=None, database=None)
 @given(stacks)
 @example(np.stack([rho_u(2.2250738585e-313, 0.0).mat]))  # a subnormal gamma
 def test_stack_kernels_equal_the_scalar_reference(mats):
-    assert np.array_equal(_validated(mats), mats)
-    p, t, c = _purity(mats), pauli_moments(mats), _concurrence(mats)
+    valid, w, v = _validated_spectrum(mats)
+    assert np.array_equal(valid, mats)
+    p, t, c = _purity(mats), pauli_moments(mats), _concurrence_from_spectrum(valid, w, v)
     g = _g_from_moments(t)
     for k, m in enumerate(mats):
         ref_validate(m)
@@ -180,21 +188,33 @@ def test_the_concurrence_kernel_is_the_spin_flip_product_bit_for_bit(spec):
     # kernel by reversing m* and signing its entries.  Every bit must agree,
     # the sign of a zero concurrence included.
     mats = _stack(spec, np.arange(spec.count))
-    c = _concurrence(mats)
+    c = _concurrence_from_spectrum(*_validated_spectrum(mats))
     assert same_bits(c, [ref_concurrence(m) for m in mats])
     named = np.stack([canonical(name).mat for name in NAMED])
-    assert same_bits(_concurrence(named), [ref_concurrence(m) for m in named])
+    c = _concurrence_from_spectrum(*_validated_spectrum(named))
+    assert same_bits(c, [ref_concurrence(m) for m in named])
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.kind + f"-{s.rank}" * bool(s.rank))
 def test_the_concurrence_from_the_validated_spectrum_is_concurrence_mixed_bit_for_bit(spec):
     # The sweep's concurrence reuses its validation's eigendecomposition
-    # instead of sqrt_psd's; every bit must agree with the checked call.
+    # instead of sqrt_psd's; every bit must agree with the checked kernels'
+    # value and with the one-state call.
     spec = dataclasses.replace(spec, count=512)
     m, w, v = _validated_spectrum(_stack(spec, np.arange(spec.count)))
     c = _concurrence_from_spectrum(m, w, v)
-    assert same_bits(c, _concurrence(m))
+    assert same_bits(c, checked_concurrence(m))
     assert same_bits(c, [concurrence_mixed(DensityMatrix(x)) for x in m])
+
+
+def checked_concurrence(mats):
+    """The concurrence of a stack through the checked kernels sqrt_psd and eig_hermitian."""
+    flipped = YY @ mats.conj() @ YY
+    s = sqrt_psd(mats)
+    w = np.maximum(eig_hermitian(s @ flipped @ s)[0], 0.0)
+    w[w < 1e-12] = 0.0
+    lam = np.sqrt(w)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def corrupt(m: np.ndarray, how: str) -> np.ndarray:
@@ -240,12 +260,7 @@ def bad_stacks(mats, data):
 @given(stacks, st.data())
 def test_a_bad_matrix_raises_its_own_scalar_message(mats, data):
     k, how, single, several = bad_stacks(mats, data)
-    # the state validation reports the first failing matrix across all its checks
-    expected = message(DensityMatrix, single[k])
-    assert message(ref_validate, single[k]) == expected
-    for bad in (single, several):
-        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-            _validated(bad)
+    assert message(DensityMatrix, single[k]) == message(ref_validate, single[k])
     # the linear-algebra kernels run each check over the whole stack in turn
     kernels = {"hermitian": (pauli_moments, eig_hermitian, sqrt_psd), "psd": (sqrt_psd,)}
     for kernel in kernels.get(how, ()):
@@ -258,7 +273,8 @@ def test_a_bad_matrix_raises_its_own_scalar_message(mats, data):
 @given(stacks, st.data())
 def test_the_sweep_route_refuses_a_bad_matrix_with_its_scalar_message(mats, data):
     # The sweeps validate on the eigendecomposition their concurrence reuses;
-    # every refusal is DensityMatrix's, with its message.
+    # every refusal is DensityMatrix's, with its message, and reports the
+    # first failing matrix across all the checks.
     k, _, single, several = bad_stacks(mats, data)
     expected = message(DensityMatrix, single[k])
     for bad in (single, several):
@@ -306,24 +322,9 @@ def outcome(fn, m) -> str:
     return "accepted"
 
 
-def test_the_psd_decision_at_the_tolerance_edge_is_the_eigh_rule():
-    rng = np.random.default_rng(20261019)
-    deltas = [sign * d for d in (1e-2, 1e-4, 1e-6, 1e-8) for sign in (1, -1)]
-    mats = np.stack([near_edge(rng, d, rank) for _ in range(4) for d in deltas for rank in (2, 3, 4)])
-    expected = [outcome(ref_validate, m) for m in mats]
-    assert 0 < expected.count("accepted") < len(mats)  # both sides of the edge are reached
-    for m, want in zip(mats, expected):
-        assert outcome(_validated, m[None]) == want
-        assert outcome(DensityMatrix, m) == want
-    first_bad = next(w for w in expected if w != "accepted")
-    assert outcome(_validated, mats) == first_bad
-    kept = [k for k, w in enumerate(expected) if w == "accepted"]
-    assert np.array_equal(_validated(mats[kept]), mats[kept])
-
-
 def overflowing() -> tuple[np.ndarray, ...]:
     """Hermitian, unit trace and finite, with entries near 1e308, where m + m^dagger would
-    overflow; the Cholesky of the first may return NaN factors without raising (OpenBLAS does)."""
+    overflow."""
     big = np.diag([0.25] * 4).astype(complex)
     big[0, 1] = big[1, 0] = 1e308
     imaginary = np.diag([0.25] * 4).astype(complex)
@@ -335,19 +336,21 @@ def overflowing() -> tuple[np.ndarray, ...]:
 OVERFLOWING = overflowing()
 
 
-def test_the_sweep_route_decides_the_tolerance_edge_as_density_matrix_does():
+def test_the_psd_decision_at_the_tolerance_edge_is_the_eigh_rule():
     rng = np.random.default_rng(20261020)
     deltas = [sign * d for d in (1e-2, 1e-4, 1e-6, 1e-8) for sign in (1, -1)]
     # exactly at the edge, one ulp inside it and one ulp past it
     wmins = [-MATRIX_TOL, np.nextafter(-MATRIX_TOL, 0.0), np.nextafter(-MATRIX_TOL, -1.0)] * 4
     edge = [at_edge(rng, wmin, pos) for wmin in wmins for pos in (0, 3)]
-    assert [outcome(DensityMatrix, m) == "accepted" for m in edge] == [
-        wmin >= -MATRIX_TOL for wmin in wmins for _ in (0, 3)]
     near = [near_edge(rng, d, rank) for _ in range(4) for d in deltas for rank in (2, 3, 4)]
     mats = np.stack(near + edge + list(OVERFLOWING))
-    expected = [outcome(DensityMatrix, m) for m in mats]
+    expected = [outcome(ref_validate, m) for m in mats]
+    assert [w == "accepted" for w in expected[len(near):len(near) + len(edge)]] == [
+        wmin >= -MATRIX_TOL for wmin in wmins for _ in (0, 3)]
+    assert 0 < expected[:len(near)].count("accepted") < len(near)  # both sides are reached
     for m, want in zip(mats, expected):
         assert outcome(_validated_spectrum, m[None]) == want
+        assert outcome(DensityMatrix, m) == want
     first_bad = next(w for w in expected if w != "accepted")
     assert outcome(_validated_spectrum, mats) == first_bad
     kept = [k for k, w in enumerate(expected) if w == "accepted"]
@@ -361,7 +364,7 @@ def test_the_sweep_route_decides_the_tolerance_edge_as_density_matrix_does():
 def test_an_overflowing_hermitian_part_goes_to_the_eigh_rule():
     for m, wmin in zip(OVERFLOWING, ("-1.000e+308", "-1.000e+308", "-1.500e+308")):
         expected = f"ValueError: not positive semidefinite: min eigenvalue {wmin}"
-        assert outcome(_validated, m[None]) == outcome(ref_validate, m) == expected
+        assert outcome(_validated_spectrum, m[None]) == outcome(ref_validate, m) == expected
         with pytest.raises(ValueError, match=re.escape(expected.removeprefix("ValueError: "))):
             DensityMatrix(m)
 
@@ -377,21 +380,6 @@ def eigh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return calls
-
-
-def test_valid_stacks_are_validated_without_an_eigensolve(eigh_calls):
-    mats = _ginibre_stack(20261019, np.arange(128), (1, 2, 3, 4))
-    assert np.array_equal(_validated(mats), mats)
-    spec = EnsembleSpec("fixed_purity", 32, 20261019, purity_target=0.46, purity_window=0.005)
-    assert _stack(spec, np.arange(32)).shape == (32, 4, 4)
-    assert eigh_calls == []
-    bad = mats.copy()
-    bad[77] = corrupt(mats[77], "psd")
-    expected = message(ref_validate, bad[77])
-    eigh_calls.clear()
-    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-        _validated(bad)
-    assert eigh_calls == [(128, 4, 4)]
 
 
 def same_bits(a, b) -> bool:
@@ -570,6 +558,68 @@ def test_every_public_scalar_measure_returns_a_python_float(name):
     p = haar_pure(20261021, 3)
     for rho in (from_pure(p), ginibre(20261021, 3, 2), canonical("singlet")):
         assert type(SCALAR_MEASURES[name](p, rho)) is float
+
+
+def test_the_scalar_measures_of_a_constructed_state_check_nothing_again(monkeypatch, eigh_calls):
+    # Construction decided every rule; the measures of a DensityMatrix run
+    # the unchecked kernels, and the concurrence decomposes twice: the
+    # state for its square root, then the spin-flip product.
+    states = [canonical(name) for name in NAMED]
+    states += [ginibre(20261022, k, rank) for k in range(4) for rank in (1, 2, 3, 4)]
+    states.append(DensityMatrix(at_edge(np.random.default_rng(20261022), -MATRIX_TOL, 0)))
+    checked, herm_defect = [], linalg.herm_defect
+    monkeypatch.setattr(linalg, "herm_defect", lambda m: checked.append(m) or herm_defect(m))
+    for rho in states:
+        eigh_calls.clear()
+        concurrence_mixed(rho)
+        assert eigh_calls == [(4, 4), (4, 4)]
+        l3(rho), correlation_data(rho), analyze(rho), outcome_probabilities(rho)
+    assert checked == []
+
+
+def cpu_flags() -> set:
+    """The flags /proc/cpuinfo lists, or none where it cannot be read."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return {flag for line in fh if line.startswith("flags")
+                    for flag in line.partition(":")[2].split()}
+    except OSError:
+        return set()
+
+
+# Run in a child under OpenBLAS's Haswell kernels: 512 Ginibre states, ranks 1-4,
+# printing the kernel and how many scalar concurrences differ in any bit
+# from the stacked kernel's.
+HASWELL_CHILD = """
+import numpy as np
+from entcov.concurrence import _concurrence_from_spectrum, concurrence_mixed
+from entcov.ensembles import _ginibre_stack
+from entcov.linalg import _blas_kernel
+from entcov.states import DensityMatrix, _validated_spectrum
+
+m, w, v = _validated_spectrum(_ginibre_stack(20261023, np.arange(512), (1, 2, 3, 4)))
+stacked = _concurrence_from_spectrum(m, w, v)
+scalar = np.array([concurrence_mixed(DensityMatrix(x)) for x in m])
+print(_blas_kernel(), np.count_nonzero(stacked.view(np.uint64) != scalar.view(np.uint64)))
+"""
+
+
+def test_the_scalar_concurrence_is_the_stacked_kernel_under_haswell():
+    # The pinned concurrence bits belong to one BLAS kernel; the identity of
+    # the scalar and the stacked route must hold under another kernel too.
+    # Forcing a kernel is safe only on a CPU that has its instructions.
+    if not {"avx2", "fma"} <= cpu_flags():
+        pytest.skip("/proc/cpuinfo lists no avx2 or no fma, which the Haswell kernels need")
+    if _blas_kernel() == "unknown":
+        pytest.skip("numpy bundles no OpenBLAS whose kernel can be chosen")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (str(Path(entcov.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+               if p)}
+    proc = subprocess.run([sys.executable, "-c", HASWELL_CHILD], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Haswell", "0"]
 
 
 # Values whose text is easy to get wrong: both zeros, subnormals, the ends of

@@ -15,7 +15,7 @@ from entcov.observables import (
     pauli_moments,
     variance,
 )
-from entcov.states import PureState, _purity, _validated, canonical, from_pure, rho_u
+from entcov.states import PureState, _purity, _validated_spectrum, canonical, from_pure, rho_u
 
 
 def test_expectation_singlet_perfect_anticorrelation():
@@ -123,7 +123,7 @@ def test_covariance_bound_over_random_states():
     # with the ranks cycling 1-4, generated and measured in stacks by the
     # sweeps' chunk loop.
     for _, mats in _chunks(100_000, functools.partial(_ginibre_stack, 31, ranks=(1, 2, 3, 4))):
-        mats = _validated(mats)
+        mats = _validated_spectrum(mats)[0]
         t = pauli_moments(mats)
         var_a = 1.0 - t[:, 1:, 0] ** 2
         var_b = 1.0 - t[:, 0, 1:] ** 2
