@@ -12,8 +12,9 @@ changes to tracked files) and the OpenBLAS kernel
 behind ``correct``, belong to one kernel.
 
 Then each entcov command of COMMANDS runs once in its own process with one
-BLAS thread, from the repository root (spec files are given relative to it); the file keeps its exit code, wall time, peak RSS (from the
-child's own ``wait4`` usage) and the size and sha256 of its standard output.
+BLAS thread, from the repository root (spec files are given relative to
+it); the file keeps its exit code, wall time, peak RSS (from the child's
+own ``wait4`` usage) and the size and sha256 of its standard output.
 A command that exits with another code, or without its expected message,
 fails the script.
 """

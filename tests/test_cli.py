@@ -439,12 +439,13 @@ def test_a_fixed_purity_slice_factors_only_the_states_it_emits(capsys, monkeypat
 def test_the_json_ensemble_validates_and_writes_each_chunk_once(tmp_path, capsys, monkeypatch):
     # One stacked validation decides each chunk and one format operation
     # writes it: no state is validated or serialized on its own.
-    validated, validate, dumped = [], cli._validated_spectrum, []
+    validated, validate, dumped = [], states._validated_spectrum, []
 
     def counting(mats):
         validated.append(len(mats))
         return validate(mats)
 
+    monkeypatch.setattr(states, "_validated_spectrum", counting)
     monkeypatch.setattr(cli, "_validated_spectrum", counting)
     monkeypatch.setattr(cli, "dumps", lambda obj: dumped.append(obj) or dumps(obj))
     code, out, _ = run_cli(capsys, pinned_argv(tmp_path, "ensemble-ginibre-json"))
