@@ -336,14 +336,22 @@ def overflowing() -> tuple[np.ndarray, ...]:
 OVERFLOWING = overflowing()
 
 
-def test_the_psd_decision_at_the_tolerance_edge_is_the_eigh_rule():
+def edge_family():
+    """The near-edge, at-edge and overflowing matrices, each group as a list, and their stack.
+
+    wmins are the least eigenvalues of the at-edge matrices: exactly at the
+    edge, one ulp inside it and one ulp past it.
+    """
     rng = np.random.default_rng(20261020)
     deltas = [sign * d for d in (1e-2, 1e-4, 1e-6, 1e-8) for sign in (1, -1)]
-    # exactly at the edge, one ulp inside it and one ulp past it
     wmins = [-MATRIX_TOL, np.nextafter(-MATRIX_TOL, 0.0), np.nextafter(-MATRIX_TOL, -1.0)] * 4
     edge = [at_edge(rng, wmin, pos) for wmin in wmins for pos in (0, 3)]
     near = [near_edge(rng, d, rank) for _ in range(4) for d in deltas for rank in (2, 3, 4)]
-    mats = np.stack(near + edge + list(OVERFLOWING))
+    return wmins, near, edge, np.stack(near + edge + list(OVERFLOWING))
+
+
+def test_the_psd_decision_at_the_tolerance_edge_is_the_eigh_rule():
+    wmins, near, edge, mats = edge_family()
     expected = [outcome(ref_validate, m) for m in mats]
     assert [w == "accepted" for w in expected[len(near):len(near) + len(edge)]] == [
         wmin >= -MATRIX_TOL for wmin in wmins for _ in (0, 3)]
@@ -356,6 +364,15 @@ def test_the_psd_decision_at_the_tolerance_edge_is_the_eigh_rule():
     kept = [k for k, w in enumerate(expected) if w == "accepted"]
     m, w, v = _validated_spectrum(mats[kept])
     assert same_bits(m, mats[kept])
+
+
+def test_the_sweep_route_decides_the_tolerance_edge_as_density_matrix_does():
+    _, _, _, mats = edge_family()
+    expected = [outcome(DensityMatrix, m) for m in mats]
+    for m, want in zip(mats, expected):
+        assert outcome(_validated_spectrum, m[None]) == want
+    kept = [k for k, w in enumerate(expected) if w == "accepted"]
+    m, w, v = _validated_spectrum(mats[kept])
     # every accepted edge state keeps concurrence_mixed's bits
     c = _concurrence_from_spectrum(m, w, v)
     assert same_bits(c, [concurrence_mixed(DensityMatrix(x)) for x in mats[kept]])
