@@ -44,6 +44,12 @@ COMMANDS = {
     # 10^4 rank-3 Ginibre states at seed 2026 as JSON: CI's ginibre-json digest.
     "ensemble_json_10k": (["ensemble", "bench/ginibre_rank3_10k.json", "--format", "json"],
                           0, ""),
+    # 10^5 Ginibre states of ranks 1-4 at seed 2026: CI's scan digest.
+    "scan_100k": (["scan-bounds", "--count", "100000", "--seed", str(SEED)], 0, ""),
+    # The exact report of one state file: G and L3 from one moment table.
+    "analyze_singlet": (["analyze", "bench/singlet.json"], 0, ""),
+    # Start-up alone: the imports and the parser, no command.
+    "version": (["--version"], 0, ""),
 }
 
 

@@ -39,13 +39,12 @@ from .gmeasure import (
     _g_from_moments,
     analyze,
     bounds_violated,
-    g_from_covariances,
     greport_to_dict,
     mixed_state_ceiling,
     pure_state_floor,
 )
 from .jsonio import _integer, dumps, format_float
-from .observables import _moments, correlation_data
+from .observables import _moments
 from .sampler import (
     MAX_RECORD_SHOTS,
     estimate_g,
@@ -251,7 +250,7 @@ def cmd_purity_slice(args) -> int:
 def cmd_sample(args) -> int:
     rho = _load(args.state_file, _state)
     out = estimate_to_dict(estimate_g(simulate_record(rho, args.shots, args.seed)))
-    out["g_exact"] = g_from_covariances(correlation_data(rho))
+    out["g_exact"] = float(_g_from_moments(_moments(rho.mat)))
     _emit(args.output, dumps(out))
     return 0
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _trace, partial_trace, tensor
-from .observables import CorrelationData, _covariances, _moments, correlation_data
+from .observables import CorrelationData, _covariances, _moments
 from .states import DensityMatrix
 
 logger = logging.getLogger(__name__)
@@ -144,12 +144,13 @@ def concurrence_interval(g: float) -> tuple[float, float]:
 
 def analyze(rho: DensityMatrix) -> GReport:
     """Compute both G forms, L3, the verdict and the concurrence interval."""
-    g = g_from_covariances(correlation_data(rho))
+    t = _moments(rho.mat)
+    g = float(_g_from_moments(t))
     g_hs = g_hilbert_schmidt(rho)
     return GReport(
         g=g,
         g_hs=g_hs,
-        l3=l3(rho),
+        l3=_l3_from_moments(t),
         verdict=VERDICT_CERTIFIED if certifies(g) else VERDICT_NOT_CERTIFIED,
         conc_interval=concurrence_interval(g),
     )

@@ -28,9 +28,9 @@ from ._rng import (
     _seed_keys,
     rng_at,
 )
-from .gmeasure import certifies, g_from_covariances
+from .gmeasure import _g_from_moments, certifies
 from .jsonio import _integer, _json_floats, _json_int, _json_integral, _real
-from .observables import _moments, correlation_data
+from .observables import _moments
 from .states import DensityMatrix
 
 # Fixed outcome order (+ +), (+ -), (- +), (- -); all tables use it.
@@ -208,7 +208,7 @@ def shots_for_verdict(
     sigma = _real("confidence_sigma", confidence_sigma)
     if not (sigma >= 0 and math.isfinite(sigma)):
         raise ValueError(f"confidence_sigma must be finite and >= 0, got {confidence_sigma!r}")
-    g = g_from_covariances(correlation_data(rho))
+    g = float(_g_from_moments(_moments(rho.mat)))
     if not certifies(g):
         raise ValueError(f"state has G = {g:.6g} <= 1 and cannot be certified")
 

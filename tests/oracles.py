@@ -14,6 +14,16 @@ def g_of(rho) -> float:
     return g_from_covariances(correlation_data(rho))
 
 
+def cpu_flags() -> set:
+    """The flags /proc/cpuinfo lists, or none where it cannot be read."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return {flag for line in fh if line.startswith("flags")
+                    for flag in line.partition(":")[2].split()}
+    except OSError:
+        return set()
+
+
 def complex_normals(rng, shape) -> np.ndarray:
     """Complex normals of the given shape: every real part drawn first, then every imaginary part."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

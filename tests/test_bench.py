@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from entcov.jsonio import dumps
+from entcov.states import canonical, density_matrix_to_dict
+
 SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "run_bench.py"
 _spec = importlib.util.spec_from_file_location("run_bench", SCRIPT)
 run_bench = importlib.util.module_from_spec(_spec)
@@ -76,3 +79,24 @@ def test_the_json_ensemble_command_runs_the_ci_ginibre_spec():
     record = run_bench.command_record("ensemble_json_10k", 0, 0.40123, 52224, out, "")
     assert record["argv"] == argv and record["stdout_bytes"] == len(out)
     assert record["wall_s"] == 0.4012 and record["peak_rss_mb"] == 51.0
+
+
+def test_the_scan_command_runs_the_ci_scan():
+    assert run_bench.COMMANDS["scan_100k"] == (
+        ["scan-bounds", "--count", "100000", "--seed", "2026"], 0, "")
+
+
+def test_the_analyze_command_reads_the_committed_singlet():
+    argv, code, message = run_bench.COMMANDS["analyze_singlet"]
+    assert argv[0] == "analyze" and (code, message) == (0, "")
+    data = json.loads((run_bench.ROOT / argv[1]).read_text(encoding="utf-8"))
+    assert dumps(data) == dumps(density_matrix_to_dict(canonical("singlet")))
+    out = b'{\n  "g": 2.9999999999999987\n}\n'
+    record = run_bench.command_record("analyze_singlet", 0, 0.30123, 40960, out, "")
+    assert record["argv"] == argv and record["peak_rss_mb"] == 40.0
+
+
+def test_the_version_command_measures_start_up_alone():
+    assert run_bench.COMMANDS["version"] == (["--version"], 0, "")
+    record = run_bench.command_record("version", 0, 0.25, 30720, b"entcov 0.1.0\n", "")
+    assert record["exit_code"] == 0 and record["stdout_bytes"] == 13

@@ -11,6 +11,7 @@ import pytest
 
 from entcov import __version__, cli, ensembles, states
 from entcov.jsonio import _shown, dumps, loads
+from entcov.linalg import _blas_kernel
 from entcov.sampler import record_to_dict, simulate_record
 from entcov.states import (
     canonical,
@@ -20,6 +21,8 @@ from entcov.states import (
     rho_u,
 )
 from entcov.ensembles import haar_pure
+
+from oracles import cpu_flags
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -404,6 +407,85 @@ def test_sweep_output_does_not_depend_on_chunk(tmp_path, capsys, monkeypatch):
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_CSV_SHA256[command]
     assert outputs[1] == outputs[7] == outputs[default]
+
+
+# sha256 of the g and purity columns of each CSV pin (see ``csv_column``),
+# which no BLAS kernel moves: they read the same under OpenBLAS's SkylakeX
+# and Haswell kernels.  The concurrence columns move with eigh's bits, and
+# separable mixtures move in every column, through their complex norms.
+KERNEL_FREE_COLUMNS_SHA256 = {
+    "ensemble": ("0f2be8836c43ecc998ccbd731f40b7378c377245db61c99592b0ebc43bb2678b",
+                 "9d4e94c9882ff53bc712d2101474cc7a77ae81aa9240c1f4e7c2d90d5515c176"),
+    "ensemble-fixed_purity-csv": (
+        "1cf92d3f7b5f8f5857cf45ae365a4f1f927c4d0eab4e26e36ddfebc3c6f52252",
+        "1aab5d96f36dfd85cf637a8f67bbae9eb85734c92f1f3fd792bea1c6615bf4f0"),
+    "ensemble-ginibre-csv": ("e04aa59d27dabcf8f9f0b84e14e611d1751d3b8c8917913fde4fd526f7badfd0",
+                             "28cc766e79aea10e72c1614aef28794aac02c581f828ce361e7838b6d99ee6ab"),
+    "ensemble-haar_pure-csv": (
+        "1a40ff7ea5acee3b55d1ad4eee92f37be4db4f6293819fbfade0f527155b4272",
+        "4792dea994210a11f062234dc616a9577de0e9867690aa19e2a14a5ddd09187b"),
+    "ensemble-rho_u_sweep-csv": (
+        "026dd616fdf0c564e40aacfc5c81256ae811cea73a68cfe8e8b5a60133000181",
+        "6d637d58b2a5363a1b7e0b9eb05f374605b89ab69645e97fb0bf59be86a4e8fd"),
+    "purity-slice": ("841aa9e278757825b9ddf771b5331aaa4051483450dc9bb9e0df4082fae7be8f",
+                     "940807159a16cbde0021e5cc0f2391a828672892953cfb3eb75dd0cadd99d604"),
+    "purity-slice-1.0": ("9d901090c4fb448b59cb74be9a95633b6a42d6d7de718f3afeb74d0186d3a977",
+                         "59affd7329979a81e96df52ab8813945179efd69f86d5d564228c0dade2769ef"),
+    "scan-bounds": ("3fde49bc7a7881a70449663e50ac151e4db9ff90d294bdf30256efc1c3a33bea",
+                    "c504128f5917c577d6c8bdee5f82cc038158177572b61f79ed593e9153ce46ac"),
+    "scan-bounds-rank-1,3": ("a3edba1939b93a79e8681c85fb2516e37a929218b47ed91641ab78beed81176c",
+                             "41eb50897a86d5f66bd1d67c9fcdb8195ff1fe2f92cbb32ca98abfe4b721ce04"),
+}
+# The JSON pins whose whole text no BLAS kernel moves: the states carry no
+# concurrence.  Separable mixtures move here too.
+KERNEL_FREE_JSON = ("ensemble-fixed_purity-json", "ensemble-ginibre-json",
+                    "ensemble-haar_pure-json", "ensemble-rho_u_sweep-json")
+
+# Run each {command: argv} read from stdin and print the kernel and {command: [code, stdout]}.
+PINS_CHILD = """
+import contextlib, io, json, sys
+from entcov import cli
+from entcov.linalg import _blas_kernel
+
+outputs = {}
+for command, argv in json.load(sys.stdin).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        outputs[command] = [cli.main(argv), out.getvalue()]
+print(json.dumps([_blas_kernel(), outputs]))
+"""
+
+
+def csv_column(text: str, name: str) -> str:
+    """The values of the named column of CSV text, one per line, without the header."""
+    header, *rows = text.splitlines()
+    k = header.split(",").index(name)
+    return "\n".join(row.split(",")[k] for row in rows)
+
+
+def test_the_kernel_free_pins_hold_under_haswell(tmp_path):
+    # The full pins belong to one BLAS kernel; these parts of them belong to
+    # none.  Forcing a kernel is safe only on a CPU that has its instructions.
+    if not {"avx2", "fma"} <= cpu_flags():
+        pytest.skip("/proc/cpuinfo lists no avx2 or no fma, which the Haswell kernels need")
+    if _blas_kernel() == "unknown":
+        pytest.skip("numpy bundles no OpenBLAS whose kernel can be chosen")
+    argvs = {command: pinned_argv(tmp_path, command)
+             for command in (*KERNEL_FREE_COLUMNS_SHA256, *KERNEL_FREE_JSON)}
+    env = {**src_env(), "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", PINS_CHILD], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    kernel, outputs = json.loads(proc.stdout)
+    assert kernel == "Haswell"
+    for command, (code, out) in outputs.items():
+        assert code == 0, command
+        if command in KERNEL_FREE_JSON:
+            assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_CSV_SHA256[command], command
+        else:
+            digests = tuple(hashlib.sha256(csv_column(out, name).encode()).hexdigest()
+                            for name in ("g", "purity"))
+            assert digests == KERNEL_FREE_COLUMNS_SHA256[command], command
 
 
 def test_ensemble_infeasible_window(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ are now the kernels' one-matrix case.
 
 import dataclasses
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entcov
-from entcov import linalg
+from entcov import cli, gmeasure, linalg, observables, sampler
 from entcov.concurrence import (
     _concurrence_from_spectrum,
     _concurrence_pure,
@@ -67,25 +68,27 @@ from entcov.linalg import (
 )
 from entcov.observables import (
     PAIR_OBS,
+    CorrelationData,
     correlation_data,
     covariance,
     expectation,
     pauli_moments,
     variance,
 )
-from entcov.sampler import outcome_probabilities
+from entcov.sampler import outcome_probabilities, shots_for_verdict
 from entcov.states import (
     DensityMatrix,
     PureState,
     _purity,
     _validated_spectrum,
     canonical,
+    density_matrix_to_dict,
     from_pure,
     purity,
     rho_u,
 )
 
-from oracles import complex_normals
+from oracles import complex_normals, cpu_flags
 
 YY = np.kron(SIGMA2, SIGMA2)
 NAMED = ("singlet", "phi_plus", "phi_minus", "psi_plus", "product00", "maximally_mixed",
@@ -594,14 +597,31 @@ def test_the_scalar_measures_of_a_constructed_state_check_nothing_again(monkeypa
     assert checked == []
 
 
-def cpu_flags() -> set:
-    """The flags /proc/cpuinfo lists, or none where it cannot be read."""
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            return {flag for line in fh if line.startswith("flags")
-                    for flag in line.partition(":")[2].split()}
-    except OSError:
-        return set()
+def test_the_packages_own_g_reads_one_moment_table_and_builds_no_correlation_data(
+        tmp_path, capsys, monkeypatch):
+    # analyze, shots_for_verdict and sample read G (and analyze L3) off one
+    # Pauli moment table; a CorrelationData is built only where one is asked
+    # for.  The route through correlation_data stays the reference.
+    states = [canonical(name) for name in NAMED]
+    states += [ginibre(20261024, k, rank) for k in range(4) for rank in (1, 2, 3, 4)]
+    reference = [(g_from_covariances(correlation_data(rho)), l3(rho)) for rho in states]
+    tables, built = [], []
+    moments, post_init = observables._moments, CorrelationData.__post_init__
+    for module in (observables, gmeasure, sampler, cli):
+        monkeypatch.setattr(module, "_moments", lambda m: tables.append(m) or moments(m))
+    monkeypatch.setattr(CorrelationData, "__post_init__",
+                        lambda cd: built.append(cd) or post_init(cd))
+    for rho, (g, l3_value) in zip(states, reference):
+        tables.clear()
+        report = analyze(rho)
+        assert len(tables) == 1
+        assert same_bits(report.g, g) and same_bits(report.l3, l3_value)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(density_matrix_to_dict(rho)))
+        assert cli.main(["sample", str(path), "--shots", "100"]) == 0
+        assert same_bits(json.loads(capsys.readouterr().out)["g_exact"], g)
+    assert shots_for_verdict(canonical("singlet"), 3.0, 2026, trials=10, required=10) == 13
+    assert built == []
 
 
 # Run in a child under OpenBLAS's Haswell kernels: 512 Ginibre states, ranks 1-4,
