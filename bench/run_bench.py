@@ -142,11 +142,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="the number in BENCH_<pr>.json")
     args = parser.parse_args(argv)
 
+    lines = {workload: run_workload(workload) for workload in WORKLOADS}
+    commands = {name: run_command(name) for name in COMMANDS}
+    # numpy only now: a child's ru_maxrss starts from the peak RSS of the
+    # process it is forked from, and with numpy this script's peak is above
+    # the whole peak of a small command such as --version.
     sys.path.insert(0, str(ROOT / "src"))
     from entcov.linalg import _blas_kernel
 
-    lines = {workload: run_workload(workload) for workload in WORKLOADS}
-    commands = {name: run_command(name) for name in COMMANDS}
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     record = bench_record(lines, git("rev-parse", "HEAD"), dirty, _blas_kernel(), commands)
     write_bench(ROOT / f"BENCH_{args.pr}.json", record)
