@@ -159,12 +159,14 @@ def cmd_analyze(args) -> int:
 
 
 def _rank_list(text: str) -> list[int]:
-    """argparse type of --rank: a nonempty comma list of Ginibre ranks."""
+    """argparse type of --rank: a nonempty comma list of Ginibre ranks, no entry empty."""
     parse = _int_option("rank", *_RANKS)
-    ranks = [parse(part) for part in text.split(",") if part.strip()]
-    if not ranks:
+    parts = [part.strip() for part in text.split(",")]
+    if not any(parts):
         raise argparse.ArgumentTypeError(f"rank list is empty: {text!r}")
-    return ranks
+    if not all(parts):
+        raise argparse.ArgumentTypeError(f"rank list has an empty entry: {text!r}")
+    return [parse(part) for part in parts]
 
 
 def _sweep(count: int, stack):

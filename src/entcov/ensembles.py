@@ -414,8 +414,11 @@ def ensemble_spec_from_dict(data: dict) -> EnsembleSpec:
     """The spec of a parsed JSON object, where an integral float such as 4.0 is an int."""
     if not isinstance(data, dict):
         raise ValueError("ensemble spec JSON must be an object")
+    unknown = set(data) - {f.name for f in fields(EnsembleSpec)}
+    if unknown:
+        raise ValueError(f"ensemble spec has unknown fields {sorted(unknown)}")
     required = {f.name for f in fields(EnsembleSpec) if f.default is MISSING}
-    if not required <= set(data) or not set(data) <= {f.name for f in fields(EnsembleSpec)}:
+    if not required <= set(data):
         raise ValueError(f"ensemble spec fields must include {sorted(required)}")
     ints = {name: _json_integral(data[name]) for name in _INT_FIELDS if name in data}
     return EnsembleSpec(**{**data, **ints})

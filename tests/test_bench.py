@@ -1,19 +1,20 @@
-"""bench/run_bench.py's BENCH file writer, on canned perfbench lines (no benchmark runs)."""
+"""bench/run_bench.py's BENCH writer on canned perfbench lines, and bench/commands.py's pins."""
 
 import hashlib
-import importlib.util
+import io
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from entcov.jsonio import dumps
-from entcov.states import canonical, density_matrix_to_dict
+from entcov import cli
+from entcov.ensembles import ensemble_spec_from_dict
 
-SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "run_bench.py"
-_spec = importlib.util.spec_from_file_location("run_bench", SCRIPT)
-run_bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(run_bench)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import commands  # noqa: E402
+import run_bench  # noqa: E402
 
 INFO = json.dumps({"workload": "scan", "seed": 2026, "trace": 0, "raw": {"wall_s": 0.0291}})
 RESULT = json.dumps({"correct": True, "attempted": 1300, "failed": 0, "metrics": {
@@ -27,13 +28,12 @@ INFEASIBLE = "error: no rank-4 sample hit purity 0.99 +- 0.005 in 1000000 attemp
 
 
 def test_the_bench_file_keeps_each_line_with_the_run_context(tmp_path):
-    commands = {"infeasible_exit": run_bench.command_record(
-        "infeasible_exit", 2, 1.76543, 41984, b"", INFEASIBLE)}
-    record = run_bench.bench_record({"scan": (INFO, RESULT)}, "94abe37", False, "SkylakeX", commands)
+    records = {"version": {"exit_code": 0, "stdout_bytes": 13}}
+    record = run_bench.bench_record({"scan": (INFO, RESULT)}, "94abe37", False, "SkylakeX", records)
     assert record["commit"] == "94abe37" and record["uncommitted_changes"] is False
     assert record["blas_kernel"] == "SkylakeX"
     assert record["workloads"]["scan"] == {"info": json.loads(INFO), "result": json.loads(RESULT)}
-    assert record["commands"] == commands
+    assert record["commands"] == records
     path = tmp_path / "BENCH_1.json"
     run_bench.write_bench(path, record)
     assert json.loads(path.read_text(encoding="utf-8")) == record
@@ -46,17 +46,20 @@ def test_a_malformed_result_line_is_refused(result):
         run_bench.bench_record({"scan": (INFO, result)}, "94abe37", False, "SkylakeX", {})
 
 
-def test_a_command_run_keeps_its_exit_time_memory_and_output():
-    out = b"index,purity,concurrence,g\n0,0.46,0.1,1.2\n"
-    record = run_bench.command_record("slice_10k", 0, 0.81234, 47206, out, "")
+def test_a_command_run_keeps_its_exit_time_memory_and_output(monkeypatch, tmp_path):
+    # Output over several blocks, hashed from the start of its file.
+    out = b"index,purity,concurrence,g\n0,0.46,0.1,1.2\n" * (3 * commands.BLOCK // 40)
+    sha = hashlib.sha256(out).hexdigest()
+    monkeypatch.setitem(commands.COMMANDS, "slice_10k",
+                        commands.COMMANDS["slice_10k"]._replace(sha256=sha))
+    with open(tmp_path / "out", "w+b") as stdout:
+        stdout.write(out)
+        record = commands.command_record("slice_10k", 0, 0.81234, 47206, stdout, "")
     assert record == {
         "argv": ["purity-slice", "--purity", "0.46", "--count", "10000", "--seed", "2026"],
         "exit_code": 0, "wall_s": 0.8123, "peak_rss_mb": 46.1, "stdout_bytes": len(out),
-        "stdout_sha256": hashlib.sha256(out).hexdigest(),
+        "stdout_sha256": sha,
     }
-    infeasible = run_bench.command_record("infeasible_exit", 2, 1.76543, 41984, b"", INFEASIBLE)
-    assert infeasible["exit_code"] == 2 and infeasible["peak_rss_mb"] == 41.0
-    assert infeasible["stdout_sha256"] == hashlib.sha256(b"").hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -67,36 +70,31 @@ def test_a_command_run_keeps_its_exit_time_memory_and_output():
 )
 def test_an_infeasible_exit_that_ends_otherwise_is_refused(code, stdout, stderr):
     with pytest.raises(ValueError, match="^infeasible_exit: exit"):
-        run_bench.command_record("infeasible_exit", code, 1.7, 41984, stdout, stderr)
+        commands.command_record("infeasible_exit", code, 1.7, 41984, io.BytesIO(stdout), stderr)
 
 
-def test_the_json_ensemble_command_runs_the_ci_ginibre_spec():
-    argv, code, message = run_bench.COMMANDS["ensemble_json_10k"]
-    assert argv[0] == "ensemble" and argv[2:] == ["--format", "json"] and (code, message) == (0, "")
-    spec = json.loads((run_bench.ROOT / argv[1]).read_text(encoding="utf-8"))
-    assert spec == {"kind": "ginibre", "count": 10000, "seed": 2026, "rank": 3}
-    out = b'[{"index": 0, "re": [], "im": []}]\n'
-    record = run_bench.command_record("ensemble_json_10k", 0, 0.40123, 52224, out, "")
-    assert record["argv"] == argv and record["stdout_bytes"] == len(out)
-    assert record["wall_s"] == 0.4012 and record["peak_rss_mb"] == 51.0
+def test_every_command_pins_a_digest_and_its_spec_files_load():
+    for name, pinned in commands.COMMANDS.items():
+        assert re.fullmatch("[0-9a-f]{64}", pinned.sha256), name
+        if pinned.argv[0] == "ensemble":
+            ensemble_spec_from_dict(json.loads((commands.ROOT / pinned.argv[1]).read_text()))
 
 
-def test_the_scan_command_runs_the_ci_scan():
-    assert run_bench.COMMANDS["scan_100k"] == (
-        ["scan-bounds", "--count", "100000", "--seed", "2026"], 0, "")
+def test_a_wrong_digest_is_refused_with_the_command_name():
+    with pytest.raises(ValueError, match="^version: exit 0, stdout sha256 "):
+        commands.command_record("version", 0, 0.25, 30720, io.BytesIO(b"entcov 0.0.0\n"), "")
 
 
-def test_the_analyze_command_reads_the_committed_singlet():
-    argv, code, message = run_bench.COMMANDS["analyze_singlet"]
-    assert argv[0] == "analyze" and (code, message) == (0, "")
-    data = json.loads((run_bench.ROOT / argv[1]).read_text(encoding="utf-8"))
-    assert dumps(data) == dumps(density_matrix_to_dict(canonical("singlet")))
-    out = b'{\n  "g": 2.9999999999999987\n}\n'
-    record = run_bench.command_record("analyze_singlet", 0, 0.30123, 40960, out, "")
-    assert record["argv"] == argv and record["peak_rss_mb"] == 40.0
+def test_the_analyze_command_reads_the_committed_singlet(capsys, monkeypatch):
+    monkeypatch.chdir(commands.ROOT)  # the pinned digest is that of the in-process report
+    assert cli.main(commands.COMMANDS["analyze_singlet"].argv) == 0
+    out = io.BytesIO(capsys.readouterr().out.encode())
+    record = commands.command_record("analyze_singlet", 0, 0.3, 40960, out, "")
+    assert record["peak_rss_mb"] == 40.0
 
 
-def test_the_version_command_measures_start_up_alone():
-    assert run_bench.COMMANDS["version"] == (["--version"], 0, "")
-    record = run_bench.command_record("version", 0, 0.25, 30720, b"entcov 0.1.0\n", "")
-    assert record["exit_code"] == 0 and record["stdout_bytes"] == 13
+def test_the_version_command_measures_start_up_alone(capsys):
+    with pytest.raises(SystemExit, match="^0$"):
+        cli.main(commands.COMMANDS["version"].argv)
+    out = io.BytesIO(capsys.readouterr().out.encode())
+    assert commands.command_record("version", 0, 0.25, 30720, out, "")["stdout_bytes"] == 13

@@ -275,6 +275,8 @@ COUNT_RULE = "count must be an integer >= 1 and <= 18446744073709551616"  # 2**6
             ["scan-bounds", "--count", "9" * 5000],
             f"{COUNT_RULE}, got '99999999999... (5002 characters)",
         ),
+        (["scan-bounds", "--rank", "1,,2"], "rank list has an empty entry: '1,,2'"),
+        (["scan-bounds", "--rank", "3,"], "rank list has an empty entry: '3,'"),
     ],
 )
 def test_bad_integer_option_is_an_input_error(capsys, argv, message):
@@ -657,6 +659,9 @@ def test_ensemble_rejects_bad_spec(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     for spec, message in [
         ({"kind": "ginibre", "count": 3, "seed": 1}, "rank"),
+        ({"kind": "ginibre", "count": 3, "seed": 1, "rank": 2, "ranks": [1]},
+         "ensemble spec has unknown fields ['ranks']"),
+        ({"kind": "ginibre", "seed": 1}, "ensemble spec fields must include ['count', 'kind', 'seed']"),
         # A count beyond the 2**64 indices a stream can address.
         ({"kind": "haar_pure", "count": 10**400, "seed": 1}, f"{COUNT_RULE}, got 1000"),
         ({"kind": "haar_pure", "count": 2**64 + 1, "seed": 1}, f"{COUNT_RULE}, got 1844"),
