@@ -12,7 +12,9 @@ changes to tracked files) and the OpenBLAS kernel
 behind ``correct``, belong to one kernel.
 
 Then each command of ``bench/commands.py`` runs once and the file keeps its
-record; a command that does not end as pinned fails the script.
+record.  A command that does not end as pinned (on a kernel other than the
+pins', say) is kept as ``{"mismatch": <message>}``: the file is still written,
+with the workload timings, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -85,7 +87,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     lines = {workload: run_workload(workload) for workload in WORKLOADS}
-    commands = {name: run_command(name) for name in COMMANDS}
+    commands = {}
+    for name in COMMANDS:
+        try:
+            commands[name] = run_command(name)
+        except ValueError as exc:
+            commands[name] = {"mismatch": str(exc)}
     # numpy only now: a child's ru_maxrss starts from the peak RSS of the
     # process it is forked from, and with numpy this script's peak is above
     # the whole peak of a small command such as --version.
@@ -95,7 +102,9 @@ def main(argv=None) -> int:
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     record = bench_record(lines, git("rev-parse", "HEAD"), dirty, _blas_kernel(), commands)
     write_bench(ROOT / f"BENCH_{args.pr}.json", record)
-    return 0 if all(w["result"]["correct"] for w in record["workloads"].values()) else 1
+    pinned = all("mismatch" not in c for c in commands.values())
+    correct = all(w["result"]["correct"] for w in record["workloads"].values())
+    return 0 if pinned and correct else 1
 
 
 if __name__ == "__main__":

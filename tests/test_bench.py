@@ -73,6 +73,28 @@ def test_an_infeasible_exit_that_ends_otherwise_is_refused(code, stdout, stderr)
         commands.command_record("infeasible_exit", code, 1.7, 41984, io.BytesIO(stdout), stderr)
 
 
+@pytest.mark.parametrize("off_pin", [(), ("scan_100k", "slice_10k")], ids=["pinned", "two-off"])
+def test_a_command_off_its_pin_is_recorded_and_the_file_still_written(monkeypatch, tmp_path,
+                                                                       off_pin):
+    # No real run: canned workload lines, and commands that end on or off their pins.
+    def run_command(name):
+        if name in off_pin:
+            raise ValueError(f"{name}: exit 0, stdout sha256 30ef2a62")
+        return {"exit_code": 0}
+
+    monkeypatch.setattr(run_bench, "run_workload", lambda workload: (INFO, RESULT))
+    monkeypatch.setattr(run_bench, "run_command", run_command)
+    monkeypatch.setattr(run_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends ROOT / "src"
+    assert run_bench.main(["--pr", "7"]) == (1 if off_pin else 0)
+    record = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
+    assert record["workloads"] == {w: {"info": json.loads(INFO), "result": json.loads(RESULT)}
+                                   for w in run_bench.WORKLOADS}
+    assert record["commands"] == {
+        name: {"mismatch": f"{name}: exit 0, stdout sha256 30ef2a62"} if name in off_pin
+        else {"exit_code": 0} for name in commands.COMMANDS}
+
+
 def test_every_command_pins_a_digest_and_its_spec_files_load():
     for name, pinned in commands.COMMANDS.items():
         assert re.fullmatch("[0-9a-f]{64}", pinned.sha256), name

@@ -206,7 +206,7 @@ def test_block_drawn_fixed_purity_keeps_the_attempt_cap_exact(monkeypatch, cap):
 
 @pytest.mark.parametrize("seed", [ORACLE_SEED, 2026])
 def test_one_stack_of_fixed_purity_matches_the_one_attempt_loop(seed):
-    # N_CHUNKED indices in one call: full groups of first blocks and a part.
+    # N_CHUNKED indices in one call: a whole chunk of stacked rounds and a part chunk.
     spec = EnsembleSpec("fixed_purity", N_CHUNKED, seed, purity_target=0.46, purity_window=0.005)
     mats = ensembles._stack(spec, np.arange(N_CHUNKED))
     for k, m in enumerate(mats):
@@ -633,12 +633,28 @@ def test_a_sweep_derives_the_fixed_purity_keys_once_per_chunk(monkeypatch):
     assert alone > 0  # some indices continue alone after their rounds
 
 
-def test_a_fixed_purity_group_holds_about_three_complex_stacks_at_its_peak():
-    # A group's first round, a (32, 16, 4, 4) complex stack of attempts, is
-    # 131072 B; its 32 live generators are counted apart.  The normals are
-    # freed before the Gram product; holding them through it raises the peak
-    # to about four stacks.
-    keys = _keys(2026, STREAM_FIXED_PURITY, np.arange(32))
+def test_a_fixed_purity_chunk_draws_each_round_as_one_stack(monkeypatch):
+    # The whole chunk's live indices draw each round together: the first
+    # round holds every index, and no more than _ROUNDS rounds are drawn.
+    rows, drawn = [], ensembles._drawn
+
+    def counting(streams, shape):
+        rows.append(shape[0])
+        return drawn(streams, shape)
+
+    monkeypatch.setattr(ensembles, "_drawn", counting)
+    spec = EnsembleSpec("fixed_purity", 128, 2026, purity_target=0.46, purity_window=0.005)
+    ensembles._stack(spec, np.arange(128))
+    assert rows[0] == 128 and len(rows) <= ensembles._ROUNDS, rows
+
+
+def test_a_fixed_purity_chunk_holds_about_three_complex_stacks_at_its_peak():
+    # A chunk's first round, a (128, _ROUND, 4, 4) complex stack of attempts
+    # (16 B an entry), is its largest; its live generators are counted apart.
+    # The normals are freed before the Gram product; holding them through it
+    # raises the peak to about four stacks.
+    stack = 128 * ensembles._ROUND * 16 * 16
+    keys = _keys(2026, STREAM_FIXED_PURITY, np.arange(128))
     ensembles._fixed_purity_stack(keys, 0.46, 0.005)  # warm-up
     tracemalloc.start()
     try:
@@ -650,7 +666,7 @@ def test_a_fixed_purity_group_holds_about_three_complex_stacks_at_its_peak():
         peak = tracemalloc.get_traced_memory()[1] - generators
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * 131072, peak / 131072
+    assert peak <= 3.25 * stack, peak / stack
 
 
 def test_generate_raises_at_the_failing_index(monkeypatch):
